@@ -12,11 +12,12 @@ are kept and tested, selected through ``BAConfig``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureFailure
 from .quadrature import adaptive_integral
 from .realmap import RealMap, compose
 
@@ -38,22 +39,43 @@ class BAConfig:
 DEFAULT_BA = BAConfig()
 
 
-def extend_ba(f: RealMap, z: complex, cfg: BAConfig = DEFAULT_BA) -> complex:
-    """Evaluate the averaged extension of f at a single half-plane point.
+def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
+    """Evaluate the averaged extension of f at half-plane points ``z``; a
+    complex for a scalar ``z``, else an array of its shape.
 
-    The integrand has a kink only at t = 0, which is a fixed breakpoint of
-    the two adaptive integrals.
+    In u = x + t y the two integrals are the means of f over the half-windows
+    [x - y, x] and [x, x + y].  The integrand has a kink only at t = 0, the
+    shared endpoint of the two, so it is a fixed breakpoint.  The
+    half-windows of all points go to one ``adaptive_integral`` call, each
+    with its own tolerance.  All points are validated before any is
+    integrated; the first bad one, in C order, raises DomainError.
     """
-    x, y = float(np.real(z)), float(np.imag(z))
-    if not y > 0:
-        raise DomainError("point must lie in the open upper half-plane")
-
-    def integrand(t):
-        return f(x + t * y)
-
-    i_plus = adaptive_integral(integrand, 0.0, 1.0, cfg.quad_tol, _QUAD_ORDER)
-    i_minus = adaptive_integral(integrand, -1.0, 0.0, cfg.quad_tol, _QUAD_ORDER)
-    return 0.5 * (i_plus + i_minus) + 0.5j * cfg.im_scale * (i_plus - i_minus)
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    bad = ~(np.isfinite(z) & (y > 0))
+    if bad.any():
+        first = complex(z[bad][0])
+        if not cmath.isfinite(first):
+            raise DomainError(f"point must be finite, got z={first}")
+        raise DomainError(
+            f"point must lie in the open upper half-plane, got z={first}")
+    lo = np.stack([x - y, x])
+    hi = np.stack([x, x + y])
+    span = hi - lo
+    empty = ~(span > 0)
+    if empty.any():
+        first = complex(np.broadcast_to(z, span.shape)[empty][0])
+        raise DomainError(
+            f"averaging window of z={first} vanishes in floating point")
+    try:
+        i_minus, i_plus = adaptive_integral(f, lo, hi, cfg.quad_tol * span,
+                                            _QUAD_ORDER) / span
+    except QuadratureFailure as exc:
+        at = complex(z.flat[exc.index % z.size])
+        raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
+                                index=exc.index) from exc
+    out = 0.5 * (i_plus + i_minus) + 0.5j * cfg.im_scale * (i_plus - i_minus)
+    return complex(out) if out.ndim == 0 else out
 
 
 def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z: complex,

@@ -50,6 +50,9 @@ class GridSpec:
     ny: int = 20
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min,
+                                       self.y_max, self.x_max - self.x_min))):
+            raise DomainError("grid bounds and the x range must be finite")
         if not self.y_min > 0:
             raise DomainError("grid y_min must be positive")
         if self.nx < 2 or self.ny < 2:
@@ -94,35 +97,36 @@ def random_group_params(rng: np.random.Generator,
 def _row_dilatation(method, f, p, z):
     if method == "family" and p.alpha == 0 and not f.has_second_deriv:
         return None
-    if method in ("family", "ns"):
-        try:
-            return analysis.dilatation_analytic(f, p, z).analytic
-        except DomainError:
-            return None
-    return None
+    try:
+        return analysis.dilatation_analytic(f, p, z).analytic
+    except DomainError:
+        return None
 
 
 def _evaluate_rows(method: str, boundary_map, p, grid: GridSpec, ba_cfg: BAConfig,
                    de_tol: float, de_nodes: int):
-    rows = []
-    for z in grid.points():
-        z = complex(z)
-        if method == "family":
-            val = extend_family(p, boundary_map, z)
-        elif method == "ns":
-            val = extend_ns(boundary_map, z)
-        elif method == "ba":
-            val = extend_ba(boundary_map, z, ba_cfg)
-        elif method == "de":
-            if not abs(z) < 1:
-                raise DomainError(
-                    f"grid point {z} lies outside the unit disk (method de)")
-            val = extend_de(boundary_map, z, tol=de_tol, n_nodes=de_nodes)
-        else:  # pragma: no cover - argparse restricts choices
-            raise DomainError(f"unknown method {method}")
-        dil = _row_dilatation(method, boundary_map, p, z) if method != "ba" else None
-        rows.append((z.real, z.imag, complex(val).real, complex(val).imag, dil))
-    return rows
+    """Rows (x, y, re, im, dilatation) in grid order.  ``ba`` and ``de``
+    evaluate the whole grid in one array call and have no dilatation
+    column; ``family`` and ``ns`` go point by point with the closed form."""
+    zs = grid.points()
+    if method == "ba":
+        vals = extend_ba(boundary_map, zs, ba_cfg)
+    elif method == "de":
+        vals = extend_de(boundary_map, zs, tol=de_tol, n_nodes=de_nodes)
+    else:
+        rows = []
+        for z in map(complex, zs):
+            if method == "family":
+                val = extend_family(p, boundary_map, z)
+            elif method == "ns":
+                val = extend_ns(boundary_map, z)
+            else:  # pragma: no cover - argparse restricts choices
+                raise DomainError(f"unknown method {method}")
+            dil = _row_dilatation(method, boundary_map, p, z)
+            rows.append((z.real, z.imag, complex(val).real, complex(val).imag, dil))
+        return rows
+    return [(z.real, z.imag, v.real, v.imag, None)
+            for z, v in zip(map(complex, zs), map(complex, vals))]
 
 
 def _write_rows(rows, out_path, fmt: str):

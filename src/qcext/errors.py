@@ -10,7 +10,14 @@ class DomainError(QCExtError, ValueError):
 
 
 class QuadratureFailure(QCExtError, RuntimeError):
-    """Adaptive quadrature could not reach the requested accuracy in budget."""
+    """Adaptive quadrature could not reach the requested accuracy in budget.
+
+    ``index`` is the flat index of the failing integral of a batched call.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonConvergence(QCExtError, RuntimeError):

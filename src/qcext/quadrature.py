@@ -1,9 +1,10 @@
 """Adaptive composite Gauss-Legendre quadrature.
 
-Two entry points: ``adaptive_integral`` for a single smooth(ish) integral,
-and ``panel_integrals`` as the vectorized building block reused by the
-memoizing power-integral maps.  Error estimates come from comparing each
-panel against an embedded lower-order rule; failing panels are halved.
+Two entry points: ``adaptive_integral`` for smooth(ish) integrals of one
+function over one or many intervals, and ``panel_integrals`` as the
+vectorized building block reused by it and by the memoizing power-integral
+maps.  Error estimates come from comparing each panel against an embedded
+lower-order rule; failing panels are halved.
 """
 
 from __future__ import annotations
@@ -40,41 +41,56 @@ def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
     return half * (vals @ w)
 
 
-def adaptive_integral(fun, a: float, b: float, tol: float = 1e-10,
-                      order: int = 16, max_panels: int = 4096,
-                      max_depth: int = 52) -> float:
-    """Integrate ``fun`` over [a, b] to absolute accuracy ``tol``.
+def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,
+                      max_panels: int = 4096, max_depth: int = 52):
+    """Integrate ``fun`` over each [a_i, b_i] to absolute accuracy ``tol_i``.
 
-    Interval-halving on panels whose embedded error estimate exceeds the
-    length-proportional share of ``tol``.  Raises QuadratureFailure when the
-    panel budget or depth limit is exhausted.
+    ``a``, ``b`` and ``tol`` broadcast; a float for scalar inputs, else an
+    array of the broadcast shape.  Interval-halving on panels whose embedded
+    error estimate exceeds the length-proportional share of their integral's
+    ``tol``; the panels of all integrals are refined together, with one
+    ``panel_integrals`` call per order and pass.  Raises QuadratureFailure,
+    whose ``index`` is the flat index of the failing integral, when one
+    integral exceeds the panel budget or the depth limit is exhausted.
     """
-    if tol <= 0:
+    a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                      for v in (a, b, tol)))
+    if not (tol > 0).all():
         raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    span = b - a
-    lo = np.array([a])
-    hi = np.array([b])
-    total = 0.0
+    shape = a.shape
+    a, b, tol = a.ravel(), b.ravel(), tol.ravel()
+    lo0, hi0 = np.minimum(a, b), np.maximum(a, b)
+    span = hi0 - lo0
+    total = np.zeros(a.size)
+    owner = np.flatnonzero(a != b)  # an empty interval integrates to 0
+    lo, hi = lo0[owner], hi0[owner]
     for _ in range(max_depth):
+        if not owner.size:
+            break
         i_hi = panel_integrals(fun, lo, hi, order)
         i_lo = panel_integrals(fun, lo, hi, max(2, order // 2))
         err = np.abs(i_hi - i_lo)
-        share = tol * (hi - lo) / span
+        share = tol[owner] * (hi - lo) / span[owner]
         done = err <= share
-        total += float(i_hi[done].sum())
-        if done.all():
-            return sign * total
-        lo, hi = lo[~done], hi[~done]
+        np.add.at(total, owner[done], i_hi[done])
+        more = ~done
+        lo, hi, owner = lo[more], hi[more], owner[more]
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
-        if lo.size > max_panels:
+        owner = np.concatenate([owner, owner])
+        panels = np.bincount(owner, minlength=a.size)
+        if (panels > max_panels).any():
+            j = int(np.argmax(panels > max_panels))
             raise QuadratureFailure(
-                f"panel budget exceeded integrating over [{a}, {b}]")
-    raise QuadratureFailure(f"depth limit exceeded integrating over [{a}, {b}]")
+                f"panel budget exceeded integrating over [{a[j]}, {b[j]}]: "
+                f"{panels[j]} panels (budget {max_panels}, tol {tol[j]:g})",
+                index=j)
+    if owner.size:
+        j = int(owner.min())
+        raise QuadratureFailure(
+            f"depth limit {max_depth} exceeded integrating over "
+            f"[{a[j]}, {b[j]}]: {np.count_nonzero(owner == j)} panels left "
+            f"(tol {tol[j]:g})", index=j)
+    total = np.where(b < a, -total, total).reshape(shape)
+    return float(total) if total.ndim == 0 else total

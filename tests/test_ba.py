@@ -1,10 +1,12 @@
 """Tests for the averaged (Beurling-Ahlfors) extension and its normalization."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qcext.beurling_ahlfors import BAConfig, ba_affine_naturality_residual, extend_ba
-from qcext.errors import DomainError
+from qcext.errors import DomainError, QuadratureFailure
 from qcext.realmap import Affine, bump_map, compose, identity
 from conftest import make_bump_map
 
@@ -117,3 +119,40 @@ def test_rejects_boundary_point_and_bad_config():
         BAConfig(im_scale=-1.0)
     with pytest.raises(DomainError):
         ba_affine_naturality_residual(identity(), bump_map(0, 1, 0.1), 1j)
+
+
+def test_array_call_agrees_with_scalar_calls(rng):
+    f = make_bump_map(rng)
+    xs = np.linspace(-3.0, 3.0, 9)
+    ys = np.geomspace(0.01, 2.0, 7)
+    zs = xs[None, :] + 1j * ys[:, None]
+    for cfg in (PRINTED, NATURAL):
+        got = extend_ba(f, zs, cfg)
+        assert got.shape == zs.shape
+        ref = np.array([[extend_ba(f, complex(z), cfg) for z in row] for row in zs])
+        assert np.max(np.abs(got - ref)) <= cfg.quad_tol
+    assert isinstance(extend_ba(f, 0.3 + 0.7j), complex)
+
+
+def test_rejects_non_finite_points_before_integrating():
+    zs = np.array([0.1 + 1.0j, complex(math.nan, 1.0), 0.2 + 0.5j])
+    with pytest.raises(DomainError, match="finite"):
+        extend_ba(identity(), zs)
+    with pytest.raises(DomainError, match="finite"):
+        extend_ba(identity(), complex(0.0, math.inf))
+    # the first offending point in order is named
+    with pytest.raises(DomainError, match=r"z=\(2-1j\)"):
+        extend_ba(identity(), np.array([1j, 2 - 1j, 3 - 2j]))
+    # x +- y rounds to x: the half-windows would be empty
+    with pytest.raises(DomainError, match="window"):
+        extend_ba(identity(), 1e20 + 1j)
+
+
+def test_quadrature_failure_names_the_point():
+    # an unreachable tolerance exhausts the panels of the second point, where
+    # the integrand is a degree-36 polynomial; the first point's window lies
+    # where f is the identity, which every panel integrates exactly
+    f = compose(bump_map(0.0, 1.0, 0.3), bump_map(0.1, 1.0, 0.2))
+    zs = np.array([5.0 + 0.5j, 0.2 + 0.5j])
+    with pytest.raises(QuadratureFailure, match=r"z=\(0\.2\+0\.5j\).*4\d{3} panels"):
+        extend_ba(f, zs, BAConfig(quad_tol=1e-300))

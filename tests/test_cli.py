@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from qcext.analysis import half_plane_grid
+from qcext.beurling_ahlfors import BAConfig, extend_ba
 from qcext.cli import main
+from qcext.douady_earle import circle_map_from_dict, extend_de
 from qcext.extensions import extend_ns
 from qcext.realmap import map_from_dict
 
@@ -65,6 +68,48 @@ def test_extend_ns_matches_library_bit_for_bit(tmp_path):
         assert float(re) == val.real  # repr round-trips exactly
         assert float(im) == val.imag
         assert dil != ""
+
+
+MOBIUS = {"kind": "circle-mobius", "angle": 0.4, "center": [0.2, 0.1]}
+FOURIER = {"kind": "circle-fourier", "rotation": 0.1, "cos": [0.05], "sin": [0.03]}
+DISK_GRID = ["--x-min", "-0.5", "--x-max", "0.5", "--y-min", "0.05",
+             "--y-max", "0.6", "--nx", "6", "--ny", "5"]
+
+
+def test_extend_ba_de_match_library_array_call_bit_for_bit(tmp_path):
+    zs = half_plane_grid(-0.5, 0.5, 0.05, 0.6, 6, 5)
+    cases = [("ba", BUMP, extend_ba(map_from_dict(BUMP), zs, BAConfig(im_scale=1.0)),
+              ["--im-scale", "1.0"])]
+    for desc in (MOBIUS, FOURIER):
+        cases.append(("de", desc, extend_de(circle_map_from_dict(desc), zs), []))
+    for method, desc, ref, extra in cases:
+        map_file = write_json(tmp_path / "map.json", desc)
+        out = tmp_path / "out.csv"
+        assert main(["extend", "--map", map_file, "--method", method,
+                     *DISK_GRID, *extra, "--out", str(out)]) == 0
+        rows = read_csv_rows(out)
+        assert len(rows) == zs.size
+        for (x, y, re, im, dil), z, val in zip(rows, zs, ref):
+            assert (float(x), float(y)) == (z.real, z.imag)
+            assert (float(re), float(im)) == (val.real, val.imag)
+            assert dil == ""
+
+
+def test_extend_non_finite_grid_is_usage_error(tmp_path, capsys):
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+    for method in ("ns", "ba"):
+        for bound in ("--x-min=-inf", "--x-max=nan", "--y-max=inf",
+                      "--x-min=-1e308 --x-max=1e308"):
+            assert main(["extend", "--map", map_file, "--method", method,
+                         *bound.split()]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_extend_de_unreachable_tol_exits_3(tmp_path, capsys):
+    map_file = write_json(tmp_path / "circ.json", FOURIER)
+    assert main(["extend", "--map", map_file, "--method", "de", *DISK_GRID,
+                 "--tol", "1e-30"]) == 3
+    assert "z=" in capsys.readouterr().err
 
 
 def test_extend_json_format(tmp_path):

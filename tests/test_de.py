@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from qcext.douady_earle import (CircleMap, MobiusAutomorphism,
+from qcext.douady_earle import (CircleMap, MobiusAutomorphism, _de_jacobian,
                                 circle_map_from_dict, compose_circle,
                                 de_defect, de_naturality_residual, extend_de)
-from qcext.errors import DomainError
+from qcext.errors import DomainError, NonConvergence
 
 Z_SET = (0.0, 0.5, -0.5, 0.5j, -0.3 + 0.4j)
+
+
+def disk_grid(radius=0.9, side=7):
+    """Flat grid in grid order, like the CLI's, reaching |z| = radius."""
+    xm = radius * math.cos(0.8)
+    xs = np.linspace(-xm, xm, side)
+    ys = np.geomspace(0.05, radius * math.sin(0.8), side)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
 def random_mobius(rng, c_max=0.6):
@@ -105,6 +113,29 @@ def test_defect_validates_inputs():
         de_defect(ident, 0.0, 0.0, n_nodes=8)
 
 
+def test_defect_array_rows_equal_scalar_calls(rng):
+    f = small_perturbation(rng)
+    zs = disk_grid(0.8, 5)
+    ws = 0.7 * zs[::-1]
+    got = de_defect(f, ws, zs)
+    assert got.shape == zs.shape
+    assert np.array_equal(got, [de_defect(f, w, z) for w, z in zip(ws, zs)])
+
+
+def test_closed_form_jacobian_matches_central_difference(rng):
+    # d/dx g = d_w + d_wbar and d/dy g = i (d_w - d_wbar) for w = x + i y
+    f = small_perturbation(rng)
+    h = 1e-6
+    for _ in range(10):
+        z = complex(*rng.uniform(-0.5, 0.5, 2))
+        w = complex(*rng.uniform(-0.6, 0.6, 2))
+        d_w, d_wbar = _de_jacobian(f, np.array([w]), np.array([z]), 512)
+        dx = (de_defect(f, w + h, z) - de_defect(f, w - h, z)) / (2 * h)
+        dy = (de_defect(f, w + 1j * h, z) - de_defect(f, w - 1j * h, z)) / (2 * h)
+        for fd, exact in ((dx, d_w[0] + d_wbar[0]), (dy, 1j * (d_w[0] - d_wbar[0]))):
+            assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+
 # -- the solve -------------------------------------------------------------------
 
 def test_extension_fixes_identity():
@@ -128,6 +159,44 @@ def test_solver_defect_reevaluated_below_tol(rng):
         w = extend_de(f, z, tol=tol)
         assert abs(w) < 1.0
         assert abs(de_defect(f, w, z)) <= tol
+
+
+def test_array_solve_equals_scalar_solves_bit_for_bit(rng):
+    # 7 x 7 = 49 points span several blocks and a partial one
+    zs = disk_grid(0.9, 7)
+    for f in (random_mobius(rng).boundary(), small_perturbation(rng)):
+        ws = extend_de(f, zs)
+        assert np.array_equal(ws, [extend_de(f, complex(z)) for z in zs])
+        grid = extend_de(f, zs.reshape(7, 7))
+        assert grid.shape == (7, 7)
+        assert np.array_equal(grid.ravel(), ws)
+    assert isinstance(extend_de(CircleMap.identity(), 0.2), complex)
+
+
+def test_array_solve_meets_tol_at_every_point(rng):
+    tol = 1e-10
+    f = small_perturbation(rng)
+    zs = disk_grid(0.9, 6)
+    ws = extend_de(f, zs, tol=tol)
+    assert np.all(np.abs(ws) < 1.0)
+    assert np.all(np.abs(de_defect(f, ws, zs)) <= tol)
+
+
+def test_array_solve_unreachable_tol_names_the_point(rng):
+    f = CircleMap.from_fourier(0.2, cos_amps=[0.05], sin_amps=[0.03])
+    with pytest.raises(NonConvergence, match=r"z=\(.*j\).*defect"):
+        extend_de(f, disk_grid(0.5, 4), tol=1e-30)
+
+
+def test_array_solve_rejects_bad_points_before_solving():
+    ident = CircleMap.identity()
+    with pytest.raises(DomainError, match="finite"):
+        extend_de(ident, np.array([0.1, complex(math.nan, 0.2), 0.3j]))
+    with pytest.raises(DomainError, match="finite"):
+        de_defect(ident, 0.0, complex(math.inf, 0.0))
+    # the first offending point in order is named
+    with pytest.raises(DomainError, match=r"z=\(1\.5\+0j\)"):
+        extend_de(ident, np.array([0.1, 1.5, 2.0]))
 
 
 def test_near_identity_solution_stays_small(rng):

@@ -49,6 +49,30 @@ def test_adaptive_raises_when_budget_exhausted():
                           max_panels=512)
 
 
+def test_adaptive_array_matches_scalar_calls():
+    # mixed orientation, an empty interval and a kinked integrand in one call
+    fun = lambda t: np.abs(t - 1.0 / 3.0) + np.sin(3.0 * t)
+    a = np.array([[0.0, 1.0], [2.0, -1.0]])
+    b = np.array([[1.0, 0.0], [2.0, 0.5]])
+    tol = np.array([1e-12, 1e-9])
+    got = adaptive_integral(fun, a, b, tol)
+    assert got.shape == (2, 2)
+    assert got[1, 0] == 0.0
+    for i in range(2):
+        for j in range(2):
+            ref = adaptive_integral(fun, float(a[i, j]), float(b[i, j]), float(tol[j]))
+            assert isinstance(ref, float)
+            assert abs(got[i, j] - ref) <= 2 * tol[j]
+
+
+def test_adaptive_array_failure_names_the_integral():
+    fun = lambda t: np.where(t > 5.0, np.sin(1e9 * t), t)
+    with pytest.raises(QuadratureFailure, match=r"\[6\.0, 7\.0\].*panels") as info:
+        adaptive_integral(fun, [0.0, 6.0, 1.0], [1.0, 7.0, 2.0], 1e-12,
+                          max_panels=512)
+    assert info.value.index == 1
+
+
 def test_adaptive_rejects_bad_tol():
     with pytest.raises(ValueError):
         adaptive_integral(np.sin, 0.0, 1.0, 0.0)
