@@ -32,6 +32,17 @@ from .analysis import (CubicMap, DilatationReport, QuadraticWindowMap,
                        sigma_factor, sup_dilatation)
 from .decompose import Factorization, chosen_eps, decompose_bilip, recompose
 
+import numpy as _np
+
+# glibc's malloc raises its mmap threshold to the size of the largest mapped
+# block freed so far, and its heap trim threshold to twice that.  At the
+# 128 KiB defaults the ~100 KiB numpy temporaries of the quadrature and disk
+# solves are mapped, or trimmed off the heap, and faulted in again on every
+# use (decomposing a two-bump map and evaluating its factors took ~106k
+# page faults, ~10 after this).  Freeing one untouched 8 MiB block here
+# raises both once; other allocators just map and unmap it.
+_np.empty(8 << 20, dtype=_np.uint8)
+
 __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

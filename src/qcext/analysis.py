@@ -37,11 +37,17 @@ def half_plane_grid(x_min: float = -2.0, x_max: float = 2.0,
                     y_min: float = 1e-2, y_max: float = 2.0,
                     nx: int = 20, ny: int = 20) -> np.ndarray:
     """Flat complex grid, linear in x and logarithmic in y (default 20x20
-    over [-2, 2] x [1e-2, 2], covering boundary approach and bulk)."""
+    over [-2, 2] x [1e-2, 2], covering boundary approach and bulk).  The
+    bounds and the x range must be finite, y_min positive, both ranges
+    increasing and nx, ny >= 2."""
+    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max, x_max - x_min))):
+        raise DomainError("grid bounds and the x range must be finite")
     if not y_min > 0:
         raise DomainError("grid y_min must be positive")
     if nx < 2 or ny < 2:
         raise DomainError("grid needs nx, ny >= 2")
+    if not (x_max > x_min and y_max > y_min):
+        raise DomainError("grid ranges must be increasing")
     xs = np.linspace(x_min, x_max, nx)
     ys = np.geomspace(y_min, y_max, ny)
     return (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -110,32 +116,43 @@ class DilatationReport:
             raise DomainError("sigma factor must have unit modulus")
 
 
-def _dilatation_values(f: RealMap, p: ExtParams, z):
-    """Vectorized closed-form dilatation over points z (alpha >= 0)."""
+def dilatation_values(f: RealMap, p: ExtParams, z):
+    """Vectorized closed-form dilatation over points z (alpha >= 0), with
+    theta.  A point where the closed form is undefined, because f' is not
+    positive there, gets NaN rather than failing the whole call."""
     require_upper_half(z)
     x, y = np.real(z), np.imag(z)
     a, al = p.a, p.alpha
     if al > 0:
         d1 = f.deriv(x + a * y)
         d2 = f.deriv(x - (al - a) * y)
-        if np.any(d1 <= 0) or np.any(d2 < 0):
-            raise DomainError("derivative must be positive on evaluation points")
-        theta = d2 / d1
+        ok = (d1 > 0) & (d2 >= 0)
+        theta = d2 / np.where(ok, d1, 1.0)
         sig = sigma_factor(p)
-        return np.abs(1.0 - theta) / np.abs(1.0 - sig * theta), theta
-    u = x + a * y
-    d1 = f.deriv(u)
-    if np.any(d1 <= 0):
+        val = np.abs(1.0 - theta) / np.abs(1.0 - sig * theta)
+    else:
+        u = x + a * y
+        d1 = f.deriv(u)
+        ok = d1 > 0
+        d2 = f.second_deriv(u)
+        scale = 1.0 + a * a
+        val = (scale * np.abs(y * d2)
+               / np.abs(2.0 * np.where(ok, d1, 1.0) + 1j * scale * y * d2))
+        theta = np.ones_like(val)
+    return np.where(ok, val, np.nan), theta
+
+
+def _defined_dilatation(f: RealMap, p: ExtParams, z):
+    """``dilatation_values``, raising DomainError where it is undefined."""
+    val, theta = dilatation_values(f, p, z)
+    if np.isnan(val).any():
         raise DomainError("derivative must be positive on evaluation points")
-    d2 = f.second_deriv(u)
-    scale = 1.0 + a * a
-    val = scale * np.abs(y * d2) / np.abs(2.0 * d1 + 1j * scale * y * d2)
-    return val, np.ones_like(np.asarray(val, dtype=float))
+    return val, theta
 
 
 def dilatation_analytic(f: RealMap, p: ExtParams, z: complex) -> DilatationReport:
     """Closed-form Beltrami modulus at one point, with theta and the phase."""
-    val, theta = _dilatation_values(f, p, complex(z))
+    val, theta = _defined_dilatation(f, p, complex(z))
     return DilatationReport(z=complex(z), theta=float(theta),
                             sigma_factor=sigma_factor(p), analytic=float(val))
 
@@ -173,7 +190,7 @@ def sup_dilatation(f: RealMap, p: ExtParams, grid) -> float:
     grid = np.asarray(grid)
     if grid.size == 0:
         raise DomainError("grid must be nonempty")
-    vals, _ = _dilatation_values(f, p, grid)
+    vals, _ = _defined_dilatation(f, p, grid)
     return float(np.max(vals))
 
 

@@ -12,12 +12,12 @@ are kept and tested, selected through ``BAConfig``.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
+from .extensions import require_upper_half
 from .quadrature import adaptive_integral
 from .realmap import RealMap, compose
 
@@ -50,15 +50,8 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
     with its own tolerance.  All points are validated before any is
     integrated; the first bad one, in C order, raises DomainError.
     """
-    z = np.asarray(z, dtype=complex)
+    z = require_upper_half(np.asarray(z, dtype=complex))
     x, y = z.real, z.imag
-    bad = ~(np.isfinite(z) & (y > 0))
-    if bad.any():
-        first = complex(z[bad][0])
-        if not cmath.isfinite(first):
-            raise DomainError(f"point must be finite, got z={first}")
-        raise DomainError(
-            f"point must lie in the open upper half-plane, got z={first}")
     lo = np.stack([x - y, x])
     hi = np.stack([x, x + y])
     span = hi - lo

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,33 +35,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Half-plane evaluation grid: linear in x, logarithmic in y."""
-
-    x_min: float = -2.0
-    x_max: float = 2.0
-    y_min: float = 1e-2
-    y_max: float = 2.0
-    nx: int = 20
-    ny: int = 20
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min,
-                                       self.y_max, self.x_max - self.x_min))):
-            raise DomainError("grid bounds and the x range must be finite")
-        if not self.y_min > 0:
-            raise DomainError("grid y_min must be positive")
-        if self.nx < 2 or self.ny < 2:
-            raise DomainError("grid needs nx, ny >= 2")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise DomainError("grid ranges must be increasing")
-
-    def points(self) -> np.ndarray:
-        return analysis.half_plane_grid(self.x_min, self.x_max, self.y_min,
-                                        self.y_max, self.nx, self.ny)
 
 
 # -- deterministic random inputs for the verification suites ------------------
@@ -94,39 +66,25 @@ def random_group_params(rng: np.random.Generator,
 
 # -- extend ------------------------------------------------------------------
 
-def _row_dilatation(method, f, p, z):
-    if method == "family" and p.alpha == 0 and not f.has_second_deriv:
-        return None
-    try:
-        return analysis.dilatation_analytic(f, p, z).analytic
-    except DomainError:
-        return None
-
-
-def _evaluate_rows(method: str, boundary_map, p, grid: GridSpec, ba_cfg: BAConfig,
-                   de_tol: float, de_nodes: int):
-    """Rows (x, y, re, im, dilatation) in grid order.  ``ba`` and ``de``
-    evaluate the whole grid in one array call and have no dilatation
-    column; ``family`` and ``ns`` go point by point with the closed form."""
-    zs = grid.points()
+def _evaluate_rows(method: str, boundary_map, p, zs: np.ndarray,
+                   ba_cfg: BAConfig, de_tol: float, de_nodes: int):
+    """Rows (x, y, re, im, dilatation) in grid order.  Every method evaluates
+    the whole grid in one array call.  The dilatation column is the closed
+    form of ``family`` and ``ns`` (one array call too), None where that form
+    is undefined; it is all None for ``ba``, ``de`` and for alpha = 0 on a
+    map without a second derivative."""
+    dil = np.full(zs.shape, math.nan)
     if method == "ba":
         vals = extend_ba(boundary_map, zs, ba_cfg)
     elif method == "de":
         vals = extend_de(boundary_map, zs, tol=de_tol, n_nodes=de_nodes)
     else:
-        rows = []
-        for z in map(complex, zs):
-            if method == "family":
-                val = extend_family(p, boundary_map, z)
-            elif method == "ns":
-                val = extend_ns(boundary_map, z)
-            else:  # pragma: no cover - argparse restricts choices
-                raise DomainError(f"unknown method {method}")
-            dil = _row_dilatation(method, boundary_map, p, z)
-            rows.append((z.real, z.imag, complex(val).real, complex(val).imag, dil))
-        return rows
-    return [(z.real, z.imag, v.real, v.imag, None)
-            for z, v in zip(map(complex, zs), map(complex, vals))]
+        vals = (extend_ns(boundary_map, zs) if method == "ns"
+                else extend_family(p, boundary_map, zs))
+        if p.alpha > 0 or boundary_map.has_second_deriv:
+            dil, _ = analysis.dilatation_values(boundary_map, p, zs)
+    return [(z.real, z.imag, v.real, v.imag, None if math.isnan(d) else d)
+            for z, v, d in zip(zs.tolist(), vals.tolist(), dil.tolist())]
 
 
 def _write_rows(rows, out_path, fmt: str):
@@ -153,8 +111,8 @@ def _write_rows(rows, out_path, fmt: str):
 
 
 def cmd_extend(args) -> int:
-    grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max,
-                    args.nx, args.ny)
+    zs = analysis.half_plane_grid(args.x_min, args.x_max, args.y_min,
+                                  args.y_max, args.nx, args.ny)
     if args.method == "de":
         with open(args.map, "r", encoding="utf-8") as fh:
             boundary_map = circle_map_from_dict(json.load(fh))
@@ -163,7 +121,7 @@ def cmd_extend(args) -> int:
         boundary_map = map_from_file(args.map)
         p = ExtParams(args.a, args.alpha) if args.method == "family" else ExtParams(1.0, 2.0)
     ba_cfg = BAConfig(quad_tol=args.quad_tol, im_scale=args.im_scale)
-    rows = _evaluate_rows(args.method, boundary_map, p, grid, ba_cfg,
+    rows = _evaluate_rows(args.method, boundary_map, p, zs, ba_cfg,
                           args.tol, args.n_nodes)
     _write_rows(rows, args.out, args.format)
     return EXIT_OK

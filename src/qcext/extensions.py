@@ -15,9 +15,9 @@ computed, with no clamping, so verification code can see violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,17 @@ from .errors import DomainError
 from .realmap import RealMap
 
 
-def require_upper_half(z, strict: bool = True):
-    """Validate Im z > 0 (>= 0 when strict is False); returns z as given."""
-    y = np.imag(z)
-    if strict and np.any(y <= 0):
-        raise DomainError("point must lie in the open upper half-plane")
-    if not strict and np.any(y < 0):
-        raise DomainError("point must lie in the closed upper half-plane")
+def require_upper_half(z):
+    """Validate that every point is finite with Im z > 0; returns z as given.
+    The first bad point, in C order, is named in the DomainError."""
+    w = np.asarray(z, dtype=complex)
+    bad = ~(np.isfinite(w) & (w.imag > 0))
+    if bad.any():
+        first = complex(w[bad][0])
+        if not cmath.isfinite(first):
+            raise DomainError(f"point must be finite, got z={first}")
+        raise DomainError(
+            f"point must lie in the open upper half-plane, got z={first}")
     return z
 
 
@@ -95,6 +99,9 @@ def extend_family(p: ExtParams, f: RealMap, z):
         + (i/alpha) [f(x + a y) - f(x - (alpha - a) y)]
     alpha = 0 (limiting case):
         f(x + a y) - a y f'(x + a y) + i y f'(x + a y)
+
+    The imaginary part is divided by alpha in real arithmetic, so a scalar
+    call and the matching element of an array call agree bit for bit.
     """
     require_upper_half(z)
     x, y = np.real(z), np.imag(z)
@@ -102,7 +109,8 @@ def extend_family(p: ExtParams, f: RealMap, z):
     if alpha > 0:
         fu1 = f(x + a * y)
         fu2 = f(x - (alpha - a) * y)
-        return (1.0 - a / alpha) * fu1 + (a / alpha) * fu2 + 1j * (fu1 - fu2) / alpha
+        re = (1.0 - a / alpha) * fu1 + (a / alpha) * fu2
+        return re + 1j * ((fu1 - fu2) / alpha)
     u = x + a * y
     d = f.deriv(u)
     return f(u) - a * y * d + 1j * y * d

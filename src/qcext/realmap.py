@@ -21,7 +21,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, NonConvergence, QuadratureFailure
 from .quadrature import gauss_legendre, panel_integrals
@@ -170,33 +169,26 @@ class BumpProfile:
     def sup_abs_slope(self) -> float:
         return abs(self.amplitude) / self.halfwidth * BUMP_SLOPE_MAX
 
-    def value(self, x):
+    def _on_support(self, x, poly):
+        """poly(t, 1 - t^2) where |t| < 1, t = (x - center)/halfwidth; 0 off."""
         t = (x - self.center) / self.halfwidth
         out = np.zeros_like(t)
         m = np.abs(t) < 1.0
         tm = t[m]
-        u = 1.0 - tm * tm
-        out[m] = self.amplitude * u * u * u
+        out[m] = poly(tm, 1.0 - tm * tm)
         return out
+
+    def value(self, x):
+        return self._on_support(x, lambda t, u: self.amplitude * u * u * u)
 
     def d1(self, x):
-        t = (x - self.center) / self.halfwidth
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        tm = t[m]
-        u = 1.0 - tm * tm
-        out[m] = self.amplitude / self.halfwidth * (-6.0) * tm * u * u
-        return out
+        return self._on_support(
+            x, lambda t, u: self.amplitude / self.halfwidth * (-6.0) * t * u * u)
 
     def d2(self, x):
-        t = (x - self.center) / self.halfwidth
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        tm = t[m]
-        u = 1.0 - tm * tm
-        out[m] = (self.amplitude / self.halfwidth ** 2
-                  * 6.0 * u * (5.0 * tm * tm - 1.0))
-        return out
+        return self._on_support(
+            x, lambda t, u: (self.amplitude / self.halfwidth ** 2
+                             * 6.0 * u * (5.0 * t * t - 1.0)))
 
     def to_dict(self):
         return {"center": self.center, "halfwidth": self.halfwidth,
@@ -557,6 +549,7 @@ class SampledMonotone(RealMap):
             raise DomainError("need matching 1-d sample arrays with >= 2 points")
         if not (np.diff(xs) > 0).all() or not (np.diff(ys) > 0).all():
             raise DomainError("samples must be strictly increasing in x and y")
+        from scipy.interpolate import PchipInterpolator  # only this kind needs scipy
         pp = PchipInterpolator(xs, ys, extrapolate=False)
         dmin, dmax = self._deriv_extrema(pp, xs)
         super().__init__(dmin, dmax)

@@ -7,7 +7,8 @@ import pytest
 
 from qcext.analysis import (boundary_residual, compare_dilatation, cubic_map,
                             dilatation_analytic, dilatation_bound,
-                            dilatation_numeric, estimate_m, half_plane_grid,
+                            dilatation_numeric, dilatation_values,
+                            estimate_m, half_plane_grid,
                             homomorphism_residual, m_ratio, pde_matrix,
                             pde_residual, quadratic_window_map, sigma_factor,
                             sup_dilatation)
@@ -284,3 +285,31 @@ def test_grid_validation():
         half_plane_grid(y_min=0.0)
     with pytest.raises(DomainError):
         half_plane_grid(nx=1)
+    with pytest.raises(DomainError, match="nx, ny"):
+        half_plane_grid(ny=0)
+    for bounds in ({"x_min": -math.inf}, {"x_max": math.nan},
+                   {"y_max": math.inf}, {"y_min": math.nan},
+                   {"x_min": -1e308, "x_max": 1e308}):
+        with pytest.raises(DomainError, match="finite"):
+            half_plane_grid(**bounds)
+    for bounds in ({"x_min": 2.0, "x_max": 1.0}, {"y_min": 3.0, "y_max": 1.0},
+                   {"x_min": 1.0, "x_max": 1.0}):
+        with pytest.raises(DomainError, match="increasing"):
+            half_plane_grid(**bounds)
+
+
+def test_dilatation_values_mark_undefined_points_nan():
+    cub = cubic_map()
+    zs = np.array([2.0j, -1.0 + 1.0j, 0.5 + 0.5j, -0.5 + 0.5j])
+    for p in (ExtParams(1.0, 2.0), ExtParams(1.0, 0.0)):
+        vals, _ = dilatation_values(cub, p, zs)
+        # f'(x + y) = 0 where x + y = 0
+        assert np.isnan(vals).tolist() == [False, True, False, True]
+        for z, v in zip(zs, vals):
+            if np.isnan(v):
+                with pytest.raises(DomainError, match="derivative"):
+                    dilatation_analytic(cub, p, z)
+            else:
+                assert dilatation_analytic(cub, p, z).analytic == v
+        with pytest.raises(DomainError, match="derivative"):
+            sup_dilatation(cub, p, zs)

@@ -2,14 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qcext.analysis import half_plane_grid
+import qcext
+from qcext.analysis import dilatation_values, half_plane_grid
 from qcext.beurling_ahlfors import BAConfig, extend_ba
 from qcext.cli import main
 from qcext.douady_earle import circle_map_from_dict, extend_de
-from qcext.extensions import extend_ns
+from qcext.extensions import ExtParams, extend_family, extend_ns
 from qcext.realmap import map_from_dict
 
 
@@ -78,21 +82,68 @@ DISK_GRID = ["--x-min", "-0.5", "--x-max", "0.5", "--y-min", "0.05",
 
 def test_extend_ba_de_match_library_array_call_bit_for_bit(tmp_path):
     zs = half_plane_grid(-0.5, 0.5, 0.05, 0.6, 6, 5)
-    cases = [("ba", BUMP, extend_ba(map_from_dict(BUMP), zs, BAConfig(im_scale=1.0)),
+    f = map_from_dict(BUMP)
+    cases = [("ba", BUMP, extend_ba(f, zs, BAConfig(im_scale=1.0)), None,
               ["--im-scale", "1.0"])]
     for desc in (MOBIUS, FOURIER):
-        cases.append(("de", desc, extend_de(circle_map_from_dict(desc), zs), []))
-    for method, desc, ref, extra in cases:
+        cases.append(("de", desc, extend_de(circle_map_from_dict(desc), zs),
+                      None, []))
+    # the shear family: one array call, and the closed-form dilatation array
+    ns = ExtParams(1.0, 2.0)
+    cases.append(("ns", BUMP, extend_ns(f, zs), dilatation_values(f, ns, zs)[0],
+                  []))
+    for a, alpha in ((-0.7, 1.3), (0.4, 0.0)):
+        p = ExtParams(a, alpha)
+        cases.append(("family", BUMP, extend_family(p, f, zs),
+                      dilatation_values(f, p, zs)[0],
+                      ["--a", str(a), "--alpha", str(alpha)]))
+    for method, desc, ref, ref_dil, extra in cases:
         map_file = write_json(tmp_path / "map.json", desc)
         out = tmp_path / "out.csv"
         assert main(["extend", "--map", map_file, "--method", method,
                      *DISK_GRID, *extra, "--out", str(out)]) == 0
         rows = read_csv_rows(out)
         assert len(rows) == zs.size
-        for (x, y, re, im, dil), z, val in zip(rows, zs, ref):
+        if ref_dil is None:
+            ref_dil = [None] * zs.size
+        for (x, y, re, im, dil), z, val, d in zip(rows, zs, ref, ref_dil):
             assert (float(x), float(y)) == (z.real, z.imag)
             assert (float(re), float(im)) == (val.real, val.imag)
-            assert dil == ""
+            assert dil == ("" if d is None else repr(float(d)))
+
+
+def test_extend_cubic_ns_leaves_only_undefined_dilatation_empty(tmp_path):
+    # f'(x + y) = 0 only at the grid corner (-2, 2) of the default grid
+    map_file = write_json(tmp_path / "cubic.json", {"kind": "cubic"})
+    out = tmp_path / "out.csv"
+    assert main(["extend", "--map", map_file, "--method", "ns",
+                 "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert len(rows) == 400
+    empty = [(float(x), float(y)) for x, y, _, _, dil in rows if dil == ""]
+    assert empty == [(-2.0, 2.0)]
+
+
+def test_extend_alpha_zero_without_second_derivative_has_empty_column(tmp_path):
+    desc = {"kind": "tapered", "base": BUMP, "plateau": 1.5}
+    map_file = write_json(tmp_path / "tapered.json", desc)
+    out = tmp_path / "out.csv"
+    assert main(["extend", "--map", map_file, "--method", "family",
+                 "--a", "0.4", "--alpha", "0", "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    ref = extend_family(ExtParams(0.4, 0.0), map_from_dict(desc),
+                        half_plane_grid())
+    assert len(rows) == ref.size
+    for (_, _, re, im, dil), val in zip(rows, ref):
+        assert (float(re), float(im)) == (val.real, val.imag)
+        assert dil == ""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(qcext.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qcext.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_extend_non_finite_grid_is_usage_error(tmp_path, capsys):

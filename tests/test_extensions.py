@@ -1,5 +1,7 @@
 """Tests for the shear-extension family and its group action."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,10 @@ def test_shear_rejects_bad_alpha():
         shear(1.0, -2.0, 1j)
     with pytest.raises(DomainError):
         shear(1.0, 1.0, 1.0 - 0.5j)
+    with pytest.raises(DomainError, match="finite"):
+        shear(1.0, 1.0, complex(math.nan, 0.5))
+    with pytest.raises(DomainError, match="finite"):
+        act(ExtParams(1.0, 2.0), extend_ns, identity(), complex(0.0, math.inf))
 
 
 # -- group ----------------------------------------------------------------------
@@ -140,8 +146,34 @@ def test_family_preserves_upper_half_plane(rng):
 
 
 def test_family_rejects_boundary_points():
-    with pytest.raises(DomainError):
-        extend_family(ExtParams(1.0, 2.0), identity(), 1.0 + 0.0j)
+    f = bump_map(0.0, 1.0, 0.3)
+    for extension in (family_extension(ExtParams(1.0, 2.0)),
+                      family_extension(ExtParams(0.4, 0.0)), extend_ns):
+        with pytest.raises(DomainError, match="upper half-plane"):
+            extension(f, 1.0 + 0.0j)
+        for z in (complex(math.nan, 1.0), complex(0.0, math.inf),
+                  complex(math.inf, 1.0), complex(math.nan, math.nan)):
+            with pytest.raises(DomainError, match="finite"):
+                extension(f, z)
+        # the first offending point in C order is named
+        with pytest.raises(DomainError, match=r"z=\(2-1j\)"):
+            extension(f, np.array([[1j, 2 - 1j], [complex(math.nan, 1.0), 3j]]))
+
+
+def test_scalar_calls_equal_array_call_bit_for_bit(rng):
+    grid = half_plane_grid(-3.0, 3.0, 1e-3, 5.0, 12, 12)
+    for _ in range(5):
+        f = make_bump_map(rng)
+        for p in (make_params(rng), make_params(rng), ExtParams(0.7, 0.0),
+                  ExtParams(0.0, 0.0)):
+            vals = extend_family(p, f, grid)
+            for z, v in zip(grid, vals):
+                w = extend_family(p, f, complex(z))
+                assert (w.real, w.imag) == (v.real, v.imag)
+        vals = extend_ns(f, grid)
+        for z, v in zip(grid, vals):
+            w = extend_ns(f, complex(z))
+            assert (w.real, w.imag) == (v.real, v.imag)
 
 
 # -- the action -------------------------------------------------------------------
