@@ -14,7 +14,9 @@ slope at a pulled-back point, the round-k factor collapses to
 
 with gamma_k = gamma_{k-1} + (1 - gamma_{k-1}) alpha_k.  This is the same
 recursion evaluated in flattened form: every factor needs one quadrature
-table and one lazy monotone inversion instead of a nested tower, and the
+table and one lazy monotone inversion instead of a nested tower (the
+inversion brackets each preimage to one panel of P_{gamma_{k-1}}'s own
+table and needs about three Newton passes), and the
 chain-rule cancellation gives each factor the certified bounds
 [b^{gamma_k - gamma_{k-1}}, B^{gamma_k - gamma_{k-1}}], strictly inside
 (1 - eps0, 1 + eps0).

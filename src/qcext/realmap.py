@@ -10,8 +10,13 @@ factorization routine) possible.
 
 All maps are immutable after construction; evaluation accepts scalars or
 ndarrays and is safe to share across threads.  The only internal mutable
-state is the power-integral breakpoint cache, which is guarded by a lock
-and idempotent.
+state is the power-integral table, which grows under a lock by appending
+panels and never changes an entry it holds, so a value does not depend on
+what was evaluated before.  Maps may list the points where their derivative
+is not smooth (``breakpoints``); tables put panel edges there.  Monotone
+inversion is one safeguarded Newton loop that starts from a bracket the map
+supplies: the certified slope bracket, or one table panel for a power
+integral.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ def _same_map(f: "RealMap", g: "RealMap") -> bool:
         return f.to_dict() == g.to_dict()
     except NotImplementedError:  # pragma: no cover
         return False
+
+
+def _require_finite(v: np.ndarray, name: str):
+    """Raise DomainError naming the first non-finite entry of the flat v."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {name}={float(v[bad][0])}")
 
 
 class RealMap:
@@ -98,6 +110,27 @@ class RealMap:
 
     def deriv_bounds(self) -> tuple[float, float]:
         return (self.deriv_lo, self.deriv_hi)
+
+    def breakpoints(self) -> np.ndarray:
+        """Points where the derivative may fail to be smooth.
+
+        A hint for power-integral tables, which put panel edges there; it may
+        be incomplete, since refinement still meets the tolerance (a missing
+        point costs time, never accuracy).  The default lists none.
+        """
+        return np.empty(0)
+
+    def _inverse_start(self, y: np.ndarray):
+        """(lo, hi, x0) for a flat finite y: a certified bracket
+        lo <= f^{-1}(y) <= hi and a start point inside it.
+
+        With d = y - f(0) the preimage lies between d/deriv_hi and d/deriv_lo.
+        """
+        b, B = self.deriv_bounds()
+        d = y - self(0.0)
+        lo = np.where(d >= 0.0, d / B, d / b) - 1e-9
+        hi = np.where(d >= 0.0, d / b, d / B) + 1e-9
+        return lo, hi, 0.5 * (lo + hi)
 
     # -- serialization ---------------------------------------------------
 
@@ -224,6 +257,9 @@ class IdentityPlusBump(RealMap):
         los, his = zip(*(b.support for b in self.bumps))
         return (min(los), max(his))
 
+    def breakpoints(self):
+        return np.array([e for b in self.bumps for e in b.support])
+
     def _eval(self, x):
         out = x.copy()
         for b in self.bumps:
@@ -258,16 +294,28 @@ def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusB
 class PowerIntegral(RealMap):
     """x -> integral_0^x base'(t)**exponent dt.
 
-    Values are produced by composite Gauss-Legendre quadrature over a cached
-    table of breakpoints anchored at 0; the table is extended lazily to cover
-    requested ranges and refined until the embedded error estimate meets
-    ``quad_tol``.  Certified bounds are the interval power of the base bounds.
+    Values come from a cached table ``(edges, cum)`` with ``cum[i]`` the
+    integral from 0 to ``edges[i]``, plus one order-16 Gauss-Legendre rule
+    from the nearest edge at or below x.  The coarse edges are the multiples
+    of ``_PANEL`` and the base's breakpoints; a panel is halved until its
+    order-16 and order-32 values differ by at most
+    ``quad_tol * max(width, 1e-3) / _TOL_SPAN``, a budget that depends only on
+    the panel, so the table is accurate to ``quad_tol`` on
+    ``[-_TOL_SPAN, _TOL_SPAN]``.  The table grows outward on demand by
+    appending panels and accumulating ``cum`` outward from 0, so growing
+    never changes an entry it holds and a value does not depend on what was
+    evaluated before.  ``P(edges[i]) == cum[i]`` bit for bit, which lets
+    inversion bracket a preimage to one panel by ``searchsorted`` on ``cum``.
+    Certified bounds are the interval power of the base bounds.
     """
 
     kind = "power-integral"
 
-    _PANEL = 0.25          # nominal breakpoint spacing
-    _ORDER = 16
+    _PANEL = 0.25          # coarse panel width; 0 and its multiples are edges
+    _ORDER = 16            # the embedded check rule has twice this order
+    _TOL_SPAN = 128.0      # per-panel budget: quad_tol * width / _TOL_SPAN
+    _MAX_PASSES = 40       # halvings of one coarse panel
+    _MAX_PANELS = 1 << 20  # coarse panels one table may hold
 
     def __init__(self, base: RealMap, exponent: float, quad_tol: float = 1e-10):
         if not base.bilipschitz:
@@ -283,67 +331,118 @@ class PowerIntegral(RealMap):
     def _integrand(self, t):
         return self.base.deriv(t) ** self.exponent
 
-    def _build_table(self, lo: float, hi: float):
-        n_left = max(1, int(math.ceil(-lo / self._PANEL)))
-        n_right = max(1, int(math.ceil(hi / self._PANEL)))
-        edges = np.concatenate([
-            np.linspace(-n_left * self._PANEL, 0.0, n_left + 1),
-            np.linspace(0.0, n_right * self._PANEL, n_right + 1)[1:],
-        ])
-        a, b = edges[:-1], edges[1:]
-        vals = panel_integrals(self._integrand, a, b, self._ORDER)
-        check = panel_integrals(self._integrand, a, b, self._ORDER * 2)
-        for _ in range(40):
-            err = np.abs(vals - check)
-            bad = err > self.quad_tol * np.maximum(b - a, 1e-3) / max(hi - lo, 1.0)
+    def _refine(self, a: np.ndarray, b: np.ndarray):
+        """Halve the panels [a_i, b_i] until each meets its budget; returns
+        the refined panels ``(a, b, value)`` sorted by ``a``, with the
+        order-32 values.  Only the new halves are integrated on each pass."""
+        kept = []
+        for _ in range(self._MAX_PASSES):
+            v = panel_integrals(self._integrand, a, b, self._ORDER, row_sums=True)
+            check = panel_integrals(self._integrand, a, b, 2 * self._ORDER,
+                                    row_sums=True)
+            budget = self.quad_tol * np.maximum(b - a, 1e-3) / self._TOL_SPAN
+            bad = ~(np.abs(v - check) <= budget)
+            kept.append((a[~bad], b[~bad], check[~bad]))
             if not bad.any():
                 break
-            mid = 0.5 * (a[bad] + b[bad])
-            a = np.sort(np.concatenate([a, mid]))
-            b = np.sort(np.concatenate([b[~bad], mid, b[bad]]))
-            vals = panel_integrals(self._integrand, a, b, self._ORDER)
-            check = panel_integrals(self._integrand, a, b, self._ORDER * 2)
+            a, b = a[bad], b[bad]
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         else:
             raise QuadratureFailure(
-                "breakpoint refinement could not reach the quadrature tolerance")
-        edges = np.concatenate([a, b[-1:]])
-        cum = np.concatenate([[0.0], np.cumsum(check)])
-        zero_idx = int(np.searchsorted(edges, 0.0))
-        cum = cum - cum[zero_idx]
-        self._table = (edges, cum)
+                f"power-integral table refinement could not reach the quadrature "
+                f"tolerance on [{a.min():.17g}, {b.max():.17g}] in "
+                f"{self._MAX_PASSES} passes")
+        a, b, v = (np.concatenate(part) for part in zip(*kept))
+        order = np.argsort(a)
+        return a[order], b[order], v[order]
+
+    def _build_table(self, lo: float, hi: float):
+        """Grow the table outward until it covers [lo, hi]; both new sides
+        are refined together."""
+        table = self._table
+        edges, cum = table if table is not None else (np.zeros(1), np.zeros(1))
+        k_lo = min(math.floor(lo / self._PANEL), round(edges[0] / self._PANEL))
+        k_hi = max(math.ceil(hi / self._PANEL), round(edges[-1] / self._PANEL))
+        if k_hi - k_lo > self._MAX_PANELS:
+            raise QuadratureFailure(
+                f"a power-integral table over [{lo:.6g}, {hi:.6g}] would need "
+                f"{k_hi - k_lo} panels (budget {self._MAX_PANELS})")
+        kinks = np.asarray(self.base.breakpoints(), dtype=float)
+
+        def coarse(e0, e1):  # grid multiples and kinks in [e0, e1]
+            grid = np.arange(round(e0 / self._PANEL),
+                             round(e1 / self._PANEL) + 1) * self._PANEL
+            return np.union1d(grid, kinks[(kinks > e0) & (kinks < e1)])
+
+        left = coarse(k_lo * self._PANEL, edges[0])
+        right = coarse(edges[-1], k_hi * self._PANEL)
+        a, b, v = self._refine(np.concatenate([left[:-1], right[:-1]]),
+                               np.concatenate([left[1:], right[1:]]))
+        on_left = b <= edges[0]
+        # cum is accumulated outward from 0 one panel at a time, so a fresh
+        # build and any sequence of growths give the same bits (on the left
+        # the running sum subtracts: a - b == -((-a) + b) exactly)
+        out = np.cumsum(np.concatenate([[cum[0]], -v[on_left][::-1]]))[1:]
+        self._table = (
+            np.concatenate([a[on_left], edges, b[~on_left]]),
+            np.concatenate([out[::-1], cum,
+                            np.cumsum(np.concatenate([[cum[-1]], v[~on_left]]))[1:]]))
 
     def _ensure_table(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        lo = min(lo, 0.0) - 1.0
-        hi = max(hi, 0.0) + 1.0
+        """The table, grown if needed to cover [min(lo, 0), max(hi, 0)]; a
+        side that must grow grows by at least a quarter of the table span."""
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
         table = self._table
         if table is not None and table[0][0] <= lo and table[0][-1] >= hi:
             return table
         with self._lock:
             table = self._table
-            if table is not None and table[0][0] <= lo and table[0][-1] >= hi:
-                return table
             if table is not None:
-                lo = min(lo, float(table[0][0]))
-                hi = max(hi, float(table[0][-1]))
-            span = hi - lo
-            self._build_table(lo - 0.25 * span, hi + 0.25 * span)
+                e0, e1 = float(table[0][0]), float(table[0][-1])
+                if e0 <= lo and e1 >= hi:
+                    return table
+                grow = 0.25 * (e1 - e0)
+                lo = min(lo, e0 - grow) if lo < e0 else lo
+                hi = max(hi, e1 + grow) if hi > e1 else hi
+            self._build_table(lo, hi)
             return self._table
 
     def _eval(self, x):
+        _require_finite(x, "x")
         if x.size == 0:
             return x.copy()
         edges, cum = self._ensure_table(float(x.min()), float(x.max()))
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
+        idx = np.searchsorted(edges, x, side="right") - 1
         anchors = edges[idx]
         nodes, weights = gauss_legendre(self._ORDER)
         mid = 0.5 * (anchors + x)
         half = 0.5 * (x - anchors)
         pts = mid[:, None] + half[:, None] * nodes[None, :]
         vals = self._integrand(pts.ravel()).reshape(pts.shape)
-        return cum[idx] + half * (vals @ weights)
+        return cum[idx] + half * np.einsum("ij,j->i", vals, weights)
 
     def _deriv(self, x):
         return self._integrand(x)
+
+    def breakpoints(self):
+        return self.base.breakpoints()
+
+    def _inverse_start(self, y):
+        """One table panel per point: grow the table until ``cum`` brackets y
+        (P rises by at least deriv_lo per unit, so going past an end by the
+        missing height over deriv_lo suffices), find the panel by
+        ``searchsorted`` and start at its secant point."""
+        table = self._table
+        e0, c0, e1, c1 = ((table[0][0], table[1][0], table[0][-1], table[1][-1])
+                          if table is not None else (0.0, 0.0, 0.0, 0.0))
+        edges, cum = self._ensure_table(
+            e0 - max(c0 - float(y.min()), 0.0) / self.deriv_lo,
+            e1 + max(float(y.max()) - c1, 0.0) / self.deriv_lo)
+        i = np.clip(np.searchsorted(cum, y, side="right") - 1, 0, cum.size - 2)
+        lo, hi = edges[i], edges[i + 1]
+        x0 = lo + (y - cum[i]) / (cum[i + 1] - cum[i]) * (hi - lo)
+        return lo, hi, np.clip(x0, lo, hi)
 
     @property
     def has_second_deriv(self):
@@ -366,10 +465,9 @@ def power_integral_map(f: RealMap, alpha: float, quad_tol: float = 1e-10) -> Rea
 
 
 class InverseMap(RealMap):
-    """Lazy monotone inverse; values are produced by bracketed root-finding.
-
-    The certified bracket comes from the base bounds: if d = y - base(0) then
-    the preimage lies between d/deriv_hi and d/deriv_lo.
+    """Lazy monotone inverse; values come from ``_invert_array`` on the base,
+    which starts from the bracket the base supplies (one table panel for a
+    power integral, the certified slope bracket otherwise).
     """
 
     kind = "inverse"
@@ -386,6 +484,9 @@ class InverseMap(RealMap):
 
     def _deriv(self, y):
         return 1.0 / self.base.deriv(self._eval(y))
+
+    def breakpoints(self):
+        return self.base(self.base.breakpoints())
 
     @property
     def has_second_deriv(self):
@@ -438,6 +539,13 @@ class Composition(RealMap):
 
     def _eval(self, x):
         return self.outer._eval(self.inner._eval(x))
+
+    def breakpoints(self):
+        """The inner map's, or the outer map's pulled back through an affine
+        inner map; an outer kink behind a non-affine inner map is not listed."""
+        if isinstance(self.inner, Affine):
+            return (self.outer.breakpoints() - self.inner.intercept) / self.inner.slope
+        return self.inner.breakpoints()
 
     def _deriv(self, x):
         di = self.inner._deriv(x)
@@ -513,6 +621,10 @@ class Tapered(RealMap):
         on_ramp = (ax > T) & (ax < 2.0 * T)
         slope = 6.0 * u * (1.0 - u) / T
         return np.where(on_ramp, -np.sign(x) * slope, 0.0)
+
+    def breakpoints(self):
+        T = self.plateau
+        return np.concatenate([self.base.breakpoints(), [-2.0 * T, -T, T, 2.0 * T]])
 
     def _eval(self, x):
         return x + (self.base._eval(x) - x) * self._psi(x)
@@ -598,33 +710,47 @@ def sampled_monotone(xs, ys) -> SampledMonotone:
 
 def _invert_array(f: RealMap, y: np.ndarray, tol: float,
                   max_iter: int = 200) -> np.ndarray:
+    """Solve f(x) = y for a flat y to |f(x) - y| <= tol by safeguarded Newton.
+
+    ``f._inverse_start`` supplies a certified bracket of each preimage and a
+    start point.  Each pass evaluates f on the points still active, and the
+    residual's sign shrinks their brackets.  A point within tol leaves the
+    active set after one more step with the slope of its previous pass (a
+    chord step that needs no evaluation and brings the residual far below
+    tol), kept in its bracket.  The others evaluate f' and take the Newton
+    step if it lands strictly inside the bracket, and bisect otherwise.
+    """
     if not f.bilipschitz:
         raise DomainError("inversion requires certified positive slope bounds")
+    _require_finite(y, "y")
     if y.size == 0:
         return y.copy()
-    b, B = f.deriv_bounds()
-    d = y - f(0.0)
-    lo = np.where(d >= 0.0, d / B, d / b) - 1e-9
-    hi = np.where(d >= 0.0, d / b, d / B) + 1e-9
-    width = float(np.max(hi - lo))
-    n_bisect = min(80, max(0, int(math.ceil(math.log2(max(width, 1e-30) / 1e-3)))))
-    used = 0
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(f(mid)) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        used += 1
-    x = 0.5 * (lo + hi)
-    while used < max_iter:
-        r = np.asarray(f(x)) - y
-        if np.all(np.abs(r) <= tol):
-            return x
-        lo = np.where(r < 0.0, x, lo)
-        hi = np.where(r < 0.0, hi, x)
-        x = np.clip(x - r / np.asarray(f.deriv(x)), lo, hi)
-        used += 1
-    r = np.abs(np.asarray(f(x)) - y)
+    lo, hi, x = f._inverse_start(y)
+    x = x.copy()
+    slope = np.full(y.shape, np.nan)   # f' where each point last stepped from
+    act = np.arange(y.size)
+    for _ in range(max_iter):
+        xa = x[act]
+        r = np.asarray(f(xa)) - y[act]
+        below = r < 0.0
+        la = np.where(below, xa, lo[act])
+        ha = np.where(below, hi[act], xa)
+        lo[act], hi[act] = la, ha
+        done = np.abs(r) <= tol
+        if done.any():
+            # the chord step: a point done on its first pass has no slope
+            # yet and is kept as it is
+            s, xd = slope[act[done]], xa[done]
+            chord = np.clip(xd - r[done] / s, la[done], ha[done])
+            x[act[done]] = np.where(np.isnan(s), xd, chord)
+            act, xa, r, la, ha = (v[~done] for v in (act, xa, r, la, ha))
+            if not act.size:
+                return x
+        d = np.asarray(f.deriv(xa))
+        step = xa - r / d
+        x[act] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
+        slope[act] = d
+    r = np.abs(np.asarray(f(x[act])) - y[act])
     if np.all(r <= tol):
         return x
     raise NonConvergence(
@@ -633,7 +759,8 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
 
 
 def invert_at(f: RealMap, y: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Solve f(x) = y to |f(x) - y| <= tol; bracketed bisection then Newton."""
+    """Solve f(x) = y to |f(x) - y| <= tol; safeguarded Newton from the
+    bracket the map supplies (see ``_invert_array``)."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     return float(_invert_array(f, np.asarray([y], dtype=float), tol, max_iter)[0])

@@ -8,7 +8,8 @@ import pytest
 from qcext.analysis import cubic_map
 from qcext.decompose import Factorization, chosen_eps, decompose_bilip, recompose
 from qcext.errors import DomainError
-from qcext.realmap import Affine, bump_map, compose, map_from_dict
+from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, IdentityPlusBump,
+                           bump_map, compose, map_from_dict)
 from conftest import make_bump_map
 
 
@@ -86,6 +87,30 @@ def test_factor_count_bound(rng):
                 continue
             n_max = math.ceil(math.log(L) / math.log(1.0 + fac.eps)) + 2
             assert len(fac) <= n_max
+
+
+def _bench_like_maps():
+    """Overlapping bumps of halfwidth 2 near the origin, some translated."""
+    out = []
+    for k, total in enumerate((0.2, 0.35, 0.5)):
+        centers = (-0.8, 0.3, 1.0)[:k + 1]
+        bumps = [BumpProfile(c, 2.0, (-1) ** j * total / (k + 1) * 2.0 / BUMP_SLOPE_MAX)
+                 for j, c in enumerate(centers)]
+        f = IdentityPlusBump(bumps)
+        out.append(f if k % 2 else compose(Affine(1.0, 0.7 - k), f))
+    return out
+
+
+def test_recomposition_error_stays_near_rounding():
+    for f in _bench_like_maps():
+        for eps0 in (0.05, 0.15, 0.25):
+            fac = decompose_bilip(f, eps0)
+            assert fac.recomposition_error <= 1e-10
+            xs = np.linspace(-8.0, 8.0, 1000)
+            reloaded = recompose(Factorization(
+                tuple(map_from_dict(m.to_dict()) for m in fac.factors),
+                eps0, fac.eps, fac.recomposition_error))
+            assert np.max(np.abs(reloaded(xs) - f(xs))) <= 1e-10
 
 
 def test_round_reduction_is_geometric():

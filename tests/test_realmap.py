@@ -1,17 +1,20 @@
 """Tests for the certified-monotone map algebra."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcext.errors import DomainError
+import qcext.realmap as realmap
+from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile,
-                           IdentityPlusBump, bump_map, compose, identity,
-                           inverse_map, invert_at, map_from_dict,
-                           power_integral_map, sampled_monotone, taper)
+                           IdentityPlusBump, PowerIntegral, _invert_array,
+                           bump_map, compose, identity, inverse_map, invert_at,
+                           map_from_dict, power_integral_map, sampled_monotone,
+                           taper)
 from conftest import make_bump_map
 
 
@@ -189,6 +192,115 @@ def test_invert_requires_positive_tol():
         invert_at(identity(), 1.0, 0.0)
 
 
+def _inversion_maps():
+    g = bump_map(0.3, 1.2, 0.3)
+    return [PowerIntegral(g, 0.6), PowerIntegral(compose(Affine(1.7, 0.4), g), 0.8),
+            PowerIntegral(g, -1.3), g, compose(Affine(1.5, -0.5), g),
+            inverse_map(g)]
+
+
+def test_inversion_residual_within_tol_at_every_point():
+    ys = np.linspace(-25.0, 25.0, 2001)
+    for tol in (1e-8, 1e-11):
+        for f in _inversion_maps():
+            x = _invert_array(f, ys, tol)
+            assert np.max(np.abs(f(x) - ys)) <= tol
+
+
+def test_inversion_at_table_entries_zero_and_beyond_the_table():
+    f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    f(2.0)
+    edges, cum = f._table
+    # P(edges[i]) == cum[i] bit for bit, so a table entry inverts exactly
+    assert np.array_equal(f(edges), cum)
+    assert np.array_equal(_invert_array(f, cum, 1e-12), edges)
+    assert invert_at(f, 0.0, 1e-12) == 0.0
+    # a preimage past the table end grows the table; the held entries stay
+    y = f.deriv_hi * 40.0
+    x = invert_at(f, y, 1e-11)
+    assert abs(f(x) - y) <= 1e-11
+    edges2, cum2 = f._table
+    assert edges2[-1] >= x
+    i = int(np.searchsorted(edges2, edges[0]))
+    assert np.array_equal(edges2[i:i + edges.size], edges)
+    assert np.array_equal(cum2[i:i + edges.size], cum)
+
+
+def test_inversion_of_empty_and_zero_d_inputs():
+    for f in (PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5),
+              bump_map(0.0, 1.0, 0.3)):
+        inv = inverse_map(f)
+        assert inv(np.empty(0)).shape == (0,)
+        assert inv(np.empty((0, 3))).shape == (0, 3)
+        assert _invert_array(f, np.empty(0), 1e-10).shape == (0,)
+        x = inv(np.float64(0.4))
+        assert isinstance(x, float)
+        assert x == inv(np.array([0.4]))[0]
+        assert abs(f(x) - 0.4) <= inv.value_tol
+
+
+def test_inversion_round_trips_match_brentq():
+    from scipy.optimize import brentq
+    g = bump_map(0.2, 1.1, 0.3)
+    for base in (g, compose(Affine(1.3, -0.4), g)):
+        for f in (base, PowerIntegral(base, 0.7)):
+            inv = inverse_map(f, 1e-12)
+            xs = np.linspace(-3.0, 3.0, 23)
+            got = inv(f(xs))
+            for y, x in zip(f(xs), got):
+                ref = brentq(lambda t: f(t) - y, -10.0, 10.0, xtol=1e-15)
+                assert abs(x - ref) <= 2e-12 / f.deriv_lo
+            assert np.max(np.abs(got - xs)) <= 2e-12 / f.deriv_lo
+
+
+def test_inversion_raises_nonconvergence():
+    f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    with pytest.raises(NonConvergence, match=r"tol=1e-30 in 200 iterations"):
+        _invert_array(f, np.linspace(-0.9, 0.9, 101), 1e-30)
+    y = f(np.array([0.37, -0.61]))
+    with pytest.raises(NonConvergence, match=r"in 1 iterations"):
+        invert_at(f, float(y[0]), 1e-12, max_iter=1)
+    with pytest.raises(NonConvergence):
+        invert_at(bump_map(0.0, 1.0, 0.3), 0.37, 1e-12, max_iter=1)
+
+
+def test_inversion_generic_path_inverts_an_inverse_map():
+    g = bump_map(0.1, 1.0, 0.3)
+    inv = inverse_map(g)
+    for x in (-1.7, -0.4, 0.0, 0.55, 3.0):
+        assert invert_at(inv, x, 1e-12) == pytest.approx(g(x), abs=1e-11)
+    xs = np.linspace(-2.0, 2.0, 41)
+    assert np.max(np.abs(inverse_map(inv)(xs) - g(xs))) <= 1e-10
+
+
+def test_non_finite_values_raise_domain_error():
+    f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    with pytest.raises(DomainError, match="y=nan"):
+        invert_at(f, math.nan)
+    with pytest.raises(DomainError, match="y=inf"):
+        inverse_map(f)(math.inf)
+    with pytest.raises(DomainError, match="y=-inf"):
+        inverse_map(bump_map(0.0, 1.0, 0.3))(-math.inf)
+    with pytest.raises(DomainError, match="x=nan"):
+        f(math.nan)
+    # the first bad value in C order is named
+    with pytest.raises(DomainError, match="x=inf"):
+        f(np.array([[0.5, 1.0], [math.inf, math.nan]]))
+    with pytest.raises(DomainError, match="y=nan"):
+        inverse_map(f)(np.array([[0.5, math.nan], [-math.inf, 1.0]]))
+    with pytest.raises(DomainError, match="x=nan"):
+        compose(f, Affine(2.0, 0.0))(np.array([1.0, math.nan]))
+
+
+def test_power_integral_table_has_a_panel_budget():
+    f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    with pytest.raises(QuadratureFailure, match=r"would need 4000000\d* panels"):
+        f(1e6)
+    with pytest.raises(QuadratureFailure, match="panels"):
+        invert_at(f, -1e300)
+    assert f(3.0) == PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)(3.0)  # intact
+
+
 # -- power integrals -------------------------------------------------------------
 
 def test_power_integral_scaling():
@@ -221,6 +333,80 @@ def test_power_integral_against_scipy_oracle():
             ref, err = quad(lambda t: f.deriv(t) ** alpha, 0.0, x,
                             epsabs=1e-12, limit=200)
             assert g(x) == pytest.approx(ref, abs=1e-9 + 10 * err)
+
+
+def test_power_integral_values_do_not_depend_on_history():
+    make = lambda: PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    f = make()
+    inv = inverse_map(f)
+    before = (f(0.3), inv(0.3))
+    f(50.0)
+    assert (f(0.3), inv(0.3)) == before
+    g = make()  # built far out first, then asked near 0
+    g(-70.0)
+    g(50.0)
+    assert (g(0.3), inverse_map(g)(0.3)) == before
+    # a point's value does not depend on the other points of the call
+    xs = np.linspace(-6.0, 6.0, 97)
+    assert np.array_equal(make()(xs), np.array([f(float(x)) for x in xs]))
+
+
+def _kinked_bases():
+    g = bump_map(0.3, 1.2, 0.3)
+    return [g, compose(Affine(1.4, -0.3), g),
+            taper(compose(Affine(1.05, 0.1), bump_map(0.0, 1.0, 0.15)), 1.5)]
+
+
+def test_breakpoints_list_the_kinks():
+    g = bump_map(0.3, 1.2, 0.3)
+    assert np.allclose(g.breakpoints(), [-0.9, 1.5])
+    assert np.array_equal(compose(Affine(2.0, 1.0), g).breakpoints(), g.breakpoints())
+    assert np.allclose(compose(g, Affine(2.0, 1.0)).breakpoints(), [-0.95, 0.25])
+    assert np.allclose(taper(g, 3.0).breakpoints(), [-0.9, 1.5, -6, -3, 3, 6])
+    assert np.array_equal(PowerIntegral(g, 0.5).breakpoints(), g.breakpoints())
+    assert np.array_equal(inverse_map(g).breakpoints(), g(g.breakpoints()))
+    assert Affine(2.0, 1.0).breakpoints().size == 0
+    assert sampled_monotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1]).breakpoints().size == 0
+
+
+def test_power_integral_within_quad_tol_of_scipy_at_the_kinks():
+    from scipy.integrate import quad
+    xs = sampled = np.linspace(-3.0, 3.0, 25)
+    bases = _kinked_bases() + [
+        sampled_monotone(sampled, sampled + 0.3 * np.sin(sampled))]
+    for base in bases:
+        kinks = base.breakpoints() if base.breakpoints().size else sampled
+        for alpha in (0.45, -0.9):
+            g = power_integral_map(base, alpha)
+            for x in (-4.1, -1.3, -0.9, 0.2, 1.5, 2.6, 7.3):
+                inside = [k for k in kinks if min(0.0, x) < k < max(0.0, x)]
+                ref, err = quad(lambda t: base.deriv(t) ** alpha, 0.0, x,
+                                points=inside or None, epsabs=1e-13,
+                                epsrel=1e-13, limit=400)
+                assert err <= 1e-2 * g.quad_tol
+                assert abs(g(x) - ref) <= g.quad_tol
+
+
+def test_breakpoint_hints_save_panel_calls(monkeypatch):
+    calls = []
+    panel_integrals = realmap.panel_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return panel_integrals(*args, **kwargs)
+
+    monkeypatch.setattr(realmap, "panel_integrals", counted)
+    g = bump_map(0.3, 1.2, 0.3)
+    hinted = PowerIntegral(g, 0.5)
+    hinted(np.array([-6.0, 6.0]))
+    n_hinted = len(calls)
+    calls.clear()
+    blind = PowerIntegral(g, 0.5)
+    monkeypatch.setattr(g, "breakpoints", lambda: np.empty(0))
+    blind(np.array([-6.0, 6.0]))
+    assert n_hinted == 2  # one pass, order 16 and order 32
+    assert len(calls) > n_hinted
+    assert abs(hinted(2.0) - blind(2.0)) <= hinted.quad_tol
 
 
 def test_power_integral_bounds():
@@ -285,9 +471,14 @@ def test_power_integral_cache_is_thread_safe():
     serial = f(xs)
     fresh = power_integral_map(bump_map(0.0, 1.0, 0.3), 0.6)
     chunks = np.array_split(xs, 8)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parts = list(pool.map(fresh, chunks))
-    assert np.max(np.abs(np.concatenate(parts) - serial)) <= 1e-12
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parts = list(pool.map(fresh, chunks, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(np.concatenate(parts), serial)
 
 
 # -- serialization -----------------------------------------------------------------
