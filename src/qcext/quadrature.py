@@ -26,15 +26,13 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
         return _NODE_CACHE[order]
 
 
-def panel_integrals(fun, lo, hi, order: int = 16, *,
-                    row_sums: bool = False) -> np.ndarray:
+def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
     """Fixed-order Gauss-Legendre integral of ``fun`` over each [lo_i, hi_i].
 
-    ``fun`` must accept a flat ndarray and return values elementwise.  With
-    ``row_sums`` each panel's weighted node sum is taken in its own row
-    (einsum) rather than by one BLAS matrix-vector product, whose rounding
-    depends on a row's place in the batch; a panel's value is then a
-    function of its interval alone, at about twice the cost of the sum.
+    ``fun`` must accept a flat ndarray and return values elementwise.  Each
+    panel's weighted node sum is taken in its own row (einsum), not by a
+    BLAS matrix-vector product whose rounding depends on a row's place in
+    the batch, so a panel's value is a function of its interval alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -43,9 +41,7 @@ def panel_integrals(fun, lo, hi, order: int = 16, *,
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(fun(pts.ravel()), dtype=float).reshape(pts.shape)
-    if row_sums:
-        return half * np.einsum("ij,j->i", vals, w)
-    return half * (vals @ w)
+    return half * np.einsum("ij,j->i", vals, w)
 
 
 def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,

@@ -301,11 +301,12 @@ class PowerIntegral(RealMap):
     order-16 and order-32 values differ by at most
     ``quad_tol * max(width, 1e-3) / _TOL_SPAN``, a budget that depends only on
     the panel, so the table is accurate to ``quad_tol`` on
-    ``[-_TOL_SPAN, _TOL_SPAN]``.  The table grows outward on demand by
-    appending panels and accumulating ``cum`` outward from 0, so growing
-    never changes an entry it holds and a value does not depend on what was
-    evaluated before.  ``P(edges[i]) == cum[i]`` bit for bit, which lets
-    inversion bracket a preimage to one panel by ``searchsorted`` on ``cum``.
+    ``[-_TOL_SPAN, _TOL_SPAN]``.  The table holds at least one coarse panel
+    on each side of 0 and grows outward on demand by appending panels and
+    accumulating ``cum`` outward from 0, so growing never changes an entry
+    it holds and a value does not depend on what was evaluated before.
+    ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
+    preimage to one panel by ``searchsorted`` on ``cum``.
     Certified bounds are the interval power of the base bounds.
     """
 
@@ -315,7 +316,7 @@ class PowerIntegral(RealMap):
     _ORDER = 16            # the embedded check rule has twice this order
     _TOL_SPAN = 128.0      # per-panel budget: quad_tol * width / _TOL_SPAN
     _MAX_PASSES = 40       # halvings of one coarse panel
-    _MAX_PANELS = 1 << 20  # coarse panels one table may hold
+    _MAX_PANELS = 1 << 16  # coarse panels of a table, or panels of one pass
 
     def __init__(self, base: RealMap, exponent: float, quad_tol: float = 1e-10):
         if not base.bilipschitz:
@@ -337,15 +338,19 @@ class PowerIntegral(RealMap):
         order-32 values.  Only the new halves are integrated on each pass."""
         kept = []
         for _ in range(self._MAX_PASSES):
-            v = panel_integrals(self._integrand, a, b, self._ORDER, row_sums=True)
-            check = panel_integrals(self._integrand, a, b, 2 * self._ORDER,
-                                    row_sums=True)
+            v = panel_integrals(self._integrand, a, b, self._ORDER)
+            check = panel_integrals(self._integrand, a, b, 2 * self._ORDER)
             budget = self.quad_tol * np.maximum(b - a, 1e-3) / self._TOL_SPAN
             bad = ~(np.abs(v - check) <= budget)
             kept.append((a[~bad], b[~bad], check[~bad]))
             if not bad.any():
                 break
             a, b = a[bad], b[bad]
+            if 2 * a.size > self._MAX_PANELS:
+                raise QuadratureFailure(
+                    f"power-integral table refinement on [{a.min():.17g}, "
+                    f"{b.max():.17g}] would need more than {self._MAX_PANELS} "
+                    f"panels in one pass")
             mid = 0.5 * (a + b)
             a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         else:
@@ -358,16 +363,17 @@ class PowerIntegral(RealMap):
         return a[order], b[order], v[order]
 
     def _build_table(self, lo: float, hi: float):
-        """Grow the table outward until it covers [lo, hi]; both new sides
-        are refined together."""
+        """Grow the table outward until it covers [lo, hi] and at least one
+        coarse panel on each side of 0; both new sides are refined together."""
         table = self._table
         edges, cum = table if table is not None else (np.zeros(1), np.zeros(1))
-        k_lo = min(math.floor(lo / self._PANEL), round(edges[0] / self._PANEL))
-        k_hi = max(math.ceil(hi / self._PANEL), round(edges[-1] / self._PANEL))
-        if k_hi - k_lo > self._MAX_PANELS:
+        lo = float(min(lo, edges[0], -self._PANEL))
+        hi = float(max(hi, edges[-1], self._PANEL))
+        if not hi - lo <= self._MAX_PANELS * self._PANEL:  # inf and nan too
             raise QuadratureFailure(
                 f"a power-integral table over [{lo:.6g}, {hi:.6g}] would need "
-                f"{k_hi - k_lo} panels (budget {self._MAX_PANELS})")
+                f"more than {self._MAX_PANELS} panels")
+        k_lo, k_hi = math.floor(lo / self._PANEL), math.ceil(hi / self._PANEL)
         kinks = np.asarray(self.base.breakpoints(), dtype=float)
 
         def coarse(e0, e1):  # grid multiples and kinks in [e0, e1]
@@ -429,16 +435,32 @@ class PowerIntegral(RealMap):
         return self.base.breakpoints()
 
     def _inverse_start(self, y):
-        """One table panel per point: grow the table until ``cum`` brackets y
-        (P rises by at least deriv_lo per unit, so going past an end by the
-        missing height over deriv_lo suffices), find the panel by
-        ``searchsorted`` and start at its secant point."""
-        table = self._table
-        e0, c0, e1, c1 = ((table[0][0], table[1][0], table[0][-1], table[1][-1])
-                          if table is not None else (0.0, 0.0, 0.0, 0.0))
-        edges, cum = self._ensure_table(
-            e0 - max(c0 - float(y.min()), 0.0) / self.deriv_lo,
-            e1 + max(float(y.max()) - c1, 0.0) / self.deriv_lo)
+        """One table panel per point: grow the table until ``cum`` brackets y,
+        find the panel by ``searchsorted`` and start at its secant point.
+
+        Each round extends a short side by the missing height over the mean
+        slope of its outermost panel (1 before the first build), clamped to
+        the certified bounds, and by at least one coarse panel;
+        ``_ensure_table`` adds at least a quarter of the span, so the rounds
+        are few.  Going by deriv_lo would take one round but may ask for a
+        table far past the preimages when deriv_lo is far below the slope
+        there."""
+        def reach(gap, panel):  # x distance to add for a missing height gap
+            if not gap > 0.0:
+                return 0.0
+            slope = 1.0
+            if cum.size > 1:
+                slope = float((cum[panel + 1] - cum[panel])
+                              / (edges[panel + 1] - edges[panel]))
+            slope = min(max(slope, self.deriv_lo), self.deriv_hi)
+            return max(gap / slope, self._PANEL)
+
+        y0, y1 = float(y.min()), float(y.max())
+        table = self._table  # P(0) = 0 stands in for a table not built yet
+        edges, cum = table if table is not None else (np.zeros(1), np.zeros(1))
+        while cum.size < 2 or cum[0] > y0 or cum[-1] < y1:
+            edges, cum = self._ensure_table(edges[0] - reach(float(cum[0]) - y0, 0),
+                                            edges[-1] + reach(y1 - float(cum[-1]), -2))
         i = np.clip(np.searchsorted(cum, y, side="right") - 1, 0, cum.size - 2)
         lo, hi = edges[i], edges[i + 1]
         x0 = lo + (y - cum[i]) / (cum[i + 1] - cum[i]) * (hi - lo)
@@ -714,20 +736,28 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
 
     ``f._inverse_start`` supplies a certified bracket of each preimage and a
     start point.  Each pass evaluates f on the points still active, and the
-    residual's sign shrinks their brackets.  A point within tol leaves the
-    active set after one more step with the slope of its previous pass (a
-    chord step that needs no evaluation and brings the residual far below
-    tol), kept in its bracket.  The others evaluate f' and take the Newton
-    step if it lands strictly inside the bracket, and bisect otherwise.
+    residual's sign shrinks their brackets.  A point leaves the active set
+    when its residual r is 0, or within tol and its previous pass took a
+    Newton step with slope s that certifies one more step: the chord step
+    x - r/s needs no evaluation, and its residual r (1 - f'/s), with f' in
+    the certified bounds [b, B], is within half of tol (the other half is
+    left for the error of evaluating f) when |r| max(B/s - 1, 1 - b/s) is.
+    That step brings the residual far below tol.  The other points evaluate
+    f' and take the Newton step if it lands strictly inside the bracket and
+    is at most half as long as their previous step, and bisect otherwise;
+    the length test breaks the two-cycles Newton can fall into where the
+    slope varies by a large factor.
     """
     if not f.bilipschitz:
         raise DomainError("inversion requires certified positive slope bounds")
     _require_finite(y, "y")
     if y.size == 0:
         return y.copy()
+    b, B = f.deriv_bounds()
     lo, hi, x = f._inverse_start(y)
     x = x.copy()
-    slope = np.full(y.shape, np.nan)   # f' where each point last stepped from
+    slope = np.full(y.shape, np.nan)   # f' of each point's last Newton step
+    dx = hi - lo                       # the length of each point's last step
     act = np.arange(y.size)
     for _ in range(max_iter):
         xa = x[act]
@@ -736,20 +766,24 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
         la = np.where(below, xa, lo[act])
         ha = np.where(below, hi[act], xa)
         lo[act], hi[act] = la, ha
-        done = np.abs(r) <= tol
+        s = slope[act]   # NaN after a bisection: no chord, another pass
+        chord = np.abs(r) * np.maximum(B / s - 1.0, 1.0 - b / s) <= 0.5 * tol
+        done = ((np.abs(r) <= tol) & chord) | (r == 0.0)
         if done.any():
-            # the chord step: a point done on its first pass has no slope
-            # yet and is kept as it is
-            s, xd = slope[act[done]], xa[done]
-            chord = np.clip(xd - r[done] / s, la[done], ha[done])
-            x[act[done]] = np.where(np.isnan(s), xd, chord)
+            # a chord clipped to the bracket lies between x and the chord
+            # point, where f is monotone, so the bound still holds
+            step = np.clip(xa[done] - r[done] / s[done], la[done], ha[done])
+            x[act[done]] = np.where(chord[done], step, xa[done])
             act, xa, r, la, ha = (v[~done] for v in (act, xa, r, la, ha))
             if not act.size:
                 return x
         d = np.asarray(f.deriv(xa))
-        step = xa - r / d
-        x[act] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
-        slope[act] = d
+        step = r / d
+        newton = ((xa - step > la) & (xa - step < ha)
+                  & (np.abs(step) <= 0.5 * dx[act]))
+        x[act] = np.where(newton, xa - step, 0.5 * (la + ha))
+        dx[act] = np.where(newton, np.abs(step), 0.5 * (ha - la))
+        slope[act] = np.where(newton, d, np.nan)
     r = np.abs(np.asarray(f(x[act])) - y[act])
     if np.all(r <= tol):
         return x

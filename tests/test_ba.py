@@ -7,7 +7,7 @@ import pytest
 
 from qcext.beurling_ahlfors import BAConfig, ba_affine_naturality_residual, extend_ba
 from qcext.errors import DomainError, QuadratureFailure
-from qcext.realmap import Affine, bump_map, compose, identity
+from qcext.realmap import Affine, bump_map, compose, identity, sampled_monotone
 from conftest import make_bump_map
 
 PRINTED = BAConfig(im_scale=1.0)
@@ -149,10 +149,15 @@ def test_rejects_non_finite_points_before_integrating():
 
 
 def test_quadrature_failure_names_the_point():
-    # an unreachable tolerance exhausts the panels of the second point, where
-    # the integrand is a degree-36 polynomial; the first point's window lies
-    # where f is the identity, which every panel integrates exactly
-    f = compose(bump_map(0.0, 1.0, 0.3), bump_map(0.1, 1.0, 0.2))
+    # f is C^1 with slopes alternating 0.8 and 1.2 between samples 1/8192
+    # apart, so f'' jumps at every sample and each panel holding one has a
+    # truly nonzero embedded error: at an unreachable tolerance the 4096
+    # samples in the second point's left window fail all 4096 panels once
+    # the window is cut that fine.  The first point's window lies where f is
+    # affine, which every panel integrates exactly.
+    xs = np.linspace(-1.0, 1.0, 16385)
+    f = sampled_monotone(xs, np.cumsum(np.where(np.arange(xs.size) % 2, 1.2, 0.8)) / 8192)
     zs = np.array([5.0 + 0.5j, 0.2 + 0.5j])
-    with pytest.raises(QuadratureFailure, match=r"z=\(0\.2\+0\.5j\).*4\d{3} panels"):
+    with pytest.raises(QuadratureFailure,
+                       match=r"z=\(0\.2\+0\.5j\).*8192 panels \(budget 4096"):
         extend_ba(f, zs, BAConfig(quad_tol=1e-300))

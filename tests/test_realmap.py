@@ -194,9 +194,18 @@ def test_invert_requires_positive_tol():
 
 def _inversion_maps():
     g = bump_map(0.3, 1.2, 0.3)
+    steep = IdentityPlusBump([BumpProfile(-0.5, 0.3, 0.08),
+                              BumpProfile(0.6, 0.25, -0.06)])
     return [PowerIntegral(g, 0.6), PowerIntegral(compose(Affine(1.7, 0.4), g), 0.8),
             PowerIntegral(g, -1.3), g, compose(Affine(1.5, -0.5), g),
-            inverse_map(g)]
+            inverse_map(g),
+            # slopes that vary by a factor 12 to 52, where a chord step with a
+            # stale slope could leave tol
+            PowerIntegral(steep, 3.5), PowerIntegral(steep, -4.0),
+            taper(compose(Affine(1.05, 0.1), steep), 0.6),
+            # Newton from the slope bracket falls into a two-cycle near y = -2
+            # unless steps must shrink
+            inverse_map(bump_map(-1.67, 0.49, -0.2629))]
 
 
 def test_inversion_residual_within_tol_at_every_point():
@@ -208,7 +217,16 @@ def test_inversion_residual_within_tol_at_every_point():
 
 
 def test_inversion_at_table_entries_zero_and_beyond_the_table():
-    f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    make = lambda: PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    # y = 0 on a fresh table, on a table built only at 0, and through the
+    # inverse map all give 0
+    assert invert_at(make(), 0.0) == 0.0
+    assert inverse_map(make())(0.0) == 0.0
+    assert np.array_equal(inverse_map(make())(np.zeros(3)), np.zeros(3))
+    f = make()
+    assert f(0.0) == 0.0
+    assert invert_at(f, 0.0) == 0.0
+    f = make()
     f(2.0)
     edges, cum = f._table
     # P(edges[i]) == cum[i] bit for bit, so a table entry inverts exactly
@@ -224,6 +242,19 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     i = int(np.searchsorted(edges2, edges[0]))
     assert np.array_equal(edges2[i:i + edges.size], edges)
     assert np.array_equal(cum2[i:i + edges.size], cum)
+
+
+def test_inversion_table_grows_near_the_preimages():
+    # deriv_lo is about 4e-6 here, so going out by the missing height over
+    # deriv_lo would ask for a table reaching |x| = 7e5
+    g = IdentityPlusBump([BumpProfile(0.0, 0.5, 0.998 * 0.5 / BUMP_SLOPE_MAX)])
+    f = PowerIntegral(g, 2.0)
+    assert f.deriv_lo < 1e-5
+    for y in (3.0, -3.0, 40.0):
+        x = invert_at(f, y, 1e-11)
+        assert abs(f(x) - y) <= 1e-11
+    edges, _ = f._table
+    assert -6.0 < edges[0] and edges[-1] < 60.0
 
 
 def test_inversion_of_empty_and_zero_d_inputs():
@@ -294,10 +325,15 @@ def test_non_finite_values_raise_domain_error():
 
 def test_power_integral_table_has_a_panel_budget():
     f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
-    with pytest.raises(QuadratureFailure, match=r"would need 4000000\d* panels"):
+    with pytest.raises(QuadratureFailure,
+                       match=r"over \[-0\.25, 1e\+06\] would need more than 65536 panels"):
         f(1e6)
     with pytest.raises(QuadratureFailure, match="panels"):
         invert_at(f, -1e300)
+    # the distance to the preimage overflows to inf
+    for y in (1.7e308, -1.7e308):
+        with pytest.raises(QuadratureFailure, match="panels"):
+            invert_at(f, y)
     assert f(3.0) == PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)(3.0)  # intact
 
 
