@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extensions import ExtParams, extend_family, require_upper_half
-from .realmap import RealMap, compose
+from .realmap import NUMBER, RealMap, compose, register
 
 
 # -- grids -------------------------------------------------------------------
@@ -289,6 +289,7 @@ class CubicMap(RealMap):
     """
 
     kind = "cubic"
+    has_second_deriv = True
 
     def __init__(self):
         super().__init__(0.0, math.inf, bilipschitz=False)
@@ -299,15 +300,8 @@ class CubicMap(RealMap):
     def _deriv(self, x):
         return 3.0 * x ** 2
 
-    @property
-    def has_second_deriv(self):
-        return True
-
     def _second(self, x):
         return 6.0 * x
-
-    def to_dict(self):
-        return {"kind": self.kind}
 
 
 def cubic_map() -> CubicMap:
@@ -325,6 +319,7 @@ class QuadraticWindowMap(RealMap):
     """
 
     kind = "quadratic-window"
+    has_second_deriv = True
 
     def __init__(self, window_lo: float = 1.0, window_hi: float = 4.0,
                  ramp: float = 0.25):
@@ -378,10 +373,6 @@ class QuadraticWindowMap(RealMap):
         ]
         return np.select(self._pieces(x), vals)
 
-    @property
-    def has_second_deriv(self):
-        return True
-
     def _second(self, x):
         l, r, s = self.window_lo, self.window_hi, self.ramp
         vals = [
@@ -393,11 +384,12 @@ class QuadraticWindowMap(RealMap):
         ]
         return np.select(self._pieces(x), vals)
 
-    def to_dict(self):
-        return {"kind": self.kind, "window_lo": self.window_lo,
-                "window_hi": self.window_hi, "ramp": self.ramp}
-
 
 def quadratic_window_map(window_lo: float = 1.0, window_hi: float = 4.0,
                          ramp: float = 0.25) -> QuadraticWindowMap:
     return QuadraticWindowMap(window_lo, window_hi, ramp)
+
+
+register("map", "cubic", CubicMap)
+register("map", "quadratic-window", QuadraticWindowMap, window_lo=(NUMBER, 1.0),
+         window_hi=(NUMBER, 4.0), ramp=(NUMBER, 0.25))

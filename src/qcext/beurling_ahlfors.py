@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure
 from .extensions import require_upper_half
 from .quadrature import adaptive_integral
-from .realmap import RealMap, compose
+from .realmap import Affine, RealMap, compose
 
 _QUAD_ORDER = 16
 
@@ -78,7 +78,7 @@ def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z: complex,
     Zero (up to quadrature error) at im_scale = 2; bounded away from zero for
     non-affine f at im_scale = 1, which pins the normalization discrepancy.
     """
-    if g_affine.kind != "affine":
+    if not isinstance(g_affine, Affine):
         raise DomainError("the pre-composed map must be affine")
     lhs = extend_ba(compose(f, g_affine), z, cfg)
     rhs = extend_ba(f, extend_ba(g_affine, z, cfg), cfg)

@@ -354,10 +354,8 @@ def _describe(f: RealMap, indent: int = 0):
     lo, hi = f.deriv_bounds()
     print(f"{pad}{f.kind}: deriv in [{lo:.6g}, {hi:.6g}]"
           + ("" if f.bilipschitz else "  (not bi-Lipschitz)"))
-    for attr in ("outer", "inner", "base"):
-        child = getattr(f, attr, None)
-        if isinstance(child, RealMap):
-            _describe(child, indent + 1)
+    for child in f.children():
+        _describe(child, indent + 1)
 
 
 def cmd_info(args) -> int:
@@ -423,13 +421,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        prepared = args.func
-    except AttributeError:  # pragma: no cover
-        parser.print_usage()
-        return EXIT_USAGE
-    try:
-        return prepared(args)
-    except (DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return args.func(args)
+    except (DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QCExtError as exc:

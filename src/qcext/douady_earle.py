@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergence, StepOutOfDisk
+from .realmap import NUMBER, NUMBERS, PAIR, map_from_dict, register
 
 _TWO_PI = 2.0 * math.pi
 
@@ -33,11 +34,9 @@ class CircleMap:
     are checked on a dense sample at construction.
     """
 
-    def __init__(self, lift, label: str = "circle-map", check: bool = True,
-                 meta: dict | None = None):
+    def __init__(self, lift, label: str = "circle-map", check: bool = True):
         self.lift = lift
         self.label = label
-        self.meta = meta or {}
         self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
             self._validate()
@@ -75,8 +74,8 @@ class CircleMap:
         return cls(lambda t: t, "identity", check=False)
 
     @classmethod
-    def rotation(cls, phi: float) -> "CircleMap":
-        return cls(lambda t: t + phi, f"rotation({phi:g})", check=False)
+    def rotation(cls, angle: float) -> "CircleMap":
+        return cls(lambda t: t + angle, f"rotation({angle:g})", check=False)
 
     @classmethod
     def from_fourier(cls, rotation: float = 0.0, cos_amps=(), sin_amps=()) -> "CircleMap":
@@ -95,8 +94,7 @@ class CircleMap:
                 out = out + np.sin(np.multiply.outer(t, ks)) @ sa
             return out
 
-        meta = {"rotation": rotation, "cos": ca.tolist(), "sin": sa.tolist()}
-        return cls(lift, "fourier", meta=meta)
+        return cls(lift, "fourier")
 
 
 def compose_circle(outer: CircleMap, inner: CircleMap) -> CircleMap:
@@ -136,8 +134,7 @@ class MobiusAutomorphism:
             t = np.asarray(t, dtype=float)
             return phi + t - 2.0 * np.angle(1.0 - cbar * np.exp(1j * t))
 
-        return CircleMap(lift, "mobius-boundary", check=False,
-                         meta={"phi": self.phi, "c": [self.c.real, self.c.imag]})
+        return CircleMap(lift, "mobius-boundary", check=False)
 
     def __repr__(self):
         return f"MobiusAutomorphism(phi={self.phi:.6g}, c={self.c:.6g})"
@@ -317,21 +314,14 @@ def de_naturality_residual(f: CircleMap, m: MobiusAutomorphism, z: complex,
 
 def circle_map_from_dict(d: dict) -> CircleMap:
     """Circle-map description format used by the CLI (see README)."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise DomainError("circle-map description must be an object with 'kind'")
-    kind = d["kind"]
-    try:
-        if kind == "circle-identity":
-            return CircleMap.identity()
-        if kind == "circle-rotation":
-            return CircleMap.rotation(d["angle"])
-        if kind == "circle-fourier":
-            return CircleMap.from_fourier(d.get("rotation", 0.0),
-                                          d.get("cos", ()), d.get("sin", ()))
-        if kind == "circle-mobius":
-            c = d["center"]
-            return MobiusAutomorphism(d.get("angle", 0.0),
-                                      complex(c[0], c[1])).boundary()
-    except (KeyError, TypeError, IndexError) as exc:
-        raise DomainError(f"bad circle-map description for kind '{kind}': {exc}") from exc
-    raise DomainError(f"unknown circle-map kind '{kind}'")
+    return map_from_dict(d, "circle-map")
+
+
+register("circle-map", "circle-identity", CircleMap.identity)
+register("circle-map", "circle-rotation", CircleMap.rotation, angle=NUMBER)
+register("circle-map", "circle-fourier",
+         lambda rotation, cos, sin: CircleMap.from_fourier(rotation, cos, sin),
+         rotation=(NUMBER, 0.0), cos=(NUMBERS, ()), sin=(NUMBERS, ()))
+register("circle-map", "circle-mobius",
+         lambda angle, center: MobiusAutomorphism(angle, complex(*center)).boundary(),
+         angle=(NUMBER, 0.0), center=PAIR)

@@ -21,9 +21,13 @@ integral.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import reprlib
+import sys
 import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,22 +38,21 @@ from .quadrature import gauss_legendre, panel_integrals
 BUMP_SLOPE_MAX = 96.0 * math.sqrt(5.0) / 125.0
 
 
-def _interval_power(lo: float, hi: float, exponent: float) -> tuple[float, float]:
-    """Image of the interval [lo, hi], lo > 0, under t -> t**exponent."""
-    a, b = lo ** exponent, hi ** exponent
-    return (a, b) if a <= b else (b, a)
+def _interval_power(lo: float, hi: float, exponent: float, what: str):
+    """Image of the interval [lo, hi], lo > 0, under t -> t**exponent; a
+    power past the float range raises DomainError naming ``what``."""
+    try:
+        return tuple(sorted((lo ** exponent, hi ** exponent)))
+    except OverflowError:
+        raise DomainError(f"{what} {exponent:g} overflows the certified slope "
+                          f"bounds [{lo:.6g}, {hi:.6g}]") from None
 
 
 def _same_map(f: "RealMap", g: "RealMap") -> bool:
     """Whether two nodes denote the same map: object identity or identical
     construction parameters (the algebra is deterministic, so an equal
     description is an equal map)."""
-    if f is g:
-        return True
-    try:
-        return f.to_dict() == g.to_dict()
-    except NotImplementedError:  # pragma: no cover
-        return False
+    return f is g or f.to_dict() == g.to_dict()
 
 
 def _require_finite(v: np.ndarray, name: str):
@@ -63,6 +66,7 @@ class RealMap:
     """Base class: a strictly increasing C^1 map with certified slope bounds."""
 
     kind = "abstract"
+    has_second_deriv = False  # a property where it depends on the parts
 
     def __init__(self, deriv_lo: float, deriv_hi: float, bilipschitz: bool = True):
         if bilipschitz and not deriv_lo > 0:
@@ -91,10 +95,6 @@ class RealMap:
         arr = np.asarray(x, dtype=float)
         out = self._deriv(arr.ravel()).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
-
-    @property
-    def has_second_deriv(self) -> bool:
-        return False
 
     def _second(self, x: np.ndarray) -> np.ndarray:
         raise DomainError(f"map of kind '{self.kind}' does not expose a "
@@ -132,13 +132,21 @@ class RealMap:
         hi = np.where(d >= 0.0, d / b, d / B) + 1e-9
         return lo, hi, 0.5 * (lo + hi)
 
-    # -- serialization ---------------------------------------------------
+    # -- description -----------------------------------------------------
 
-    def to_dict(self) -> dict:  # pragma: no cover
-        raise NotImplementedError
+    def to_dict(self) -> dict:
+        """The description of this map: its kind, then each field its entry
+        in ``KINDS`` declares, read from the attribute of the same name."""
+        out = {"kind": self.kind}
+        for name, (field, _) in KINDS[self.kind][1].items():
+            out[name] = field.encode(getattr(self, name))
+        return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def children(self) -> tuple:
+        """The maps this one is built from, in the order of its fields."""
+        return tuple(getattr(self, name)
+                     for name, (field, _) in KINDS[self.kind][1].items()
+                     if field is MAP)
 
     def __repr__(self):
         return (f"<{type(self).__name__} kind={self.kind!r} "
@@ -149,6 +157,7 @@ class Affine(RealMap):
     """x -> slope * x + intercept with slope > 0."""
 
     kind = "affine"
+    has_second_deriv = True
 
     def __init__(self, slope: float, intercept: float = 0.0):
         if not slope > 0:
@@ -163,15 +172,8 @@ class Affine(RealMap):
     def _deriv(self, x):
         return np.full_like(x, self.slope)
 
-    @property
-    def has_second_deriv(self):
-        return True
-
     def _second(self, x):
         return np.zeros_like(x)
-
-    def to_dict(self):
-        return {"kind": self.kind, "slope": self.slope, "intercept": self.intercept}
 
 
 def identity() -> Affine:
@@ -223,10 +225,6 @@ class BumpProfile:
             x, lambda t, u: (self.amplitude / self.halfwidth ** 2
                              * 6.0 * u * (5.0 * t * t - 1.0)))
 
-    def to_dict(self):
-        return {"center": self.center, "halfwidth": self.halfwidth,
-                "amplitude": self.amplitude}
-
 
 class IdentityPlusBump(RealMap):
     """Identity plus a finite sum of bump profiles; equals Id off the supports.
@@ -236,9 +234,10 @@ class IdentityPlusBump(RealMap):
     """
 
     kind = "identity-plus-bump"
+    has_second_deriv = True
 
     def __init__(self, bumps):
-        bumps = [b if isinstance(b, BumpProfile) else BumpProfile(**b) for b in bumps]
+        bumps = tuple(bumps)
         if not bumps:
             raise DomainError("identity-plus-bump needs at least one bump")
         sups = [b.sup_abs_slope for b in bumps]
@@ -250,7 +249,7 @@ class IdentityPlusBump(RealMap):
             raise DomainError(
                 f"bump slopes sum to {s:.6g} >= 1; map would not be increasing")
         super().__init__(1.0 - s, 1.0 + s)
-        self.bumps = tuple(bumps)
+        self.bumps = bumps
 
     @property
     def support(self) -> tuple[float, float]:
@@ -272,18 +271,11 @@ class IdentityPlusBump(RealMap):
             out = out + b.d1(x)
         return out
 
-    @property
-    def has_second_deriv(self):
-        return True
-
     def _second(self, x):
         out = np.zeros_like(x)
         for b in self.bumps:
             out = out + b.d2(x)
         return out
-
-    def to_dict(self):
-        return {"kind": self.kind, "bumps": [b.to_dict() for b in self.bumps]}
 
 
 def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusBump:
@@ -321,7 +313,8 @@ class PowerIntegral(RealMap):
     def __init__(self, base: RealMap, exponent: float, quad_tol: float = 1e-10):
         if not base.bilipschitz:
             raise DomainError("power integral requires a bi-Lipschitz base map")
-        lo, hi = _interval_power(base.deriv_lo, base.deriv_hi, exponent)
+        lo, hi = _interval_power(base.deriv_lo, base.deriv_hi, exponent,
+                                 "power-integral exponent")
         super().__init__(lo, hi)
         self.base = base
         self.exponent = float(exponent)
@@ -474,10 +467,6 @@ class PowerIntegral(RealMap):
         d = self.base.deriv(x)
         return self.exponent * d ** (self.exponent - 1.0) * self.base.second_deriv(x)
 
-    def to_dict(self):
-        return {"kind": self.kind, "base": self.base.to_dict(),
-                "exponent": self.exponent}
-
 
 def power_integral_map(f: RealMap, alpha: float, quad_tol: float = 1e-10) -> RealMap:
     """The map x -> integral_0^x f'(t)**alpha dt with certified power bounds."""
@@ -519,9 +508,6 @@ class InverseMap(RealMap):
         d = self.base.deriv(u)
         return -self.base.second_deriv(u) / d ** 3
 
-    def to_dict(self):
-        return {"kind": self.kind, "base": self.base.to_dict()}
-
 
 def inverse_map(f: RealMap, value_tol: float = 1e-11) -> InverseMap:
     return InverseMap(f, value_tol)
@@ -557,7 +543,8 @@ class Composition(RealMap):
             delta = 1.0 - pi.exponent
         else:
             return None
-        return _interval_power(pi.base.deriv_lo, pi.base.deriv_hi, delta)
+        return _interval_power(pi.base.deriv_lo, pi.base.deriv_hi, delta,
+                               "composition slope power")
 
     def _eval(self, x):
         return self.outer._eval(self.inner._eval(x))
@@ -585,14 +572,14 @@ class Composition(RealMap):
         return (self.outer._second(u) * di * di
                 + self.outer._deriv(u) * self.inner._second(x))
 
-    def to_dict(self):
-        maps = []
-        for part in (self.outer, self.inner):
-            if isinstance(part, Composition):
-                maps.extend(part.to_dict()["maps"])
-            else:
-                maps.append(part.to_dict())
-        return {"kind": self.kind, "maps": maps}
+    @property
+    def maps(self) -> list:
+        """The factors, outermost first, with nested compositions flattened."""
+        return [m for part in (self.outer, self.inner)
+                for m in (part.maps if isinstance(part, Composition) else [part])]
+
+    def children(self):
+        return (self.outer, self.inner)
 
 
 def compose(f: RealMap, g: RealMap) -> RealMap:
@@ -655,10 +642,6 @@ class Tapered(RealMap):
         return (1.0 + (self.base._deriv(x) - 1.0) * self._psi(x)
                 + (self.base._eval(x) - x) * self._psi_d1(x))
 
-    def to_dict(self):
-        return {"kind": self.kind, "base": self.base.to_dict(),
-                "plateau": self.plateau}
-
 
 def taper(f: RealMap, T: float) -> Tapered:
     """Agrees with f on [-T, T] and with the identity outside [-2T, 2T]."""
@@ -719,9 +702,6 @@ class SampledMonotone(RealMap):
         inner = self._dpp(np.clip(x, x0, xN))
         out = np.where(x < x0, self._slope_left, inner)
         return np.where(x > xN, self._slope_right, out)
-
-    def to_dict(self):
-        return {"kind": self.kind, "xs": self.xs.tolist(), "ys": self.ys.tolist()}
 
 
 def sampled_monotone(xs, ys) -> SampledMonotone:
@@ -802,55 +782,98 @@ def invert_at(f: RealMap, y: float, tol: float = 1e-10, max_iter: int = 200) -> 
 
 # -- map-description format -------------------------------------------------
 
-def map_from_dict(d: dict) -> RealMap:
-    """Build a map from its JSON-style description (see README for schema)."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise DomainError("map description must be an object with a 'kind' key")
-    kind = d["kind"]
-    try:
-        if kind == "affine":
-            return Affine(d["slope"], d.get("intercept", 0.0))
-        if kind == "identity-plus-bump":
-            return IdentityPlusBump(d["bumps"])
-        if kind == "power-integral":
-            return PowerIntegral(map_from_dict(d["base"]), d["exponent"])
-        if kind == "composition":
-            maps = [map_from_dict(m) for m in d["maps"]]
-            if len(maps) < 2:
-                raise DomainError("composition needs at least two maps")
-            # left-associative fold, so a trailing inverse factor sees the
-            # whole prefix as its outer map (keeps cancellation bounds tight)
-            out = maps[0]
-            for m in maps[1:]:
-                out = Composition(out, m)
-            return out
-        if kind == "tapered":
-            return Tapered(map_from_dict(d["base"]), d["plateau"])
-        if kind == "sampled-monotone":
-            return SampledMonotone(d["xs"], d["ys"])
-        if kind == "inverse":
-            return InverseMap(map_from_dict(d["base"]))
-        if kind == "cubic":
-            from .analysis import cubic_map
-            return cubic_map()
-        if kind == "quadratic-window":
-            from .analysis import quadratic_window_map
-            return quadratic_window_map(d.get("window_lo", 1.0),
-                                        d.get("window_hi", 4.0),
-                                        d.get("ramp", 0.25))
-    except KeyError as exc:
-        raise DomainError(f"map description for kind '{kind}' is missing {exc}") from exc
-    raise DomainError(f"unknown map kind '{kind}'")
+class Field(NamedTuple):
+    """A field type: ``check`` turns a JSON value into a constructor argument,
+    or gives None for an unfit value; ``encode`` turns the attribute of the
+    same name back into JSON (None for fields that are never encoded)."""
+    expect: str
+    check: Callable
+    encode: Callable | None
 
 
-def map_from_json(text: str) -> RealMap:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON map description: {exc}") from exc
-    return map_from_dict(payload)
+REQUIRED = object()
+KINDS: dict[str, tuple[str, dict, Callable]] = {}
+
+
+def register(family: str, kind: str, build: Callable, **fields):
+    """Enter ``kind`` in KINDS as (family, fields, build).  The family is
+    "map" or "circle-map"; each field is a Field, or (Field, default) when it
+    may be left out; ``build`` takes the checked fields by name."""
+    KINDS[kind] = (family, {name: (f, REQUIRED) if isinstance(f, Field) else f
+                            for name, f in fields.items()}, build)
+
+
+def _number(v):
+    # the bound is False for NaN, inf and ints past the float range
+    if isinstance(v, (int, float)) and not isinstance(v, bool) \
+            and abs(v) <= sys.float_info.max:
+        return float(v)
+
+
+def _list(item: Callable, n_min: int = 0, n_max: float = math.inf) -> Callable:
+    def check(v):
+        if isinstance(v, (list, tuple)) and n_min <= len(v) <= n_max:
+            out = [item(x) for x in v]
+            return None if None in out else out
+    return check
+
+
+NUMBER = Field("a finite number", _number, float)
+NUMBERS = Field("a list of finite numbers", _list(_number), np.ndarray.tolist)
+PAIR = Field("a list [re, im] of two finite numbers", _list(_number, 2, 2), None)
+MAP = Field("a map description",
+            lambda v: map_from_dict(v) if isinstance(v, dict) else None, RealMap.to_dict)
+MAPS = Field("a list of at least two map descriptions", _list(MAP.check, 2),
+             lambda maps: [m.to_dict() for m in maps])
+_BUMP = dict.fromkeys(("center", "halfwidth", "amplitude"), (NUMBER, REQUIRED))
+BUMPS = Field("a list of bump objects", _list(lambda v: BumpProfile(**_checked(
+    v, _BUMP, "map kind 'identity-plus-bump' bump", ())) if isinstance(v, dict) else None),
+    lambda bumps: [{name: getattr(b, name) for name in _BUMP} for b in bumps])
+
+
+def _checked(d: dict, fields: dict, what: str, other=("kind",)) -> dict:
+    """The fields of description ``d``, checked, with defaults filled in; a
+    key that is neither a field nor in ``other`` is an error."""
+    for key in d:
+        if key not in fields and key not in other:
+            raise DomainError(f"{what}: unknown field {key!r}")
+    out = {}
+    for name, (field, default) in fields.items():
+        if name not in d and default is REQUIRED:
+            raise DomainError(f"{what}: missing field {name!r}")
+        out[name] = field.check(d[name]) if name in d else default
+        if out[name] is None:
+            raise DomainError(f"{what}: field {name!r} must be {field.expect}, "
+                              f"got {reprlib.repr(d[name])}")
+    return out
+
+
+def map_from_dict(d: dict, family: str = "map"):
+    """Build a map from its JSON-style description (see README for schema);
+    ``family`` "circle-map" takes the circle-map kinds instead."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    entry = KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None or entry[0] != family:
+        raise DomainError(f"{family} description needs a known 'kind', got {kind!r}")
+    return entry[2](**_checked(d, entry[1], f"{family} kind {kind!r}"))
 
 
 def map_from_file(path) -> RealMap:
     with open(path, "r", encoding="utf-8") as fh:
-        return map_from_json(fh.read())
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"invalid JSON map description: {exc}") from exc
+    return map_from_dict(payload)
+
+
+register("map", "affine", Affine, slope=NUMBER, intercept=(NUMBER, 0.0))
+register("map", "identity-plus-bump", IdentityPlusBump, bumps=BUMPS)
+register("map", "power-integral", PowerIntegral, base=MAP, exponent=NUMBER)
+# a left-associative fold, so a trailing inverse factor sees the whole
+# prefix as its outer map (keeps cancellation bounds tight)
+register("map", "composition", lambda maps: functools.reduce(Composition, maps),
+         maps=MAPS)
+register("map", "tapered", Tapered, base=MAP, plateau=NUMBER)
+register("map", "sampled-monotone", SampledMonotone, xs=NUMBERS, ys=NUMBERS)
+register("map", "inverse", InverseMap, base=MAP)

@@ -76,6 +76,8 @@ def test_extend_ns_matches_library_bit_for_bit(tmp_path):
 
 MOBIUS = {"kind": "circle-mobius", "angle": 0.4, "center": [0.2, 0.1]}
 FOURIER = {"kind": "circle-fourier", "rotation": 0.1, "cos": [0.05], "sin": [0.03]}
+CIRCLES = [{"kind": "circle-identity"}, {"kind": "circle-rotation", "angle": 0.7},
+           FOURIER, MOBIUS]
 DISK_GRID = ["--x-min", "-0.5", "--x-max", "0.5", "--y-min", "0.05",
              "--y-max", "0.6", "--nx", "6", "--ny", "5"]
 
@@ -85,7 +87,7 @@ def test_extend_ba_de_match_library_array_call_bit_for_bit(tmp_path):
     f = map_from_dict(BUMP)
     cases = [("ba", BUMP, extend_ba(f, zs, BAConfig(im_scale=1.0)), None,
               ["--im-scale", "1.0"])]
-    for desc in (MOBIUS, FOURIER):
+    for desc in CIRCLES:
         cases.append(("de", desc, extend_de(circle_map_from_dict(desc), zs),
                       None, []))
     # the shear family: one array call, and the closed-form dilatation array
@@ -245,6 +247,69 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["extend", "--map", bad_map]) == 2
     neg = write_json(tmp_path / "neg.json", {"kind": "affine", "slope": -1.0})
     assert main(["extend", "--map", neg]) == 2
+
+
+BAD_DESCRIPTIONS = [
+    # (command, description as JSON text, words the error line names)
+    ("info", '{"kind": "affine", "slope": "abc"}', ["affine", "slope"]),
+    ("info", '{"kind": "affine", "slope": Infinity}', ["affine", "slope"]),
+    ("info", '{"kind": "affine", "slope": true}', ["affine", "slope"]),
+    ("info", '{"kind": "affine", "slope": 1.0, "intercept": NaN}',
+     ["affine", "intercept"]),
+    ("info", '{"kind": "affine", "slope": 1.0, "bogus": 1}', ["affine", "bogus"]),
+    ("info", '{"kind": "identity-plus-bump", "bumps": [{"center": 0, "amplitude": 0.1}]}',
+     ["identity-plus-bump", "halfwidth"]),
+    ("info", '{"kind": "identity-plus-bump", "bumps": [{"center": 0, "halfwidth": 1, '
+             '"amplitude": 0.1, "extra": 2}]}', ["identity-plus-bump", "extra"]),
+    ("info", '{"kind": "identity-plus-bump", "bumps": 5}', ["identity-plus-bump", "bumps"]),
+    ("info", '{"kind": "composition", "maps": 3}', ["composition", "maps"]),
+    ("info", '{"kind": "power-integral", "base": {"kind": "affine", "slope": 2}, '
+             '"exponent": "x"}', ["power-integral", "exponent"]),
+    ("info", '{"kind": "sampled-monotone", "xs": [0, 1, "a"], "ys": [0, 1, 2]}',
+     ["sampled-monotone", "xs"]),
+    ("info", '{"kind": "power-integral", "base": {"kind": "affine", "slope": 2}, '
+             '"exponent": 2000}', ["power-integral", "exponent"]),
+    ("de", '{"kind": "circle-rotation", "angle": "x"}', ["circle-rotation", "angle"]),
+    ("de", '{"kind": "circle-fourier", "cos": ["x"]}', ["circle-fourier", "cos"]),
+    ("de", '{"kind": "circle-mobius", "center": [0.1, 0.2, 0.3]}',
+     ["circle-mobius", "center"]),
+]
+
+
+@pytest.mark.parametrize("command, text, words", BAD_DESCRIPTIONS)
+def test_bad_description_is_one_error_line(tmp_path, capsys, command, text, words):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    argv = (["info", "--map", str(path)] if command == "info" else
+            ["extend", "--method", "de", "--map", str(path), *DISK_GRID])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert all(w in lines[0] for w in words), lines[0]
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+    circle_file = write_json(tmp_path / "circ.json", MOBIUS)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"kind": "\xff"}')
+    folder = str(tmp_path)
+    for argv in (["info", "--map", folder],
+                 ["info", "--map", str(binary)],
+                 ["extend", "--method", "de", "--map", folder],
+                 ["extend", "--method", "ns", "--map", folder],
+                 ["decompose", "--map", folder, "--eps0", "0.2"],
+                 ["verify", "--suite", "pde", "--config", folder],
+                 ["extend", "--map", map_file, "--nx", "2", "--ny", "2",
+                  "--out", folder],
+                 ["extend", "--method", "de", "--map", circle_file, *DISK_GRID,
+                  "--format", "json", "--out", folder],
+                 ["decompose", "--map", map_file, "--eps0", "0.2", "--out", folder]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
 
 def test_decompose_subcommand_writes_factors(tmp_path):

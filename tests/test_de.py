@@ -9,6 +9,7 @@ from qcext.douady_earle import (CircleMap, MobiusAutomorphism, _de_jacobian,
                                 circle_map_from_dict, compose_circle,
                                 de_defect, de_naturality_residual, extend_de)
 from qcext.errors import DomainError, NonConvergence
+from qcext.realmap import KINDS
 
 Z_SET = (0.0, 0.5, -0.5, 0.5j, -0.3 + 0.4j)
 
@@ -248,12 +249,32 @@ def test_compose_circle_lift_order(rng):
 
 
 def test_circle_map_descriptions():
-    d = circle_map_from_dict({"kind": "circle-mobius", "angle": 0.3,
-                              "center": [0.2, -0.1]})
-    m = MobiusAutomorphism(0.3, 0.2 - 0.1j)
+    cases = [
+        ({"kind": "circle-identity"}, CircleMap.identity()),
+        ({"kind": "circle-rotation", "angle": 0.7}, CircleMap.rotation(0.7)),
+        ({"kind": "circle-fourier", "rotation": 0.1, "cos": [0.05], "sin": [0.03]},
+         CircleMap.from_fourier(0.1, cos_amps=[0.05], sin_amps=[0.03])),
+        ({"kind": "circle-fourier"}, CircleMap.identity()),
+        ({"kind": "circle-mobius", "angle": 0.3, "center": [0.2, -0.1]},
+         MobiusAutomorphism(0.3, 0.2 - 0.1j).boundary()),
+        ({"kind": "circle-mobius", "center": [0.2, -0.1]},
+         MobiusAutomorphism(0.0, 0.2 - 0.1j).boundary()),
+    ]
+    registered = {k for k, (family, _, _) in KINDS.items() if family == "circle-map"}
+    assert {d["kind"] for d, _ in cases} == registered
     t = np.linspace(0, 2 * math.pi, 16, endpoint=False)
-    assert np.max(np.abs(d.values(t) - m.boundary().values(t))) <= 1e-14
-    ident = circle_map_from_dict({"kind": "circle-identity"})
-    assert abs(extend_de(ident, 0.2) - 0.2) <= 1e-10
-    with pytest.raises(DomainError):
-        circle_map_from_dict({"kind": "nope"})
+    zs = np.array([0.0, 0.2 + 0.1j, -0.5j])
+    for desc, ref in cases:
+        f = circle_map_from_dict(desc)
+        assert np.array_equal(f.values(t), ref.values(t))
+        assert np.array_equal(extend_de(f, zs), extend_de(ref, zs))
+    assert abs(extend_de(circle_map_from_dict(cases[0][0]), 0.2) - 0.2) <= 1e-10
+    bad = [{"kind": "nope"}, {"kind": "affine", "slope": 1.0}, {"angle": 0.1}, [],
+           {"kind": "circle-rotation"},
+           {"kind": "circle-rotation", "angle": 0.1, "bogus": 1},
+           {"kind": "circle-fourier", "sin": 0.1},
+           {"kind": "circle-mobius", "center": [0.1]},
+           {"kind": "circle-mobius", "center": [0.1, math.nan]}]
+    for desc in bad:
+        with pytest.raises(DomainError):
+            circle_map_from_dict(desc)

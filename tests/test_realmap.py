@@ -520,9 +520,15 @@ def test_power_integral_cache_is_thread_safe():
 # -- serialization -----------------------------------------------------------------
 
 def test_description_roundtrip(rng):
+    from qcext.analysis import cubic_map, quadratic_window_map
     xs = np.linspace(-4, 4, 33)
-    for f in sample_maps(rng):
-        g = map_from_dict(f.to_dict())
+    maps = sample_maps(rng) + [cubic_map(), quadratic_window_map(0.5, 3.0, 0.5)]
+    registered = {k for k, (family, _, _) in realmap.KINDS.items() if family == "map"}
+    assert {f.kind for f in maps} == registered
+    for f in maps:
+        d = f.to_dict()
+        g = map_from_dict(d)
+        assert g.to_dict() == d
         assert np.allclose(g(xs), f(xs), rtol=1e-12, atol=1e-10)
         assert g.deriv_bounds() == pytest.approx(f.deriv_bounds())
 
@@ -532,6 +538,50 @@ def test_description_rejects_unknown_kind():
         map_from_dict({"kind": "sorcery"})
     with pytest.raises(DomainError):
         map_from_dict({"no": "kind"})
+
+
+def test_description_children_follow_the_fields():
+    g = bump_map(0.0, 1.0, 0.3)
+    p = power_integral_map(g, 0.5)
+    c = compose(Affine(2.0, 0.0), compose(g, Affine(1.0, 1.0)))
+    assert p.children() == (g,) and g.children() == ()
+    assert c.children() == (c.outer, c.inner)
+    assert [m["kind"] for m in c.to_dict()["maps"]] == ["affine", "identity-plus-bump",
+                                                         "affine"]
+
+
+@pytest.mark.parametrize("desc, words", [
+    ([1, 2], ["'kind'"]),
+    ({"kind": ["affine"]}, ["'kind'"]),
+    ({"kind": "circle-identity"}, ["circle-identity"]),
+    ({"kind": "affine", "slope": 10 ** 400}, ["affine", "'slope'"]),
+    ({"kind": "affine"}, ["affine", "'slope'"]),
+    ({"kind": "identity-plus-bump",
+      "bumps": [{"center": 0.0, "halfwidth": 1.0, "amplitude": 0.1, "kind": "x"}]},
+     ["identity-plus-bump", "'kind'"]),
+    ({"kind": "identity-plus-bump", "bumps": [5]}, ["identity-plus-bump", "'bumps'"]),
+    ({"kind": "composition", "maps": [{"kind": "cubic"}]}, ["composition", "'maps'"]),
+    ({"kind": "power-integral", "base": {"kind": "cubic"}, "exponent": "x"},
+     ["power-integral", "'exponent'"]),  # checked before the base is refused
+    ({"kind": "inverse", "base": 7}, ["inverse", "'base'"]),
+    ({"kind": "tapered", "base": {"kind": "affine", "slope": "s"}, "plateau": 1.0},
+     ["affine", "'slope'"]),
+])
+def test_description_checks_every_field_before_building(desc, words):
+    with pytest.raises(DomainError) as info:
+        map_from_dict(desc)
+    msg = str(info.value)
+    assert "\n" not in msg
+    assert all(w in msg for w in words), msg
+
+
+def test_power_integral_bounds_past_the_float_range():
+    for slope, exponent in ((2.0, 2000.0), (0.5, -2000.0)):
+        with pytest.raises(DomainError, match="power-integral exponent"):
+            PowerIntegral(Affine(slope), exponent)
+    with pytest.raises(DomainError, match="exponent"):
+        map_from_dict({"kind": "power-integral", "exponent": 2000,
+                       "base": {"kind": "affine", "slope": 2}})
 
 
 # -- properties ---------------------------------------------------------------------
