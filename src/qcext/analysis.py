@@ -55,13 +55,14 @@ def half_plane_grid(x_min: float = -2.0, x_max: float = 2.0,
 
 # -- quasisymmetry -----------------------------------------------------------
 
-def m_ratio(f: RealMap, x: float, t: float) -> float:
-    """The two-sided quasisymmetry ratio (f(x+t) - f(x)) / (f(x) - f(x-t))."""
-    if not t > 0:
+def m_ratio(f: RealMap, x, t):
+    """The two-sided quasisymmetry ratio (f(x+t) - f(x)) / (f(x) - f(x-t));
+    x and t broadcast."""
+    if not np.all(np.asarray(t) > 0):
         raise DomainError("t must be positive")
     num = f(x + t) - f(x)
     den = f(x) - f(x - t)
-    if den <= 0:
+    if np.any(den <= 0):
         raise DomainError("non-positive denominator: map is not increasing")
     return num / den
 
@@ -79,13 +80,7 @@ def estimate_m(f: RealMap, x_range=(-5.0, 5.0), t_range=(1e-3, 5.0),
         raise DomainError("t range must be positive and increasing")
     xs = np.linspace(x_range[0], x_range[1], grid_n)
     ts = np.geomspace(t_range[0], t_range[1], grid_n)
-    X = xs[:, None]
-    T = ts[None, :]
-    num = f(X + T) - f(X)
-    den = f(X) - f(X - T)
-    if np.any(den <= 0):
-        raise DomainError("non-positive denominator: map is not increasing")
-    r = num / den
+    r = m_ratio(f, xs[:, None], ts[None, :])
     return float(np.max(np.maximum(r, 1.0 / r)))
 
 

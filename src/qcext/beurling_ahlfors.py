@@ -12,6 +12,7 @@ are kept and tested, selected through ``BAConfig``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,12 @@ class BAConfig:
     im_scale: float = 2.0
 
     def __post_init__(self):
-        if not self.quad_tol > 0:
-            raise DomainError("quad_tol must be positive")
-        if not self.im_scale > 0:
-            raise DomainError("im_scale must be positive")
+        if not 0 < self.quad_tol < math.inf:
+            raise DomainError(
+                f"quad_tol must be positive and finite, got {self.quad_tol}")
+        if not 0 < self.im_scale < math.inf:
+            raise DomainError(
+                f"im_scale must be positive and finite, got {self.im_scale}")
 
 
 DEFAULT_BA = BAConfig()
@@ -64,6 +67,8 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
         i_minus, i_plus = adaptive_integral(f, lo, hi, cfg.quad_tol * span,
                                             _QUAD_ORDER) / span
     except QuadratureFailure as exc:
+        if exc.index is None:  # raised by f, e.g. by a power-integral table
+            raise
         at = complex(z.flat[exc.index % z.size])
         raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
                                 index=exc.index) from exc

@@ -28,8 +28,9 @@ from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,
                            de_naturality_residual, extend_de)
 from .errors import DomainError, QCExtError
 from .extensions import ExtParams, act, extend_family, extend_ns, family_extension
-from .realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, IdentityPlusBump,
-                      RealMap, compose, map_from_dict, map_from_file)
+from .realmap import (Affine, BUMP_SLOPE_MAX, NUMBER, REQUIRED, BumpProfile,
+                      Field, IdentityPlusBump, RealMap, _checked, compose,
+                      map_from_dict, map_from_file)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,12 +103,16 @@ def _write_rows(rows, out_path, fmt: str):
     else:
         payload = [{"x": r[0], "y": r[1], "re": r[2], "im": r[3],
                     "dilatation": r[4]} for r in rows]
-        text = json.dumps(payload, indent=1)
-        if out_path is None:
-            sys.stdout.write(text + "\n")
-        else:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _write_text(json.dumps(payload, indent=1), out_path)
+
+
+def _write_text(text: str, out_path):
+    """text and a newline to the file out_path, or to stdout if it is None."""
+    if out_path is None:
+        sys.stdout.write(text + "\n")
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def cmd_extend(args) -> int:
@@ -162,11 +167,10 @@ def _suite_boundary(cfg, rng):
 
 def _suite_dilatation(cfg, rng):
     rows = []
-    map_kind = cfg.get("map", "random")
-    expect = cfg.get("expect", "quasiconformal")
-    p = ExtParams(cfg.get("a", 1.0), cfg.get("alpha", 2.0))
-    if expect == "not-quasiconformal":
-        threshold = cfg.get("threshold", 0.999)
+    map_kind = cfg["map"]
+    p = ExtParams(cfg["a"], cfg["alpha"])
+    if cfg["expect"] == "not-quasiconformal":
+        threshold = cfg["threshold"]
         if map_kind == "cubic":
             ys = np.geomspace(0.05, 1.0, 12)
             offs = np.linspace(-0.02, 0.02, 9)
@@ -174,7 +178,7 @@ def _suite_dilatation(cfg, rng):
                     + 1j * ys[:, None]).ravel()
             sup = analysis.sup_dilatation(analysis.cubic_map(), p, grid)
         else:
-            f = map_from_dict(map_kind) if isinstance(map_kind, dict) \
+            f = map_kind if isinstance(map_kind, RealMap) \
                 else random_bump_map(rng, with_affine=False)
             grid = analysis.half_plane_grid(-0.9, 0.9, 1.0, 200.0, 15, 40)
             sup = analysis.sup_dilatation(f, ExtParams(p.a, 0.0), grid)
@@ -269,7 +273,7 @@ def _suite_de_naturality(cfg, rng):
 
 def _suite_decompose(cfg, rng):
     rows = []
-    eps0 = cfg.get("eps0", 0.2)
+    eps0 = cfg["eps0"]
     for i in range(cfg["trials"]):
         f = random_bump_map(rng)
         fac = dc.decompose_bilip(f, eps0)
@@ -292,10 +296,30 @@ _SUITES = {
     "decompose": (_suite_decompose, 5),
 }
 
-_CONFIG_KEYS = {"trials", "seed", "map", "expect", "a", "alpha", "threshold", "eps0"}
+def _count(v):
+    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+        return v
 
 
-def _load_config(args):
+_COUNT = Field("a non-negative integer", _count, None)
+_EXPECT = ("quasiconformal", "not-quasiconformal")
+# the settings of a verify run: the --config object, then --trials and --seed
+_CONFIG = {
+    "trials": (_COUNT, REQUIRED),  # the suite's default is filled in first
+    "seed": (_COUNT, 0),
+    "map": (Field('"random", "cubic" or a map description',
+                  lambda v: v if v in ("random", "cubic") else
+                  map_from_dict(v) if isinstance(v, dict) else None, None), "random"),
+    "expect": (Field(" or ".join(map(repr, _EXPECT)),
+                     lambda v: v if v in _EXPECT else None, None), "quasiconformal"),
+    "a": (NUMBER, 1.0),
+    "alpha": (NUMBER, 2.0),
+    "threshold": (NUMBER, 0.999),
+    "eps0": (NUMBER, 0.2),
+}
+
+
+def _load_config(args, default_trials: int) -> dict:
     cfg = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -305,21 +329,16 @@ def _load_config(args):
                 raise DomainError(f"malformed config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError("config must be a JSON object")
-        unknown = set(cfg) - _CONFIG_KEYS
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return cfg
+    for name in ("trials", "seed"):
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
+    cfg.setdefault("trials", default_trials)
+    return _checked(cfg, _CONFIG, "verify settings", other=())
 
 
 def cmd_verify(args) -> int:
     suite_fn, default_trials = _SUITES[args.suite]
-    cfg = _load_config(args)
-    cfg.setdefault("trials", default_trials)
-    cfg.setdefault("seed", 0)
+    cfg = _load_config(args, default_trials)
     rng = np.random.default_rng(cfg["seed"])
     rows = suite_fn(cfg, rng)
     all_ok = True
@@ -337,13 +356,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     f = map_from_file(args.map)
     fac = dc.decompose_bilip(f, args.eps0, tol=args.tol)
-    payload = fac.to_dict()
-    text = json.dumps(payload, indent=1)
-    if args.out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_text(json.dumps(fac.to_dict(), indent=1), args.out)
     print(f"factors: {len(fac)}  recomposition error: "
           f"{fac.recomposition_error:.3g}  eps: {fac.eps:.6g}", file=sys.stderr)
     return EXIT_OK

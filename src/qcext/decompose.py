@@ -73,16 +73,16 @@ def _certify_factor(m: RealMap, eps0: float):
             f"not < {eps0:g}")
 
 
-def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6,
-                    window=(-10.0, 10.0), n_check: int = 1000,
-                    quad_tol: float = 1e-10) -> Factorization:
+def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization:
     """Factor f into maps with certified ||f_j' - 1||_inf < eps0.
 
-    The recomposition is checked against f on ``window`` at ``n_check``
-    samples; a sup-error above ``tol`` raises ToleranceFailure.
+    The recomposition is checked against f at 1000 evenly spaced points of
+    [-10, 10]; a sup-error above ``tol`` raises ToleranceFailure.
     """
     if not 0 < eps0 < 1:
         raise DomainError(f"eps0 must lie in (0, 1), got {eps0}")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if not f.bilipschitz:
         raise DomainError("decomposition requires certified positive slope bounds")
     b, B = f.deriv_bounds()
@@ -96,6 +96,8 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6,
     core = f if f0 == 0.0 else compose(Affine(1.0, -f0), f)
 
     L = max(B, 1.0 / b)
+    if not math.log(1.0 + eps) > 0:
+        raise DomainError(f"eps0 {eps0:g} is too small: 1 + eps rounds to 1")
     guard = 10 * math.ceil(math.log(L) / math.log(1.0 + eps))
     gamma = 0.0
     pi_prev = None
@@ -109,7 +111,7 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6,
                 f"factorization did not terminate within {guard} rounds")
         alpha_k = math.log(1.0 + eps) / math.log(L_k)
         gamma_next = gamma + (1.0 - gamma) * alpha_k
-        pi_gamma = power_integral_map(core, gamma_next, quad_tol)
+        pi_gamma = power_integral_map(core, gamma_next)
         if pi_prev is None:
             f_k = pi_gamma
         else:
@@ -129,7 +131,7 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6,
     factors.extend(reversed(inner_factors))
 
     recomposed = reduce(compose, factors)
-    xs = np.linspace(window[0], window[1], n_check)
+    xs = np.linspace(-10.0, 10.0, 1000)
     err = float(np.max(np.abs(recomposed(xs) - f(xs))))
     if err > tol:
         raise ToleranceFailure(
@@ -142,6 +144,4 @@ def recompose(fac: Factorization) -> RealMap:
     """Left-to-right composition of the stored factors (outermost first)."""
     if not fac.factors:
         raise DomainError("factorization has no factors")
-    if len(fac.factors) == 1:
-        return fac.factors[0]
     return reduce(compose, fac.factors)

@@ -226,6 +226,8 @@ def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512,
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
+    if n_nodes < 16:
+        raise DomainError("need at least 16 quadrature nodes")
     z = _disk_points(z, "z")
     flat = z.ravel()
     w = np.empty_like(flat)

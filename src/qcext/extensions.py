@@ -16,6 +16,7 @@ computed, with no clamping, so verification code can see violations.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,11 +119,7 @@ def extend_family(p: ExtParams, f: RealMap, z):
 
 def extend_ns(f: RealMap, z):
     """The (1, 2) member: [f(x+y) + f(x-y)]/2 + i [f(x+y) - f(x-y)]/2."""
-    require_upper_half(z)
-    x, y = np.real(z), np.imag(z)
-    fp = f(x + y)
-    fm = f(x - y)
-    return 0.5 * (fp + fm) + 0.5j * (fp - fm)
+    return extend_family(ExtParams(1.0, 2.0), f, z)
 
 
 def act(g: ExtParams, base_extension, f: RealMap, z):
@@ -143,6 +140,4 @@ def act(g: ExtParams, base_extension, f: RealMap, z):
 
 def family_extension(p: ExtParams):
     """The (f, z) -> complex callable for the family member p (for act)."""
-    def call(f: RealMap, z):
-        return extend_family(p, f, z)
-    return call
+    return functools.partial(extend_family, p)

@@ -72,6 +72,9 @@ class RealMap:
         if bilipschitz and not deriv_lo > 0:
             raise DomainError(
                 f"certified derivative lower bound must be positive, got {deriv_lo}")
+        if bilipschitz and not math.isfinite(deriv_hi):
+            raise DomainError(
+                f"certified derivative upper bound must be finite, got {deriv_hi}")
         if deriv_hi < deriv_lo:
             raise DomainError("derivative bounds are out of order")
         self.deriv_lo = float(deriv_lo)
@@ -86,27 +89,23 @@ class RealMap:
     def _deriv(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def __call__(self, x):
+    @staticmethod
+    def _apply(op, x):
         arr = np.asarray(x, dtype=float)
-        out = self._eval(arr.ravel()).reshape(arr.shape)
+        out = op(arr.ravel()).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
+
+    def __call__(self, x):
+        return self._apply(self._eval, x)
 
     def deriv(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = self._deriv(arr.ravel()).reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
-
-    def _second(self, x: np.ndarray) -> np.ndarray:
-        raise DomainError(f"map of kind '{self.kind}' does not expose a "
-                          "continuous second derivative")
+        return self._apply(self._deriv, x)
 
     def second_deriv(self, x):
         if not self.has_second_deriv:
             raise DomainError(f"map of kind '{self.kind}' does not expose a "
                               "continuous second derivative")
-        arr = np.asarray(x, dtype=float)
-        out = self._second(arr.ravel()).reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        return self._apply(self._second, x)
 
     def deriv_bounds(self) -> tuple[float, float]:
         return (self.deriv_lo, self.deriv_hi)
@@ -251,11 +250,6 @@ class IdentityPlusBump(RealMap):
         super().__init__(1.0 - s, 1.0 + s)
         self.bumps = bumps
 
-    @property
-    def support(self) -> tuple[float, float]:
-        los, his = zip(*(b.support for b in self.bumps))
-        return (min(los), max(his))
-
     def breakpoints(self):
         return np.array([e for b in self.bumps for e in b.support])
 
@@ -309,8 +303,9 @@ class PowerIntegral(RealMap):
     _TOL_SPAN = 128.0      # per-panel budget: quad_tol * width / _TOL_SPAN
     _MAX_PASSES = 40       # halvings of one coarse panel
     _MAX_PANELS = 1 << 16  # coarse panels of a table, or panels of one pass
+    quad_tol = 1e-10       # accuracy of the table on [-_TOL_SPAN, _TOL_SPAN]
 
-    def __init__(self, base: RealMap, exponent: float, quad_tol: float = 1e-10):
+    def __init__(self, base: RealMap, exponent: float):
         if not base.bilipschitz:
             raise DomainError("power integral requires a bi-Lipschitz base map")
         lo, hi = _interval_power(base.deriv_lo, base.deriv_hi, exponent,
@@ -318,7 +313,6 @@ class PowerIntegral(RealMap):
         super().__init__(lo, hi)
         self.base = base
         self.exponent = float(exponent)
-        self.quad_tol = float(quad_tol)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
@@ -468,11 +462,11 @@ class PowerIntegral(RealMap):
         return self.exponent * d ** (self.exponent - 1.0) * self.base.second_deriv(x)
 
 
-def power_integral_map(f: RealMap, alpha: float, quad_tol: float = 1e-10) -> RealMap:
+def power_integral_map(f: RealMap, alpha: float) -> RealMap:
     """The map x -> integral_0^x f'(t)**alpha dt with certified power bounds."""
     if alpha == 0.0:
         return identity()
-    return PowerIntegral(f, alpha, quad_tol)
+    return PowerIntegral(f, alpha)
 
 
 class InverseMap(RealMap):
@@ -651,10 +645,11 @@ def taper(f: RealMap, T: float) -> Tapered:
 class SampledMonotone(RealMap):
     """Monotone C^1 interpolation of strictly increasing samples.
 
-    Fritsch-Carlson (PCHIP) inside the sample window, affine continuation
-    with the end slopes outside.  Certified bounds are the exact extrema of
-    the piecewise-cubic derivative, computed from the polynomial
-    coefficients, together with the end slopes.
+    PCHIP inside the sample window (Fritsch-Carlson slopes, SIAM J. Numer.
+    Anal. 1980, and cubic Hermite cells, in the arithmetic of scipy's
+    ``PchipInterpolator`` bit for bit), affine continuation with the end
+    slopes outside.  Certified bounds are the exact extrema of the
+    piecewise-cubic derivative, computed from its coefficients.
     """
 
     kind = "sampled-monotone"
@@ -666,20 +661,44 @@ class SampledMonotone(RealMap):
             raise DomainError("need matching 1-d sample arrays with >= 2 points")
         if not (np.diff(xs) > 0).all() or not (np.diff(ys) > 0).all():
             raise DomainError("samples must be strictly increasing in x and y")
-        from scipy.interpolate import PchipInterpolator  # only this kind needs scipy
-        pp = PchipInterpolator(xs, ys, extrapolate=False)
-        dmin, dmax = self._deriv_extrema(pp, xs)
+        h = np.diff(xs)
+        m = np.diff(ys) / h
+        d = np.full(xs.size, m[0])  # two samples: both slopes are the secant
+        if xs.size > 2:
+            # interior: weighted harmonic mean of the secants (0 where one
+            # underflows); ends: one-sided three-point estimate, or 0
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = 1.0 / whmean
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            d[[0, -1]] = np.where(ends > 0, ends, 0.0)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # local cubics sum c[k] * s**(3-k), s = x - xs[i]
+        self._c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]])
+        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
+        dmin, dmax = self._deriv_extrema(self._c, h)
         super().__init__(dmin, dmax)
-        self._pp = pp
-        self._dpp = pp.derivative()
         self.xs, self.ys = xs, ys
-        self._slope_left = float(self._dpp(xs[0]))
-        self._slope_right = float(self._dpp(xs[-1]))
+        self._slopes = self._cubic(self._dc, xs[[0, -1]])  # left, right
+
+    def _cubic(self, c, x):
+        """The polynomials ``c`` at x clipped to the window, each x in its
+        cell (the last is closed), summed in ascending powers as PPoly does."""
+        xs = self.xs
+        x = np.clip(x, xs[0], xs[-1])
+        i = np.minimum(np.searchsorted(xs, x, side="right") - 1, xs.size - 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as in scipy
+            s = x - xs[i]
+            out, power = 0.0 + c[-1, i], s
+            for row in c[-2::-1]:
+                out = out + row[i] * power
+                power = power * s
+        return out
 
     @staticmethod
-    def _deriv_extrema(pp, xs):
-        c = pp.c  # (4, n-1): local cubics sum c[m] * s**(3-m), s = x - x_i
-        h = np.diff(xs)
+    def _deriv_extrema(c, h):
         c3, c2, c1 = c[0], c[1], c[2]
         cands = [c1, 3.0 * c3 * h * h + 2.0 * c2 * h + c1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -693,15 +712,15 @@ class SampledMonotone(RealMap):
 
     def _eval(self, x):
         x0, xN = self.xs[0], self.xs[-1]
-        inner = self._pp(np.clip(x, x0, xN))
-        out = np.where(x < x0, self.ys[0] + self._slope_left * (x - x0), inner)
-        return np.where(x > xN, self.ys[-1] + self._slope_right * (x - xN), out)
+        inner = self._cubic(self._c, x)
+        out = np.where(x < x0, self.ys[0] + self._slopes[0] * (x - x0), inner)
+        return np.where(x > xN, self.ys[-1] + self._slopes[1] * (x - xN), out)
 
     def _deriv(self, x):
         x0, xN = self.xs[0], self.xs[-1]
-        inner = self._dpp(np.clip(x, x0, xN))
-        out = np.where(x < x0, self._slope_left, inner)
-        return np.where(x > xN, self._slope_right, out)
+        inner = self._cubic(self._dc, x)
+        out = np.where(x < x0, self._slopes[0], inner)
+        return np.where(x > xN, self._slopes[1], out)
 
 
 def sampled_monotone(xs, ys) -> SampledMonotone:

@@ -117,6 +117,11 @@ def test_rejects_boundary_point_and_bad_config():
         BAConfig(quad_tol=0.0)
     with pytest.raises(DomainError):
         BAConfig(im_scale=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            BAConfig(quad_tol=bad)
+        with pytest.raises(DomainError):
+            BAConfig(im_scale=bad)
     with pytest.raises(DomainError):
         ba_affine_naturality_residual(identity(), bump_map(0, 1, 0.1), 1j)
 

@@ -30,6 +30,8 @@ def read_csv_rows(path):
 
 
 IDENTITY = {"kind": "affine", "slope": 1.0, "intercept": 0.0}
+SAMPLED = {"kind": "sampled-monotone", "xs": [-2.0, 0.0, 1.0, 3.0],
+           "ys": [-2.5, 0.0, 1.2, 3.1]}
 AFFINE = {"kind": "affine", "slope": 2.0, "intercept": 1.0}
 BUMP = {"kind": "identity-plus-bump",
         "bumps": [{"center": 0.0, "halfwidth": 1.0, "amplitude": 0.3}]}
@@ -141,11 +143,23 @@ def test_extend_alpha_zero_without_second_derivative_has_empty_column(tmp_path):
         assert dil == ""
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # qcext never imports scipy: the CLI runs, sampled-monotone maps included,
+    # with the import blocked
     src = os.path.dirname(os.path.dirname(qcext.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, qcext.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    map_file = write_json(tmp_path / "samp.json", SAMPLED)
+    code = ("import sys; sys.modules['scipy'] = None; from qcext.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    for argv in (["info", "--map", map_file],
+                 ["extend", "--method", "ns", "--map", map_file, "--nx", "3",
+                  "--ny", "3"]):
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0 and run.stderr == "", (argv, run.stderr)
+        assert run.stdout
 
 
 def test_extend_non_finite_grid_is_usage_error(tmp_path, capsys):
@@ -312,6 +326,47 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
 
+HUGE_SLOPES = {"kind": "composition", "maps": [{"kind": "affine", "slope": 1e300},
+                                              {"kind": "affine", "slope": 1e300}]}
+BAD_INPUTS = [
+    # (argv with @map / @circle / @config placeholders, config, words in the error)
+    (["verify", "--suite", "dilatation", "--config", "@config"], {"a": "x"}, ["'a'"]),
+    (["verify", "--suite", "pde", "--config", "@config"], {"trials": 2.5}, ["'trials'"]),
+    (["verify", "--suite", "pde", "--config", "@config"], {"trials": True}, ["'trials'"]),
+    (["verify", "--suite", "pde", "--config", "@config"], {"seed": -1}, ["'seed'"]),
+    (["verify", "--suite", "decompose", "--config", "@config"], {"eps0": "x"}, ["'eps0'"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"], {"expect": "bogus"},
+     ["'expect'", "bogus"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"], {"map": "bump"}, ["'map'"]),
+    (["verify", "--suite", "pde", "--config", "@config"], {"bogus_key": 1}, ["bogus_key"]),
+    (["verify", "--suite", "pde", "--seed", "-1"], None, ["'seed'"]),
+    (["verify", "--suite", "pde", "--trials", "-2"], None, ["'trials'"]),
+    (["extend", "--method", "de", "--map", "@circle", "--n-nodes", "0", *DISK_GRID],
+     None, ["16 quadrature nodes"]),
+    (["decompose", "--map", "@map", "--eps0", "0.2", "--tol", "nan"], None, ["tol"]),
+    (["extend", "--method", "ba", "--map", "@map", "--im-scale", "inf", "--nx", "2",
+      "--ny", "2"], None, ["im_scale"]),
+    (["extend", "--method", "ba", "--map", "@map", "--quad-tol", "inf", "--nx", "2",
+      "--ny", "2"], None, ["quad_tol"]),
+    (["info", "--map", "@huge"], None, ["upper bound", "inf"]),
+    (["extend", "--map", "@huge", "--nx", "2", "--ny", "2"], None, ["upper bound"]),
+]
+
+
+@pytest.mark.parametrize("argv, config, words", BAD_INPUTS)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config, words):
+    paths = {"@map": write_json(tmp_path / "bump.json", BUMP),
+             "@circle": write_json(tmp_path / "circ.json", MOBIUS),
+             "@huge": write_json(tmp_path / "huge.json", HUGE_SLOPES),
+             "@config": write_json(tmp_path / "cfg.json", config)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert all(w in lines[0] for w in words), lines[0]
+
+
 def test_decompose_subcommand_writes_factors(tmp_path):
     map_file = write_json(tmp_path / "bump.json", BUMP)
     out = tmp_path / "fac.json"
@@ -335,6 +390,11 @@ def test_numerical_failure_exits_3(tmp_path):
     map_file = write_json(tmp_path / "bump.json", BUMP)
     assert main(["decompose", "--map", map_file, "--eps0", "0.2",
                  "--tol", "1e-18"]) == 3
+    # a table failure inside the averaged extension is reported as it is
+    table_file = write_json(tmp_path / "pi.json", {"kind": "power-integral",
+                                                   "base": BUMP, "exponent": 0.5})
+    assert main(["extend", "--method", "ba", "--map", table_file, "--nx", "2",
+                 "--ny", "2", "--y-max=1e308"]) == 3
 
 
 def test_info_subcommand(tmp_path, capsys):

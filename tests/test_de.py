@@ -112,6 +112,9 @@ def test_defect_validates_inputs():
         de_defect(ident, 1.2, 0.0)
     with pytest.raises(DomainError):
         de_defect(ident, 0.0, 0.0, n_nodes=8)
+    for n_nodes in (0, 8):  # checked before the nodes are split into blocks
+        with pytest.raises(DomainError, match="16 quadrature nodes"):
+            extend_de(ident, 0.0, n_nodes=n_nodes)
 
 
 def test_defect_array_rows_equal_scalar_calls(rng):

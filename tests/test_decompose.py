@@ -163,3 +163,8 @@ def test_rejects_bad_inputs():
         decompose_bilip(Affine(2.0, 0.0), 1.0)
     with pytest.raises(DomainError):
         decompose_bilip(cubic_map(), 0.2)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            decompose_bilip(Affine(2.0, 0.0), 0.2, tol=tol)
+    with pytest.raises(DomainError, match="too small"):
+        decompose_bilip(Affine(2.0, 0.0), 1e-17)

@@ -1,5 +1,6 @@
-"""Fuzz the map-description parser through the CLI: a mutated description is
-either a map (exit 0), a usage error (exit 2) or a numerical failure (exit 3),
+"""Fuzz the map-description parser, the numeric options and the verify
+configs through the CLI: a mutated input is a result (exit 0), a failed check
+(exit 1, verify only), a usage error (exit 2) or a numerical failure (exit 3),
 and never an escaped exception."""
 
 import copy
@@ -87,3 +88,78 @@ def test_mutated_descriptions_exit_cleanly(tmp_path, capsys, desc):
         assert main(argv) in (0, 2, 3), (argv, desc)
         err = capsys.readouterr().err
         assert "Traceback" not in err
+
+
+# Text for the numeric options.  Grids, node counts and trials stay small:
+# their memory and time grow with the value, and bounding that is not what
+# this test checks.
+FLOAT_TEXT = ["nan", "inf", "-inf", "0", "-0.5", "-1", "1e308", "-1e308", "1e-300",
+              "0.3", "3", "x", ""]
+INT_TEXT = ["0", "-1", "1", "2", "3", "15", "16", "2.5", "1e3", "x", ""]
+EXTEND = (["--a", "--alpha", "--x-min", "--x-max", "--y-min", "--y-max", "--quad-tol",
+           "--im-scale", "--tol"], ["--nx", "--ny", "--n-nodes"])
+COMMANDS = {
+    "ns": (["extend", "--method", "ns", "--map", "@map", "--nx", "2", "--ny", "2"], EXTEND),
+    "family": (["extend", "--method", "family", "--map", "@map", "--nx", "2", "--ny", "2"],
+               EXTEND),
+    "ba": (["extend", "--method", "ba", "--map", "@map", "--nx", "2", "--ny", "2"], EXTEND),
+    "de": (["extend", "--method", "de", "--map", "@circle", *DISK_2X2], EXTEND),
+    "decompose": (["decompose", "--map", "@map", "--eps0", "0.3"], (["--eps0", "--tol"], [])),
+    "verify": (["verify", "--config", "@config"], ([], ["--seed", "--trials"])),
+}
+CONFIGS = [
+    ("dilatation", {"trials": 1, "seed": 3, "a": 0.5, "alpha": 1.5}),
+    ("dilatation", {"trials": 1, "map": "cubic", "expect": "not-quasiconformal",
+                    "a": 1.0, "alpha": 2.0, "threshold": 0.999}),
+    ("dilatation", {"trials": 1, "map": BUMP, "expect": "not-quasiconformal"}),
+    ("decompose", {"trials": 1, "eps0": 0.3}),
+    ("pde", {"trials": 1, "seed": 0}),
+]
+# no valid count above 1, so a mutated config never asks for a long run
+CONFIG_VALUES = ["x", "", True, False, None, math.nan, math.inf, -math.inf, -10 ** 400,
+                 1e300, -1e300, 0, 1, -1, 2.5, 1e-300, [], [1.0], {}, {"kind": "affine"},
+                 BUMP, "random", "cubic", "quasiconformal", "not-quasiconformal"]
+
+
+@st.composite
+def cli_invocations(draw):
+    """(argv, map, config): a command with mutated numeric options, or a
+    verify run with a mutated config."""
+    argv, (floats, ints) = copy.deepcopy(COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))])
+    suite, config = copy.deepcopy(draw(st.sampled_from(CONFIGS)))
+    if argv[0] == "verify":
+        argv += ["--suite", suite]
+        for _ in range(draw(st.integers(0, 3))):
+            op = draw(st.sampled_from(["replace", "delete", "unknown", "whole"]))
+            key = draw(st.sampled_from(sorted(config) + ["map", "expect", "eps0"]))
+            if op == "replace":
+                config[key] = copy.deepcopy(draw(st.sampled_from(CONFIG_VALUES)))
+            elif op == "delete":
+                config.pop(key, None)
+            elif op == "unknown":
+                config["bogus"] = 1
+            else:
+                config = copy.deepcopy(draw(st.sampled_from(CONFIG_VALUES)))
+                break
+    options = [(o, FLOAT_TEXT) for o in floats] + [(o, INT_TEXT) for o in ints]
+    for _ in range(draw(st.integers(0 if argv[0] == "verify" else 1, 3))):
+        option, values = draw(st.sampled_from(options)) if options else (None, None)
+        if option is not None:
+            argv.append(f"{option}={draw(st.sampled_from(values))}")
+    real = draw(st.sampled_from(REAL[:3] + [WRAPPERS["power-integral"](BUMP)]))
+    return argv, real, config
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_invocations())
+def test_mutated_options_and_configs_exit_cleanly(tmp_path, capsys, case):
+    argv, real, config = case
+    paths = {"@map": tmp_path / "map.json", "@circle": tmp_path / "circle.json",
+             "@config": tmp_path / "config.json"}
+    for key, payload in (("@map", real), ("@circle", CIRCLE[3]), ("@config", config)):
+        paths[key].write_text(json.dumps(payload))
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    assert main(argv) in (0, 1, 2, 3), argv
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, (argv, err)

@@ -140,6 +140,8 @@ def test_rejects_nonpositive_lower_bound():
         Affine(-1.0, 0.0)
     with pytest.raises(DomainError):
         Affine(0.0, 0.0)
+    with pytest.raises(DomainError, match="upper bound must be finite"):
+        compose(Affine(1e300), Affine(1e300))
 
 
 # -- inversion ------------------------------------------------------------------
@@ -491,6 +493,42 @@ def test_sampled_monotone_interpolates_and_extends():
     lo, hi = f.deriv_bounds()
     d = f.deriv(np.linspace(-6, 6, 2001))
     assert d.min() >= lo - 1e-12 and d.max() <= hi + 1e-12
+
+
+def test_sampled_monotone_matches_scipy_pchip_bit_for_bit():
+    # the parent design: scipy's PCHIP inside the window, the affine
+    # continuation with its end slopes outside, the extrema of its derivative
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(7)
+    accepted = 0
+    for k in range(1200):
+        n = (2, 3, 4, 7, 30)[k % 5]
+        xs = np.cumsum(10.0 ** rng.uniform(-2, 1, n)) - rng.uniform(0, 5)
+        ys = np.cumsum(10.0 ** rng.uniform(-1, 1, n)) - rng.uniform(0, 5)
+        pp = PchipInterpolator(xs, ys, extrapolate=False)
+        bounds = realmap.SampledMonotone._deriv_extrema(pp.c, np.diff(xs))
+        try:
+            f = sampled_monotone(xs, ys)
+        except DomainError:
+            assert not bounds[0] > 0  # rejected there too
+            continue
+        accepted += 1
+        assert f.deriv_bounds() == bounds
+        dpp = pp.derivative()
+        x0, xn = xs[0], xs[-1]
+        slopes = float(dpp(x0)), float(dpp(xn))
+        pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:]), rng.uniform(x0, xn, 8),
+                              [np.nextafter(x0, -1e9), np.nextafter(xn, 1e9),
+                               x0 - 1.0, xn + 3.0, -1e6, 1e6]])
+        inner = np.clip(pts, x0, xn)
+        want_v = np.where(pts < x0, ys[0] + slopes[0] * (pts - x0),
+                          np.where(pts > xn, ys[-1] + slopes[1] * (pts - xn), pp(inner)))
+        want_d = np.where(pts < x0, slopes[0],
+                          np.where(pts > xn, slopes[1], dpp(inner)))
+        assert f(pts).tobytes() == want_v.tobytes()
+        assert f.deriv(pts).tobytes() == want_d.tobytes()
+        assert f(float(pts[-3])) == want_v[-3]
+    assert accepted >= 500, accepted
 
 
 def test_sampled_monotone_rejects_bad_data():
