@@ -33,19 +33,26 @@ from .realmap import NUMBER, RealMap, compose, register
 
 # -- grids -------------------------------------------------------------------
 
+# The most points a grid may hold (1000 x 1000).
+MAX_GRID_POINTS = 10 ** 6
+
+
 def half_plane_grid(x_min: float = -2.0, x_max: float = 2.0,
                     y_min: float = 1e-2, y_max: float = 2.0,
                     nx: int = 20, ny: int = 20) -> np.ndarray:
     """Flat complex grid, linear in x and logarithmic in y (default 20x20
     over [-2, 2] x [1e-2, 2], covering boundary approach and bulk).  The
     bounds and the x range must be finite, y_min positive, both ranges
-    increasing and nx, ny >= 2."""
+    increasing, nx, ny >= 2 and nx*ny <= MAX_GRID_POINTS."""
     if not all(map(math.isfinite, (x_min, x_max, y_min, y_max, x_max - x_min))):
         raise DomainError("grid bounds and the x range must be finite")
     if not y_min > 0:
         raise DomainError("grid y_min must be positive")
     if nx < 2 or ny < 2:
         raise DomainError("grid needs nx, ny >= 2")
+    if nx * ny > MAX_GRID_POINTS:
+        raise DomainError(f"grid of nx*ny = {nx * ny} points is larger than "
+                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     if not (x_max > x_min and y_max > y_min):
         raise DomainError("grid ranges must be increasing")
     xs = np.linspace(x_min, x_max, nx)

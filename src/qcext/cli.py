@@ -15,7 +15,6 @@ and flags; randomized suites draw from a seeded generator (--seed, default 0).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -69,11 +68,13 @@ def random_group_params(rng: np.random.Generator,
 
 def _evaluate_rows(method: str, boundary_map, p, zs: np.ndarray,
                    ba_cfg: BAConfig, de_tol: float, de_nodes: int):
-    """Rows (x, y, re, im, dilatation) in grid order.  Every method evaluates
-    the whole grid in one array call.  The dilatation column is the closed
-    form of ``family`` and ``ns`` (one array call too), None where that form
-    is undefined; it is all None for ``ba``, ``de`` and for alpha = 0 on a
-    map without a second derivative."""
+    """The columns of the rows (x, y, re, im, dilatation) in grid order, as
+    the arrays (zs, vals, dil): x + iy, re + i im and the dilatation.  Every
+    method evaluates the whole grid in one array call.  The dilatation column
+    is the closed form of ``family`` and ``ns`` (one array call too), NaN
+    where that form is undefined, which ``_write_rows`` writes as an empty
+    cell; it is all NaN for ``ba``, ``de`` and for alpha = 0 on a map without
+    a second derivative."""
     dil = np.full(zs.shape, math.nan)
     if method == "ba":
         vals = extend_ba(boundary_map, zs, ba_cfg)
@@ -84,35 +85,62 @@ def _evaluate_rows(method: str, boundary_map, p, zs: np.ndarray,
                 else extend_family(p, boundary_map, zs))
         if p.alpha > 0 or boundary_map.has_second_deriv:
             dil, _ = analysis.dilatation_values(boundary_map, p, zs)
-    return [(z.real, z.imag, v.real, v.imag, None if math.isnan(d) else d)
-            for z, v, d in zip(zs.tolist(), vals.tolist(), dil.tolist())]
+    return zs, vals, dil
 
 
-def _write_rows(rows, out_path, fmt: str):
+# How a row format spells the reprs of non-finite floats: values, then the
+# dilatation column, whose NaN is an empty cell.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SPELLING = {"csv": ({}, {"nan": ""}),
+             "json": (_JSON_FLOATS, {**_JSON_FLOATS, "nan": "null"})}
+
+
+def _cell_texts(v: np.ndarray, spelling: dict) -> list:
+    """The repr of each float of v, with the reprs of non-finite values
+    replaced as ``spelling`` says."""
+    texts = list(map(repr, v.tolist()))
+    if spelling and not np.isfinite(v).all():
+        texts = [spelling.get(t, t) for t in texts]
+    return texts
+
+
+def _coordinate_texts(v: np.ndarray, spelling: dict) -> list:
+    """``_cell_texts`` of a grid coordinate column, which holds few distinct
+    values: one repr per distinct bit pattern (so -0.0 keeps its sign)."""
+    bits, where = np.unique(np.ascontiguousarray(v).view(np.int64),
+                            return_inverse=True)
+    texts = np.array(_cell_texts(bits.view(np.float64), spelling), dtype=object)
+    return texts[where].tolist()
+
+
+def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
+                fmt: str):
+    """Write the columns from ``_evaluate_rows`` to out_path, or to stdout if
+    it is None, as the bytes csv.writer over repr cells (fmt "csv") or
+    json.dumps(rows, indent=1) and a newline (fmt "json") would write, one
+    f-string per row."""
+    values, dilatation = _SPELLING[fmt]
+    rows = zip(_coordinate_texts(zs.real, values), _coordinate_texts(zs.imag, values),
+               _cell_texts(vals.real, values), _cell_texts(vals.imag, values),
+               _cell_texts(dil, dilatation))
     if fmt == "csv":
-        def fmt_cell(v):
-            return "" if v is None else repr(v)
-        lines = [["x", "y", "re", "im", "dilatation"]]
-        lines += [[fmt_cell(c) for c in row] for row in rows]
-        if out_path is None:
-            writer = csv.writer(sys.stdout)
-            writer.writerows(lines)
-        else:
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(lines)
+        text = "x,y,re,im,dilatation\r\n" + "".join(
+            [f"{x},{y},{re},{im},{d}\r\n" for x, y, re, im, d in rows])
     else:
-        payload = [{"x": r[0], "y": r[1], "re": r[2], "im": r[3],
-                    "dilatation": r[4]} for r in rows]
-        _write_text(json.dumps(payload, indent=1), out_path)
+        text = "[\n" + ",\n".join(
+            [f' {{\n  "x": {x},\n  "y": {y},\n  "re": {re},\n  "im": {im},\n'
+             f'  "dilatation": {d}\n }}' for x, y, re, im, d in rows]) + "\n]\n"
+    _write_text(text, out_path)
 
 
 def _write_text(text: str, out_path):
-    """text and a newline to the file out_path, or to stdout if it is None."""
+    """text to the file out_path as it is (no newline translation), or to
+    stdout if out_path is None."""
     if out_path is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def cmd_extend(args) -> int:
@@ -126,9 +154,9 @@ def cmd_extend(args) -> int:
         boundary_map = map_from_file(args.map)
         p = ExtParams(args.a, args.alpha) if args.method == "family" else ExtParams(1.0, 2.0)
     ba_cfg = BAConfig(quad_tol=args.quad_tol, im_scale=args.im_scale)
-    rows = _evaluate_rows(args.method, boundary_map, p, zs, ba_cfg,
-                          args.tol, args.n_nodes)
-    _write_rows(rows, args.out, args.format)
+    columns = _evaluate_rows(args.method, boundary_map, p, zs, ba_cfg,
+                             args.tol, args.n_nodes)
+    _write_rows(*columns, args.out, args.format)
     return EXIT_OK
 
 
@@ -296,16 +324,22 @@ _SUITES = {
     "decompose": (_suite_decompose, 5),
 }
 
-def _count(v):
-    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+# The most trials a verify run may ask for.
+MAX_TRIALS = 1000
+
+
+def _count(v, most=math.inf):
+    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= most:
         return v
 
 
 _COUNT = Field("a non-negative integer", _count, None)
+_TRIALS = Field(f"a non-negative integer at most MAX_TRIALS = {MAX_TRIALS}",
+                lambda v: _count(v, MAX_TRIALS), None)
 _EXPECT = ("quasiconformal", "not-quasiconformal")
 # the settings of a verify run: the --config object, then --trials and --seed
 _CONFIG = {
-    "trials": (_COUNT, REQUIRED),  # the suite's default is filled in first
+    "trials": (_TRIALS, REQUIRED),  # the suite's default is filled in first
     "seed": (_COUNT, 0),
     "map": (Field('"random", "cubic" or a map description',
                   lambda v: v if v in ("random", "cubic") else
@@ -356,7 +390,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     f = map_from_file(args.map)
     fac = dc.decompose_bilip(f, args.eps0, tol=args.tol)
-    _write_text(json.dumps(fac.to_dict(), indent=1), args.out)
+    _write_text(json.dumps(fac.to_dict(), indent=1) + "\n", args.out)
     print(f"factors: {len(fac)}  recomposition error: "
           f"{fac.recomposition_error:.3g}  eps: {fac.eps:.6g}", file=sys.stderr)
     return EXIT_OK

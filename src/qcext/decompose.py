@@ -59,6 +59,13 @@ class Factorization:
         }
 
 
+# The most rounds, and so factors, a factorization may ask for: the round
+# count is about log L / log(1 + eps), L the certified bi-Lipschitz constant.
+# The recomposition takes a stack frame per factor, and about 950 factors
+# reach Python's default recursion limit.
+MAX_ROUNDS = 500
+
+
 def chosen_eps(eps0: float) -> float:
     """Deterministic eps < eps0 with eps0 > eps/(1 - eps)."""
     return eps0 / (1.0 + 2.0 * eps0)
@@ -98,7 +105,12 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization
     L = max(B, 1.0 / b)
     if not math.log(1.0 + eps) > 0:
         raise DomainError(f"eps0 {eps0:g} is too small: 1 + eps rounds to 1")
-    guard = 10 * math.ceil(math.log(L) / math.log(1.0 + eps))
+    needed = math.ceil(math.log(L) / math.log(1.0 + eps))
+    if needed > MAX_ROUNDS:
+        raise DomainError(f"eps0 {eps0:g} needs about {needed} rounds for a map with "
+                          f"bi-Lipschitz constant {L:.6g}, more than "
+                          f"MAX_ROUNDS = {MAX_ROUNDS}")
+    guard = 10 * needed
     gamma = 0.0
     pi_prev = None
     inner_factors = []

@@ -154,10 +154,21 @@ def _disk_points(w, name: str) -> np.ndarray:
     return w
 
 
-def _poisson_kernel(f: CircleMap, z: np.ndarray, n_nodes: int):
-    """Boundary values and the kernel 1/|zeta - z|^2, one row per point."""
+# The most trapezoid nodes a solve may use per point (1 MiB of samples a row).
+MAX_NODES = 1 << 16
+
+
+def _check_nodes(n_nodes: int):
     if n_nodes < 16:
         raise DomainError("need at least 16 quadrature nodes")
+    if n_nodes > MAX_NODES:
+        raise DomainError(f"need at most MAX_NODES = {MAX_NODES} quadrature "
+                          f"nodes, got {n_nodes}")
+
+
+def _poisson_kernel(f: CircleMap, z: np.ndarray, n_nodes: int):
+    """Boundary values and the kernel 1/|zeta - z|^2, one row per point."""
+    _check_nodes(n_nodes)
     zeta, fv = f.samples(n_nodes)
     z = z[..., None]
     dx = zeta.real - z.real
@@ -226,8 +237,7 @@ def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512,
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if n_nodes < 16:
-        raise DomainError("need at least 16 quadrature nodes")
+    _check_nodes(n_nodes)
     z = _disk_points(z, "z")
     flat = z.ravel()
     w = np.empty_like(flat)

@@ -51,8 +51,24 @@ def _interval_power(lo: float, hi: float, exponent: float, what: str):
 def _same_map(f: "RealMap", g: "RealMap") -> bool:
     """Whether two nodes denote the same map: object identity or identical
     construction parameters (the algebra is deterministic, so an equal
-    description is an equal map)."""
-    return f is g or f.to_dict() == g.to_dict()
+    description is an equal map).  This is ``f.to_dict() == g.to_dict()``,
+    found by walking the ``KINDS`` fields of both trees without building
+    their descriptions."""
+    if f is g:
+        return True
+    if f.kind != g.kind:
+        return False
+    for name, (field, _) in KINDS[f.kind][1].items():
+        a, b = getattr(f, name), getattr(g, name)
+        if field is MAP:
+            same = _same_map(a, b)
+        elif field is MAPS:
+            same = len(a) == len(b) and all(map(_same_map, a, b))
+        else:
+            same = field.encode(a) == field.encode(b)
+        if not same:
+            return False
+    return True
 
 
 def _require_finite(v: np.ndarray, name: str):

@@ -350,6 +350,19 @@ BAD_INPUTS = [
       "--ny", "2"], None, ["quad_tol"]),
     (["info", "--map", "@huge"], None, ["upper bound", "inf"]),
     (["extend", "--map", "@huge", "--nx", "2", "--ny", "2"], None, ["upper bound"]),
+    # inputs that ask for too much work, refused with the limit they pass
+    (["extend", "--map", "@map", "--nx", "1001", "--ny", "1000"], None,
+     ["1001000", "MAX_GRID_POINTS = 1000000"]),
+    (["extend", "--method", "ns", "--map", "@map", "--nx", str(10 ** 12), "--ny",
+      str(10 ** 12)], None, ["MAX_GRID_POINTS"]),
+    (["extend", "--method", "de", "--map", "@circle", "--n-nodes", "100000000",
+      *DISK_GRID], None, ["100000000", "MAX_NODES = 65536"]),
+    (["decompose", "--map", "@map", "--eps0", "1e-8"], None, ["rounds", "MAX_ROUNDS = 500"]),
+    (["verify", "--suite", "decompose", "--config", "@config"], {"eps0": 1e-8},
+     ["MAX_ROUNDS"]),
+    (["verify", "--suite", "pde", "--trials", "1001"], None, ["'trials'", "MAX_TRIALS = 1000"]),
+    (["verify", "--suite", "pde", "--config", "@config"], {"trials": 10 ** 400},
+     ["'trials'", "MAX_TRIALS"]),
 ]
 
 

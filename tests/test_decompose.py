@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qcext.analysis import cubic_map
-from qcext.decompose import Factorization, chosen_eps, decompose_bilip, recompose
+from qcext.decompose import (MAX_ROUNDS, Factorization, chosen_eps, decompose_bilip,
+                             recompose)
 from qcext.errors import DomainError
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, IdentityPlusBump,
                            bump_map, compose, map_from_dict)
@@ -168,3 +169,12 @@ def test_rejects_bad_inputs():
             decompose_bilip(Affine(2.0, 0.0), 0.2, tol=tol)
     with pytest.raises(DomainError, match="too small"):
         decompose_bilip(Affine(2.0, 0.0), 1e-17)
+
+
+def test_round_count_is_bounded_before_any_round():
+    # L = 2 and log 2 / log(1 + eps) = MAX_ROUNDS + 1/2: one round too many
+    eps = 2.0 ** (1.0 / (MAX_ROUNDS + 0.5)) - 1.0
+    eps0 = eps / (1.0 - 2.0 * eps)
+    assert chosen_eps(eps0) == pytest.approx(eps, rel=1e-12)
+    with pytest.raises(DomainError, match=f"about {MAX_ROUNDS + 1} rounds"):
+        decompose_bilip(Affine(2.0, 0.0), eps0)

@@ -10,7 +10,9 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcext.cli import main
+from qcext.analysis import MAX_GRID_POINTS
+from qcext.cli import MAX_TRIALS, main
+from qcext.douady_earle import MAX_NODES
 
 BUMP = {"kind": "identity-plus-bump",
         "bumps": [{"center": 0.0, "halfwidth": 1.0, "amplitude": 0.3},
@@ -90,12 +92,15 @@ def test_mutated_descriptions_exit_cleanly(tmp_path, capsys, desc):
         assert "Traceback" not in err
 
 
-# Text for the numeric options.  Grids, node counts and trials stay small:
-# their memory and time grow with the value, and bounding that is not what
-# this test checks.
+# Text for the numeric options.  A grid, node count or trial count is either
+# small or above its limit, which is refused before any work: a valid large
+# one would only make the test slow.  So is an eps0 of 1e-8, which asks for
+# more factorization rounds than MAX_ROUNDS for every map below.
+OVER_LIMITS = max(MAX_GRID_POINTS, MAX_NODES, MAX_TRIALS) + 1
 FLOAT_TEXT = ["nan", "inf", "-inf", "0", "-0.5", "-1", "1e308", "-1e308", "1e-300",
-              "0.3", "3", "x", ""]
-INT_TEXT = ["0", "-1", "1", "2", "3", "15", "16", "2.5", "1e3", "x", ""]
+              "1e-8", "0.3", "3", "x", ""]
+INT_TEXT = ["0", "-1", "1", "2", "3", "15", "16", "2.5", "1e3", "x", "",
+            str(OVER_LIMITS), str(10 ** 400)]
 EXTEND = (["--a", "--alpha", "--x-min", "--x-max", "--y-min", "--y-max", "--quad-tol",
            "--im-scale", "--tol"], ["--nx", "--ny", "--n-nodes"])
 COMMANDS = {
@@ -115,10 +120,12 @@ CONFIGS = [
     ("decompose", {"trials": 1, "eps0": 0.3}),
     ("pde", {"trials": 1, "seed": 0}),
 ]
-# no valid count above 1, so a mutated config never asks for a long run
+# no valid count above 1, so a mutated config never asks for a long run;
+# the larger counts are above MAX_TRIALS
 CONFIG_VALUES = ["x", "", True, False, None, math.nan, math.inf, -math.inf, -10 ** 400,
-                 1e300, -1e300, 0, 1, -1, 2.5, 1e-300, [], [1.0], {}, {"kind": "affine"},
-                 BUMP, "random", "cubic", "quasiconformal", "not-quasiconformal"]
+                 10 ** 400, OVER_LIMITS, 1e300, -1e300, 0, 1, -1, 2.5, 1e-300, 1e-8, [],
+                 [1.0], {}, {"kind": "affine"}, BUMP, "random", "cubic", "quasiconformal",
+                 "not-quasiconformal"]
 
 
 @st.composite

@@ -571,6 +571,27 @@ def test_description_roundtrip(rng):
         assert g.deriv_bounds() == pytest.approx(f.deriv_bounds())
 
 
+def test_same_map_agrees_with_description_equality(rng):
+    from qcext.analysis import cubic_map, quadratic_window_map
+    maps = sample_maps(rng) + [cubic_map(), quadratic_window_map(0.5, 3.0, 0.5)]
+    copies = [map_from_dict(f.to_dict()) for f in maps]
+    for f in maps:
+        for g in maps + copies:
+            assert realmap._same_map(f, g) == (f.to_dict() == g.to_dict()), (f, g)
+    # two trees that differ only in one field of one bump, two levels down
+    bumps = [{"center": 0.0, "halfwidth": 1.0, "amplitude": 0.3},
+             {"center": 2.0, "halfwidth": 0.5, "amplitude": -0.05}]
+    desc = {"kind": "power-integral", "exponent": 0.5, "base": {
+        "kind": "composition", "maps": [{"kind": "affine", "slope": 1.5},
+                                        {"kind": "identity-plus-bump", "bumps": bumps}]}}
+    f = map_from_dict(desc)
+    bumps[1]["halfwidth"] = 0.5000000000000001
+    g = map_from_dict(desc)
+    assert f.to_dict() != g.to_dict() and not realmap._same_map(f, g)
+    bumps[1]["halfwidth"] = 0.5
+    assert realmap._same_map(f, map_from_dict(desc))
+
+
 def test_description_rejects_unknown_kind():
     with pytest.raises(DomainError):
         map_from_dict({"kind": "sorcery"})
