@@ -9,8 +9,10 @@ vanishes.  The defect is discretized by the periodic trapezoid rule (spectral
 accuracy for smooth lifts) and the two-real-variable system is solved by a
 damped Newton iteration seeded at the Poisson-weighted barycenter of the
 boundary values, with the closed-form Wirtinger derivatives of the integrand
-as its Jacobian.  Every function here takes arrays of points and solves them
-together; a scalar point is the 0-d case of the same code.
+as its Jacobian.  A solve samples f once per call and builds the Poisson
+rows 1/|zeta_k - z|^2 once per block of points, and every sum reuses them.
+Every function here takes arrays of points and solves them together; a
+scalar point is the 0-d case of the same code.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class CircleMap:
     def __init__(self, lift, label: str = "circle-map", check: bool = True):
         self.lift = lift
         self.label = label
-        self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
             self._validate()
 
@@ -56,18 +57,6 @@ class CircleMap:
     def values(self, theta):
         """Boundary values f(e^{i theta}) = e^{i L(theta)}."""
         return np.exp(1j * self(theta))
-
-    def samples(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Trapezoid nodes zeta_k = e^{2 pi i k / n} and the boundary values
-        f(zeta_k), computed once per node count and read-only."""
-        cached = self._samples.get(n_nodes)
-        if cached is not None:
-            return cached
-        theta = np.arange(n_nodes) * (_TWO_PI / n_nodes)
-        zeta = np.exp(1j * theta)
-        fv = np.exp(1j * np.asarray(self.lift(theta), dtype=float))
-        zeta.flags.writeable = fv.flags.writeable = False
-        return self._samples.setdefault(n_nodes, (zeta, fv))
 
     @classmethod
     def identity(cls) -> "CircleMap":
@@ -166,18 +155,29 @@ def _check_nodes(n_nodes: int):
                           f"nodes, got {n_nodes}")
 
 
-def _poisson_kernel(f: CircleMap, z: np.ndarray, n_nodes: int):
-    """Boundary values and the kernel 1/|zeta - z|^2, one row per point."""
-    _check_nodes(n_nodes)
-    zeta, fv = f.samples(n_nodes)
+def _samples(f: CircleMap, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes zeta_k = e^{2 pi i k / n} and the values f(zeta_k)."""
+    theta = np.arange(n_nodes) * (_TWO_PI / n_nodes)
+    return np.exp(1j * theta), np.exp(1j * np.asarray(f.lift(theta), dtype=float))
+
+
+def _kernel(zeta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Poisson kernel 1/|zeta - z|^2, one row per point of ``z``."""
     z = z[..., None]
     dx = zeta.real - z.real
     dy = zeta.imag - z.imag
-    return fv, 1.0 / (dx * dx + dy * dy)
+    return 1.0 / (dx * dx + dy * dy)
 
 
 def _scalar_or_array(out: np.ndarray):
     return complex(out) if out.ndim == 0 else out
+
+
+def _defect(w: np.ndarray, fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The trapezoid sum of the defect integrand, one row per point."""
+    w = w[..., None]
+    integrand = (w - fv) / (1.0 - np.conj(w) * fv) * kernel
+    return integrand.sum(axis=-1) * (_TWO_PI / fv.shape[-1])
 
 
 def de_defect(f: CircleMap, w, z, n_nodes: int = 512):
@@ -189,28 +189,25 @@ def de_defect(f: CircleMap, w, z, n_nodes: int = 512):
     """
     w = _disk_points(w, "w")
     z = _disk_points(z, "z")
-    fv, kernel = _poisson_kernel(f, z, n_nodes)
-    w = w[..., None]
-    integrand = (w - fv) / (1.0 - np.conj(w) * fv) * kernel
-    return _scalar_or_array(integrand.sum(axis=-1) * (_TWO_PI / n_nodes))
+    _check_nodes(n_nodes)
+    zeta, fv = _samples(f, n_nodes)
+    return _scalar_or_array(_defect(w, fv, _kernel(zeta, z)))
 
 
-def _de_jacobian(f: CircleMap, w: np.ndarray, z: np.ndarray, n_nodes: int):
-    """Wirtinger derivatives (d/dw, d/dconj(w)) of ``de_defect`` at each
-    point, from those of (w - a)/(1 - conj(w) a): 1/(1 - conj(w) a) and
+def _de_jacobian(w: np.ndarray, fv: np.ndarray, kernel: np.ndarray):
+    """Wirtinger derivatives (d/dw, d/dconj(w)) of the defect at each point,
+    from those of (w - a)/(1 - conj(w) a): 1/(1 - conj(w) a) and
     a (w - a)/(1 - conj(w) a)^2."""
-    fv, kernel = _poisson_kernel(f, z, n_nodes)
     w = w[..., None]
     inv = 1.0 / (1.0 - np.conj(w) * fv)
     k_inv = kernel * inv
     d_w = k_inv.sum(axis=-1)
     d_wbar = (k_inv * inv * fv * (w - fv)).sum(axis=-1)
-    h = _TWO_PI / n_nodes
+    h = _TWO_PI / fv.shape[-1]
     return d_w * h, d_wbar * h
 
 
-def _poisson_seed(f: CircleMap, z: np.ndarray, n_nodes: int) -> np.ndarray:
-    fv, kernel = _poisson_kernel(f, z, n_nodes)
+def _poisson_seed(fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (fv * kernel).sum(axis=-1) / kernel.sum(axis=-1)
 
 
@@ -239,27 +236,28 @@ def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512,
         raise DomainError("tol must be positive")
     _check_nodes(n_nodes)
     z = _disk_points(z, "z")
+    zeta, fv = _samples(f, n_nodes)
     flat = z.ravel()
     w = np.empty_like(flat)
     block = max(1, _BLOCK_SIZE // n_nodes)
     for s in range(0, flat.size, block):
-        w[s:s + block] = _solve_block(f, flat[s:s + block], tol, n_nodes,
-                                      max_iter)
+        zb = flat[s:s + block]
+        w[s:s + block] = _solve_block(fv, _kernel(zeta, zb), zb, tol, max_iter)
     return _scalar_or_array(w.reshape(z.shape))
 
 
-def _solve_block(f, z, tol, n_nodes, max_iter):
-    w = _poisson_seed(f, z, n_nodes)
+def _solve_block(fv, kernel, z, tol, max_iter):
+    w = _poisson_seed(fv, kernel)
     r = np.abs(w)
     degenerate = r >= 1.0 - 1e-9  # seed on the circle: retreat toward 0
     w[degenerate] *= (1.0 - 1e-6) / r[degenerate]
-    g = de_defect(f, w, z, n_nodes)
+    g = _defect(w, fv, kernel)
     for _ in range(max_iter):
         act = np.flatnonzero(~(np.abs(g) <= tol))
         if act.size == 0:
             return w
-        wa, za, ga = w[act], z[act], g[act]
-        d_w, d_wbar = _de_jacobian(f, wa, za, n_nodes)
+        wa, za, ka, ga = w[act], z[act], kernel[act], g[act]
+        d_w, d_wbar = _de_jacobian(wa, fv, ka)
         # g + d_w s + d_wbar conj(s) = 0, solved with its conjugate equation
         det = np.abs(d_w) ** 2 - np.abs(d_wbar) ** 2
         singular = ~(np.isfinite(det) & (det != 0))
@@ -289,7 +287,7 @@ def _solve_block(f, z, tol, n_nodes, max_iter):
                     f"damped Newton stalled at z={complex(za[i])} with defect "
                     f"{abs(ga[i]):.3g} (tol {tol:g})")
             w_try = wa[todo] + lam[todo] * step[todo]
-            g_try = de_defect(f, w_try, za[todo], n_nodes)
+            g_try = _defect(w_try, fv, ka[todo])
             better = np.abs(g_try) < np.abs(ga[todo])
             done = todo[better]
             w[act[done]] = w_try[better]

@@ -44,8 +44,11 @@ def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
     return half * np.einsum("ij,j->i", vals, w)
 
 
+_MAX_DEPTH = 52  # refinement passes, each halving the panels that fail
+
+
 def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,
-                      max_panels: int = 4096, max_depth: int = 52):
+                      max_panels: int = 4096):
     """Integrate ``fun`` over each [a_i, b_i] to absolute accuracy ``tol_i``.
 
     ``a``, ``b`` and ``tol`` broadcast; a float for scalar inputs, else an
@@ -67,7 +70,7 @@ def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,
     total = np.zeros(a.size)
     owner = np.flatnonzero(a != b)  # an empty interval integrates to 0
     lo, hi = lo0[owner], hi0[owner]
-    for _ in range(max_depth):
+    for _ in range(_MAX_DEPTH):
         if not owner.size:
             break
         i_hi = panel_integrals(fun, lo, hi, order)
@@ -92,7 +95,7 @@ def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,
     if owner.size:
         j = int(owner.min())
         raise QuadratureFailure(
-            f"depth limit {max_depth} exceeded integrating over "
+            f"depth limit {_MAX_DEPTH} exceeded integrating over "
             f"[{a[j]}, {b[j]}]: {np.count_nonzero(owner == j)} panels left "
             f"(tol {tol[j]:g})", index=j)
     total = np.where(b < a, -total, total).reshape(shape)

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure
-from .quadrature import gauss_legendre, panel_integrals
+from .quadrature import panel_integrals
 
 # sup |p'| for the bump profile p(t) = (1 - t^2)^3, attained at t = 1/sqrt(5)
 BUMP_SLOPE_MAX = 96.0 * math.sqrt(5.0) / 125.0
@@ -423,13 +423,7 @@ class PowerIntegral(RealMap):
             return x.copy()
         edges, cum = self._ensure_table(float(x.min()), float(x.max()))
         idx = np.searchsorted(edges, x, side="right") - 1
-        anchors = edges[idx]
-        nodes, weights = gauss_legendre(self._ORDER)
-        mid = 0.5 * (anchors + x)
-        half = 0.5 * (x - anchors)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = self._integrand(pts.ravel()).reshape(pts.shape)
-        return cum[idx] + half * np.einsum("ij,j->i", vals, weights)
+        return cum[idx] + panel_integrals(self._integrand, edges[idx], x, self._ORDER)
 
     def _deriv(self, x):
         return self._integrand(x)

@@ -366,6 +366,30 @@ BAD_INPUTS = [
 ]
 
 
+# a composition folds one call per map when it is evaluated, and a nested
+# description costs a few calls per level when it is parsed
+DEEP_TEXTS = {
+    "@maps": json.dumps({"kind": "composition",
+                         "maps": [{"kind": "affine", "slope": 1.0}] * 1000}),
+    "@tapered": ('{"kind": "tapered", "plateau": 2.0, "base": ' * 500
+                 + '{"kind": "affine", "slope": 1.0}' + "}" * 500),
+    "@arrays": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize("argv", [["info", "--map", "@maps"],
+                                  ["extend", "--map", "@maps", "--nx", "2", "--ny", "2"],
+                                  ["info", "--map", "@tapered"],
+                                  ["info", "--map", "@arrays"]])
+def test_over_deep_input_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_TEXTS[argv[2]])
+    assert main([str(path) if a in DEEP_TEXTS else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: map description nested too deeply"]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv, config, words", BAD_INPUTS)
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config, words):
     paths = {"@map": write_json(tmp_path / "bump.json", BUMP),

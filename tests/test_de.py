@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qcext.douady_earle import (CircleMap, MobiusAutomorphism, _de_jacobian,
-                                circle_map_from_dict, compose_circle,
-                                de_defect, de_naturality_residual, extend_de)
+                                _kernel, _samples, circle_map_from_dict,
+                                compose_circle, de_defect, de_naturality_residual,
+                                extend_de)
 from qcext.errors import DomainError, NonConvergence
 from qcext.realmap import KINDS
 
@@ -129,11 +130,12 @@ def test_defect_array_rows_equal_scalar_calls(rng):
 def test_closed_form_jacobian_matches_central_difference(rng):
     # d/dx g = d_w + d_wbar and d/dy g = i (d_w - d_wbar) for w = x + i y
     f = small_perturbation(rng)
+    zeta, fv = _samples(f, 512)
     h = 1e-6
     for _ in range(10):
         z = complex(*rng.uniform(-0.5, 0.5, 2))
         w = complex(*rng.uniform(-0.6, 0.6, 2))
-        d_w, d_wbar = _de_jacobian(f, np.array([w]), np.array([z]), 512)
+        d_w, d_wbar = _de_jacobian(np.array([w]), fv, _kernel(zeta, np.array([z])))
         dx = (de_defect(f, w + h, z) - de_defect(f, w - h, z)) / (2 * h)
         dy = (de_defect(f, w + 1j * h, z) - de_defect(f, w - 1j * h, z)) / (2 * h)
         for fd, exact in ((dx, d_w[0] + d_wbar[0]), (dy, 1j * (d_w[0] - d_wbar[0]))):
@@ -166,7 +168,8 @@ def test_solver_defect_reevaluated_below_tol(rng):
 
 
 def test_array_solve_equals_scalar_solves_bit_for_bit(rng):
-    # 7 x 7 = 49 points span several blocks and a partial one
+    # 7 x 7 = 49 points span several blocks and a partial one; at 8192 nodes
+    # every point is a block of its own
     zs = disk_grid(0.9, 7)
     for f in (random_mobius(rng).boundary(), small_perturbation(rng)):
         ws = extend_de(f, zs)
@@ -174,7 +177,19 @@ def test_array_solve_equals_scalar_solves_bit_for_bit(rng):
         grid = extend_de(f, zs.reshape(7, 7))
         assert grid.shape == (7, 7)
         assert np.array_equal(grid.ravel(), ws)
+        few = zs[::12]
+        assert np.array_equal(extend_de(f, few, n_nodes=8192),
+                              [extend_de(f, complex(z), n_nodes=8192) for z in few])
     assert isinstance(extend_de(CircleMap.identity(), 0.2), complex)
+
+
+def test_solve_samples_the_boundary_once_per_call():
+    # 49 points at 512 nodes are 4 blocks, which share one sampling of f
+    f = CircleMap.from_fourier(0.1, cos_amps=[0.05], sin_amps=[0.03])
+    lift, calls = f.lift, []
+    f.lift = lambda t: calls.append(np.size(t)) or lift(t)
+    extend_de(f, disk_grid(0.9, 7))
+    assert calls == [512]
 
 
 def test_array_solve_meets_tol_at_every_point(rng):

@@ -442,7 +442,7 @@ def test_breakpoint_hints_save_panel_calls(monkeypatch):
     blind = PowerIntegral(g, 0.5)
     monkeypatch.setattr(g, "breakpoints", lambda: np.empty(0))
     blind(np.array([-6.0, 6.0]))
-    assert n_hinted == 2  # one pass, order 16 and order 32
+    assert n_hinted == 3  # one pass, order 16 and order 32; then the values
     assert len(calls) > n_hinted
     assert abs(hinted(2.0) - blind(2.0)) <= hinted.quad_tol
 
