@@ -24,6 +24,12 @@ chain-rule cancellation gives each factor the certified bounds
 The normalization f(0) = 0 is restored by an explicit affine translation
 factor (emitted only when f(0) != 0), so the full decomposition reads
 f = T o g_N o f_N o ... o f_1, outermost first.
+
+Each P_{gamma_k} is written twice in the serialized factors: as the outer
+map of f_k and inside the inverse of f_{k+1}.  Reloading the factor list as
+one ``composition`` description builds each once (``map_from_dict`` shares
+equal parts of one description), so the reloaded recomposition has one
+table per exponent, as the factorization itself does.
 """
 
 from __future__ import annotations

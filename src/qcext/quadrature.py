@@ -3,8 +3,9 @@
 Two entry points: ``adaptive_integral`` for smooth(ish) integrals of one
 function over one or many intervals, and ``panel_integrals`` as the
 vectorized building block reused by it and by the memoizing power-integral
-maps.  Error estimates come from comparing each panel against an embedded
-lower-order rule; failing panels are halved.
+maps, which also read the node values through ``panel_samples``.  Error
+estimates come from comparing each panel against an embedded lower-order
+rule; failing panels are halved.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
         return _NODE_CACHE[order]
 
 
-def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
-    """Fixed-order Gauss-Legendre integral of ``fun`` over each [lo_i, hi_i].
+def panel_samples(fun, lo, hi, order: int = 16):
+    """``(half, vals, sums)`` for the panels [lo_i, hi_i]: their half-widths,
+    ``fun`` at their order-``order`` Gauss-Legendre nodes (one row per
+    panel), and each row's weighted node sum.
 
     ``fun`` must accept a flat ndarray and return values elementwise.  Each
-    panel's weighted node sum is taken in its own row (einsum), not by a
-    BLAS matrix-vector product whose rounding depends on a row's place in
-    the batch, so a panel's value is a function of its interval alone.
+    sum is taken in its own row (einsum), not by a BLAS matrix-vector
+    product whose rounding depends on a row's place in the batch, so a
+    panel's sum is a function of its interval alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -41,7 +44,14 @@ def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(fun(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half * np.einsum("ij,j->i", vals, w)
+    return half, vals, np.einsum("ij,j->i", vals, w)
+
+
+def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
+    """Fixed-order Gauss-Legendre integral of ``fun`` over each [lo_i, hi_i],
+    ``half * sums`` of ``panel_samples``."""
+    half, _, sums = panel_samples(fun, lo, hi, order)
+    return half * sums
 
 
 _MAX_DEPTH = 52  # refinement passes, each halving the panels that fail

@@ -12,15 +12,19 @@ All maps are immutable after construction; evaluation accepts scalars or
 ndarrays and is safe to share across threads.  The only internal mutable
 state is the power-integral table, which grows under a lock by appending
 panels and never changes an entry it holds, so a value does not depend on
-what was evaluated before.  Maps may list the points where their derivative
-is not smooth (``breakpoints``); tables put panel edges there.  Monotone
-inversion is one safeguarded Newton loop that starts from a bracket the map
-supplies: the certified slope bracket, or one table panel for a power
-integral.
+what was evaluated before.  A point at a table edge, or on a panel where
+the integrand is one value, is evaluated from the table alone.  Maps may
+list the points where their derivative is not smooth (``breakpoints``);
+tables put panel edges there.  Monotone inversion is one safeguarded Newton
+loop that starts from a bracket the map supplies: the certified slope
+bracket, or one table panel for a power integral.  ``map_from_dict`` builds
+one object for equal parts of one description, so a power integral written
+twice in it, as in a reloaded factorization, has one table.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
@@ -32,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure
-from .quadrature import panel_integrals
+from .quadrature import panel_integrals, panel_samples
 
 # sup |p'| for the bump profile p(t) = (1 - t^2)^3, attained at t = 1/sqrt(5)
 BUMP_SLOPE_MAX = 96.0 * math.sqrt(5.0) / 125.0
@@ -296,17 +300,24 @@ def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusB
 class PowerIntegral(RealMap):
     """x -> integral_0^x base'(t)**exponent dt.
 
-    Values come from a cached table ``(edges, cum)`` with ``cum[i]`` the
-    integral from 0 to ``edges[i]``, plus one order-16 Gauss-Legendre rule
-    from the nearest edge at or below x.  The coarse edges are the multiples
-    of ``_PANEL`` and the base's breakpoints; a panel is halved until its
-    order-16 and order-32 values differ by at most
-    ``quad_tol * max(width, 1e-3) / _TOL_SPAN``, a budget that depends only on
-    the panel, so the table is accurate to ``quad_tol`` on
-    ``[-_TOL_SPAN, _TOL_SPAN]``.  The table holds at least one coarse panel
-    on each side of 0 and grows outward on demand by appending panels and
-    accumulating ``cum`` outward from 0, so growing never changes an entry
-    it holds and a value does not depend on what was evaluated before.
+    Values come from a cached table ``(edges, cum, flat)`` with ``cum[i]``
+    the integral from 0 to ``edges[i]``, plus one order-16 Gauss-Legendre
+    rule from the nearest edge at or below x.  ``flat[i]`` is the rule's
+    weighted node sum on the panel ``[edges[i], edges[i+1]]`` when the
+    build's order-16 and order-32 samples there are all one value (the base
+    is affine there, as off the supports of a bump), and NaN otherwise and
+    at the last edge.  A point at an edge then costs no quadrature (the rule
+    adds 0 there), nor does a point x on a flat panel, whose rule from the
+    edge a adds ``0.5 * (x - a) * flat[i]``; both are the rule's bits.
+
+    The coarse edges are the multiples of ``_PANEL`` and the base's
+    breakpoints; a panel is halved until its order-16 and order-32 values
+    differ by at most ``quad_tol * max(width, 1e-3) / _TOL_SPAN``, a budget
+    that depends only on the panel, so the table is accurate to ``quad_tol``
+    on ``[-_TOL_SPAN, _TOL_SPAN]``.  The table holds at least one coarse
+    panel on each side of 0 and grows outward on demand by appending panels
+    and accumulating ``cum`` outward from 0, so growing never changes an
+    entry it holds and a value does not depend on what was evaluated before.
     ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
     preimage to one panel by ``searchsorted`` on ``cum``.
     Certified bounds are the interval power of the base bounds.
@@ -329,7 +340,7 @@ class PowerIntegral(RealMap):
         super().__init__(lo, hi)
         self.base = base
         self.exponent = float(exponent)
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
     def _integrand(self, t):
@@ -337,15 +348,21 @@ class PowerIntegral(RealMap):
 
     def _refine(self, a: np.ndarray, b: np.ndarray):
         """Halve the panels [a_i, b_i] until each meets its budget; returns
-        the refined panels ``(a, b, value)`` sorted by ``a``, with the
-        order-32 values.  Only the new halves are integrated on each pass."""
+        the refined panels ``(a, b, value, flat)`` sorted by ``a``, with the
+        order-32 values, and the order-16 node sum of each panel whose
+        order-16 and order-32 samples are all one value (NaN for the others).
+        Only the new halves are integrated on each pass."""
         kept = []
         for _ in range(self._MAX_PASSES):
-            v = panel_integrals(self._integrand, a, b, self._ORDER)
-            check = panel_integrals(self._integrand, a, b, 2 * self._ORDER)
+            half, s16, sum16 = panel_samples(self._integrand, a, b, self._ORDER)
+            _, s32, sum32 = panel_samples(self._integrand, a, b, 2 * self._ORDER)
+            v, check = half * sum16, half * sum32
             budget = self.quad_tol * np.maximum(b - a, 1e-3) / self._TOL_SPAN
             bad = ~(np.abs(v - check) <= budget)
-            kept.append((a[~bad], b[~bad], check[~bad]))
+            c = s16[:, :1]
+            flat = np.where((s16 == c).all(axis=1) & (s32 == c).all(axis=1),
+                            sum16, np.nan)
+            kept.append((a[~bad], b[~bad], check[~bad], flat[~bad]))
             if not bad.any():
                 break
             a, b = a[bad], b[bad]
@@ -361,15 +378,16 @@ class PowerIntegral(RealMap):
                 f"power-integral table refinement could not reach the quadrature "
                 f"tolerance on [{a.min():.17g}, {b.max():.17g}] in "
                 f"{self._MAX_PASSES} passes")
-        a, b, v = (np.concatenate(part) for part in zip(*kept))
+        a, b, v, flat = (np.concatenate(part) for part in zip(*kept))
         order = np.argsort(a)
-        return a[order], b[order], v[order]
+        return a[order], b[order], v[order], flat[order]
 
     def _build_table(self, lo: float, hi: float):
         """Grow the table outward until it covers [lo, hi] and at least one
         coarse panel on each side of 0; both new sides are refined together."""
         table = self._table
-        edges, cum = table if table is not None else (np.zeros(1), np.zeros(1))
+        edges, cum, flat = table if table is not None else (
+            np.zeros(1), np.zeros(1), np.full(1, np.nan))
         lo = float(min(lo, edges[0], -self._PANEL))
         hi = float(max(hi, edges[-1], self._PANEL))
         if not hi - lo <= self._MAX_PANELS * self._PANEL:  # inf and nan too
@@ -386,8 +404,8 @@ class PowerIntegral(RealMap):
 
         left = coarse(k_lo * self._PANEL, edges[0])
         right = coarse(edges[-1], k_hi * self._PANEL)
-        a, b, v = self._refine(np.concatenate([left[:-1], right[:-1]]),
-                               np.concatenate([left[1:], right[1:]]))
+        a, b, v, sums = self._refine(np.concatenate([left[:-1], right[:-1]]),
+                                     np.concatenate([left[1:], right[1:]]))
         on_left = b <= edges[0]
         # cum is accumulated outward from 0 one panel at a time, so a fresh
         # build and any sequence of growths give the same bits (on the left
@@ -396,9 +414,10 @@ class PowerIntegral(RealMap):
         self._table = (
             np.concatenate([a[on_left], edges, b[~on_left]]),
             np.concatenate([out[::-1], cum,
-                            np.cumsum(np.concatenate([[cum[-1]], v[~on_left]]))[1:]]))
+                            np.cumsum(np.concatenate([[cum[-1]], v[~on_left]]))[1:]]),
+            np.concatenate([sums[on_left], flat[:-1], sums[~on_left], [np.nan]]))
 
-    def _ensure_table(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    def _ensure_table(self, lo: float, hi: float):
         """The table, grown if needed to cover [min(lo, 0), max(hi, 0)]; a
         side that must grow grows by at least a quarter of the table span."""
         lo, hi = min(lo, 0.0), max(hi, 0.0)
@@ -421,9 +440,15 @@ class PowerIntegral(RealMap):
         _require_finite(x, "x")
         if x.size == 0:
             return x.copy()
-        edges, cum = self._ensure_table(float(x.min()), float(x.max()))
+        edges, cum, flat = self._ensure_table(float(x.min()), float(x.max()))
         idx = np.searchsorted(edges, x, side="right") - 1
-        return cum[idx] + panel_integrals(self._integrand, edges[idx], x, self._ORDER)
+        a = edges[idx]
+        out = cum[idx] + np.where(x == a, 0.0, 0.5 * (x - a) * flat[idx])
+        rest = np.flatnonzero(np.isnan(out))  # off the edges and flat panels
+        if rest.size:
+            out[rest] = cum[idx[rest]] + panel_integrals(
+                self._integrand, a[rest], x[rest], self._ORDER)
+        return out
 
     def _deriv(self, x):
         return self._integrand(x)
@@ -454,10 +479,11 @@ class PowerIntegral(RealMap):
 
         y0, y1 = float(y.min()), float(y.max())
         table = self._table  # P(0) = 0 stands in for a table not built yet
-        edges, cum = table if table is not None else (np.zeros(1), np.zeros(1))
+        edges, cum = table[:2] if table is not None else (np.zeros(1), np.zeros(1))
         while cum.size < 2 or cum[0] > y0 or cum[-1] < y1:
-            edges, cum = self._ensure_table(edges[0] - reach(float(cum[0]) - y0, 0),
-                                            edges[-1] + reach(y1 - float(cum[-1]), -2))
+            edges, cum, _ = self._ensure_table(
+                edges[0] - reach(float(cum[0]) - y0, 0),
+                edges[-1] + reach(y1 - float(cum[-1]), -2))
         i = np.clip(np.searchsorted(cum, y, side="right") - 1, 0, cum.size - 2)
         lo, hi = edges[i], edges[i + 1]
         x0 = lo + (y - cum[i]) / (cum[i + 1] - cum[i]) * (hi - lo)
@@ -753,9 +779,12 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
     left for the error of evaluating f) when |r| max(B/s - 1, 1 - b/s) is.
     That step brings the residual far below tol.  The other points evaluate
     f' and take the Newton step if it lands strictly inside the bracket and
-    is at most half as long as their previous step, and bisect otherwise;
-    the length test breaks the two-cycles Newton can fall into where the
-    slope varies by a large factor.
+    is at most half as long as their previous step; the length test breaks
+    the two-cycles Newton can fall into where the slope varies by a large
+    factor.  A point whose step is refused leaves with the clipped chord
+    step if it is within tol and its own slope certifies that step (where f
+    is affine, a start one ulp from the root has a Newton step that lands on
+    the bracket end, and bisection would not end); the others bisect.
     """
     if not f.bilipschitz:
         raise DomainError("inversion requires certified positive slope bounds")
@@ -763,6 +792,11 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
     if y.size == 0:
         return y.copy()
     b, B = f.deriv_bounds()
+
+    def certified(r, s):  # |r| <= tol, and the chord step with slope s is good
+        return (np.abs(r) <= tol) & (
+            np.abs(r) * np.maximum(B / s - 1.0, 1.0 - b / s) <= 0.5 * tol)
+
     lo, hi, x = f._inverse_start(y)
     x = x.copy()
     slope = np.full(y.shape, np.nan)   # f' of each point's last Newton step
@@ -776,8 +810,8 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
         ha = np.where(below, hi[act], xa)
         lo[act], hi[act] = la, ha
         s = slope[act]   # NaN after a bisection: no chord, another pass
-        chord = np.abs(r) * np.maximum(B / s - 1.0, 1.0 - b / s) <= 0.5 * tol
-        done = ((np.abs(r) <= tol) & chord) | (r == 0.0)
+        chord = certified(r, s)
+        done = chord | (r == 0.0)
         if done.any():
             # a chord clipped to the bracket lies between x and the chord
             # point, where f is monotone, so the bound still holds
@@ -790,6 +824,13 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
         step = r / d
         newton = ((xa - step > la) & (xa - step < ha)
                   & (np.abs(step) <= 0.5 * dx[act]))
+        done = ~newton & certified(r, d)
+        if done.any():
+            x[act[done]] = np.clip(xa[done] - step[done], la[done], ha[done])
+            act, xa, la, ha, d, step, newton = (
+                v[~done] for v in (act, xa, la, ha, d, step, newton))
+            if not act.size:
+                return x
         x[act] = np.where(newton, xa - step, 0.5 * (la + ha))
         dx[act] = np.where(newton, np.abs(step), 0.5 * (ha - la))
         slope[act] = np.where(newton, d, np.nan)
@@ -877,14 +918,39 @@ def _checked(d: dict, fields: dict, what: str, other=("kind",)) -> dict:
     return out
 
 
+# the maps built so far by the outermost map_from_dict call, by key
+_PARSED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qcext_parsed", default=None)
+
+
 def map_from_dict(d: dict, family: str = "map"):
     """Build a map from its JSON-style description (see README for schema);
-    ``family`` "circle-map" takes the circle-map kinds instead."""
+    ``family`` "circle-map" takes the circle-map kinds instead.
+
+    Equal sub-descriptions within one call give one object, so a power
+    integral written in several places (as in a reloaded factorization)
+    builds one table.  Two parts are equal when their kinds match, the JSON
+    values of their other fields have the same ``repr`` (so -0.0 is not
+    0.0), and their maps are already the same objects.  Nothing is kept
+    from one call to the next."""
+    parsed = _PARSED.get()
+    if parsed is None:
+        token = _PARSED.set({})
+        try:
+            return map_from_dict(d, family)
+        finally:
+            _PARSED.reset(token)
     kind = d.get("kind") if isinstance(d, dict) else None
     entry = KINDS.get(kind) if isinstance(kind, str) else None
     if entry is None or entry[0] != family:
         raise DomainError(f"{family} description needs a known 'kind', got {kind!r}")
-    return entry[2](**_checked(d, entry[1], f"{family} kind {kind!r}"))
+    fields = _checked(d, entry[1], f"{family} kind {kind!r}")
+    key = (kind, *(fields[name] if field is MAP else
+                   tuple(fields[name]) if field is MAPS else repr(d.get(name))
+                   for name, (field, _) in entry[1].items()))
+    if key not in parsed:
+        parsed[key] = entry[2](**fields)
+    return parsed[key]
 
 
 def map_from_file(path) -> RealMap:

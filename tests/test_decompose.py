@@ -1,6 +1,8 @@
 """Tests for the near-identity factorization of bi-Lipschitz maps."""
 
+import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from qcext.decompose import (MAX_ROUNDS, Factorization, chosen_eps, decompose_bi
                              recompose)
 from qcext.errors import DomainError
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, IdentityPlusBump,
-                           bump_map, compose, map_from_dict)
+                           PowerIntegral, bump_map, compose, map_from_dict)
 from conftest import make_bump_map
 
 
@@ -178,3 +180,30 @@ def test_round_count_is_bounded_before_any_round():
     assert chosen_eps(eps0) == pytest.approx(eps, rel=1e-12)
     with pytest.raises(DomainError, match=f"about {MAX_ROUNDS + 1} rounds"):
         decompose_bilip(Affine(2.0, 0.0), eps0)
+
+
+def _power_integrals(m):
+    """The distinct PowerIntegral objects of the map tree under m."""
+    seen, stack = {}, [m]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children())
+    return [node for node in seen.values() if isinstance(node, PowerIntegral)]
+
+
+def test_reloaded_factorization_builds_one_power_integral_per_exponent():
+    f = compose(Affine(1.3, 0.4), IdentityPlusBump([
+        BumpProfile(-0.5, 1.5, 0.3 * 1.5 / BUMP_SLOPE_MAX),
+        BumpProfile(1.0, 2.0, -0.2 * 2.0 / BUMP_SLOPE_MAX)]))
+    descs = json.loads(json.dumps(decompose_bilip(f, 0.1).to_dict()))["factors"]
+    whole = map_from_dict({"kind": "composition", "maps": descs})
+    folded = reduce(compose, [map_from_dict(d) for d in descs])
+    exponents = {m.exponent for m in _power_integrals(whole)}
+    assert len(exponents) > 3
+    assert len(_power_integrals(whole)) == len(exponents)
+    assert len(_power_integrals(folded)) == 2 * len(exponents)  # P and inside 1/P
+    xs = np.linspace(-10.0, 10.0, 2001)
+    assert np.array_equal(whole(xs), folded(xs))
+    assert np.array_equal(whole.deriv(xs), folded.deriv(xs))

@@ -10,12 +10,26 @@ from hypothesis import strategies as st
 
 import qcext.realmap as realmap
 from qcext.errors import DomainError, NonConvergence, QuadratureFailure
+from qcext.quadrature import panel_integrals
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile,
                            IdentityPlusBump, PowerIntegral, _invert_array,
                            bump_map, compose, identity, inverse_map, invert_at,
                            map_from_dict, power_integral_map, sampled_monotone,
                            taper)
 from conftest import make_bump_map
+
+
+def counted(monkeypatch, obj, name):
+    """Record the calls of ``obj.name`` in the returned list."""
+    calls = []
+    method = getattr(obj, name)
+
+    def call(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(obj, name, call)
+    return calls
 
 
 def sample_maps(rng):
@@ -230,7 +244,7 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     assert invert_at(f, 0.0) == 0.0
     f = make()
     f(2.0)
-    edges, cum = f._table
+    edges, cum, flat = f._table
     # P(edges[i]) == cum[i] bit for bit, so a table entry inverts exactly
     assert np.array_equal(f(edges), cum)
     assert np.array_equal(_invert_array(f, cum, 1e-12), edges)
@@ -239,11 +253,15 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     y = f.deriv_hi * 40.0
     x = invert_at(f, y, 1e-11)
     assert abs(f(x) - y) <= 1e-11
-    edges2, cum2 = f._table
+    edges2, cum2, flat2 = f._table
     assert edges2[-1] >= x
     i = int(np.searchsorted(edges2, edges[0]))
     assert np.array_equal(edges2[i:i + edges.size], edges)
     assert np.array_equal(cum2[i:i + edges.size], cum)
+    # the held panels keep their flat row sums; the old last edge now starts
+    # a panel
+    assert np.array_equal(flat2[i:i + edges.size - 1], flat[:-1], equal_nan=True)
+    assert np.isnan(flat[-1]) and np.isnan(flat2[-1])
 
 
 def test_inversion_table_grows_near_the_preimages():
@@ -255,8 +273,40 @@ def test_inversion_table_grows_near_the_preimages():
     for y in (3.0, -3.0, 40.0):
         x = invert_at(f, y, 1e-11)
         assert abs(f(x) - y) <= 1e-11
-    edges, _ = f._table
+    edges, _, _ = f._table
     assert -6.0 < edges[0] and edges[-1] < 60.0
+
+
+def test_inversion_leaves_a_start_within_tol_on_an_affine_piece(monkeypatch):
+    # past the bump the slope is exactly 1: the start at y is the root to
+    # within one ulp, and its Newton step lands on the bracket end
+    y = 1.9090909090909092
+    f = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
+    passes = counted(monkeypatch, f, "_eval")
+    x = inverse_map(f)(y)
+    assert len(passes) == 1
+    assert abs(f(x) - y) <= 1e-11
+    g = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
+    passes = counted(monkeypatch, g, "_eval")
+    ys = np.linspace(-3.0, 3.0, 100)
+    xs = inverse_map(g)(ys)
+    assert len(passes) == 4
+    assert np.max(np.abs(g(xs) - ys)) <= 1e-11
+
+
+def test_fresh_inversion_of_zero_evaluates_nothing_past_the_table_build(monkeypatch):
+    base = bump_map(0.0, 1.0, 0.3)
+    f = PowerIntegral(base, 0.5)
+    slopes = counted(monkeypatch, base, "deriv")
+    build = f._build_table
+
+    def build_then_forget(lo, hi):
+        build(lo, hi)
+        slopes.clear()
+
+    monkeypatch.setattr(f, "_build_table", build_then_forget)
+    assert invert_at(f, 0.0) == 0.0
+    assert f._table is not None and slopes == []
 
 
 def test_inversion_of_empty_and_zero_d_inputs():
@@ -426,25 +476,45 @@ def test_power_integral_within_quad_tol_of_scipy_at_the_kinks():
 
 
 def test_breakpoint_hints_save_panel_calls(monkeypatch):
-    calls = []
-    panel_integrals = realmap.panel_integrals
-
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return panel_integrals(*args, **kwargs)
-
-    monkeypatch.setattr(realmap, "panel_integrals", counted)
+    rules = [counted(monkeypatch, realmap, name)
+             for name in ("panel_integrals", "panel_samples")]
     g = bump_map(0.3, 1.2, 0.3)
     hinted = PowerIntegral(g, 0.5)
     hinted(np.array([-6.0, 6.0]))
-    n_hinted = len(calls)
-    calls.clear()
+    n_hinted = sum(map(len, rules))
+    for calls in rules:
+        calls.clear()
     blind = PowerIntegral(g, 0.5)
     monkeypatch.setattr(g, "breakpoints", lambda: np.empty(0))
     blind(np.array([-6.0, 6.0]))
-    assert n_hinted == 3  # one pass, order 16 and order 32; then the values
-    assert len(calls) > n_hinted
+    # one pass, order 16 and order 32; -6 and 6 are table edges, whose
+    # values need no quadrature
+    assert n_hinted == 2
+    assert sum(map(len, rules)) > n_hinted
     assert abs(hinted(2.0) - blind(2.0)) <= hinted.quad_tol
+
+
+def test_power_integral_needs_no_base_slope_at_edges_and_on_flat_panels(monkeypatch):
+    for base in (bump_map(0.2, 1.1, 0.3),
+                 compose(Affine(1.4, -0.3), bump_map(0.3, 1.2, -0.2))):
+        f = PowerIntegral(base, 0.5)
+        f(np.array([-6.0, 6.0]))
+        edges, cum, flat = f._table
+        # the flat panels are those off the bump support, and only those
+        k0, k1 = base.breakpoints()
+        off_support = (edges[1:] <= k0) | (edges[:-1] >= k1)
+        assert np.array_equal(~np.isnan(flat[:-1]), off_support)
+        assert np.isnan(flat[-1])
+        i = np.flatnonzero(~np.isnan(flat))
+        xs = np.concatenate([edges, 0.5 * (edges[i] + edges[i + 1]),
+                             np.nextafter(edges[i], np.inf),
+                             np.nextafter(edges[i + 1], -np.inf)])
+        slopes = counted(monkeypatch, base, "deriv")
+        assert np.array_equal(f(edges), cum)
+        f(xs)
+        assert slopes == []
+        f(0.5 * (k0 + k1))  # on the support the rule samples the base
+        assert len(slopes) == 1
 
 
 def test_power_integral_bounds():
@@ -592,6 +662,22 @@ def test_same_map_agrees_with_description_equality(rng):
     assert realmap._same_map(f, map_from_dict(desc))
 
 
+def test_description_parts_are_shared_within_one_call_only():
+    pi = {"kind": "power-integral", "exponent": 0.5, "base": {
+        "kind": "identity-plus-bump",
+        "bumps": [{"center": 0.2, "halfwidth": 1.1, "amplitude": 0.3}]}}
+    c = map_from_dict({"kind": "composition", "maps": [pi, {"kind": "inverse", "base": pi}]})
+    assert c.outer is c.inner.base  # one table for both
+    assert map_from_dict(pi) is not map_from_dict(pi)
+    assert map_from_dict(pi).base is not map_from_dict(pi).base
+    affine = lambda b: {"kind": "affine", "slope": 2.0, "intercept": b}
+    first, second, third = map_from_dict(
+        {"kind": "composition", "maps": [affine(-0.0), affine(0.0), affine(0.0)]}).maps
+    assert second is third and first is not second
+    assert math.copysign(1.0, first.intercept) == -1.0
+    assert math.copysign(1.0, second.intercept) == 1.0
+
+
 def test_description_rejects_unknown_kind():
     with pytest.raises(DomainError):
         map_from_dict({"kind": "sorcery"})
@@ -661,3 +747,29 @@ def test_property_compose_bounds_contain_product(a1, a2, amp):
     c = compose(f, g)
     assert c.deriv_lo >= f.deriv_lo * g.deriv_lo - 1e-12
     assert c.deriv_hi <= f.deriv_hi * g.deriv_hi + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["bump", "affine", "taper"]),
+       exponent=st.floats(-2.5, 2.5).filter(lambda e: abs(e) > 0.05),
+       us=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+def test_property_power_integral_is_the_rule_from_the_edge_below(seed, kind, exponent, us):
+    # edges and flat panels skip the quadrature; every value is still the
+    # order-16 rule from the nearest edge at or below, bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "taper":
+        base = taper(compose(Affine(1.05, 0.1),
+                             make_bump_map(rng, affine_prob=0.0, slope_budget=0.3)),
+                     float(rng.uniform(1.5, 4.0)))
+    else:
+        base = make_bump_map(rng, affine_prob=float(kind == "affine"))
+    f = PowerIntegral(base, exponent)
+    f(8.0 * np.asarray(us))
+    edges = f._table[0]
+    xs = np.concatenate([8.0 * np.asarray(us), edges, np.nextafter(edges, np.inf),
+                         np.nextafter(edges, -np.inf), base.breakpoints()])
+    got = f(xs)
+    edges, cum, _ = f._table
+    idx = np.searchsorted(edges, xs, side="right") - 1
+    ref = cum[idx] + panel_integrals(f._integrand, edges[idx], xs, f._ORDER)
+    assert np.array_equal(got, ref)
