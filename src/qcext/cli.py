@@ -7,6 +7,11 @@ Subcommands::
     qcext decompose factor a bi-Lipschitz map into near-identity factors
     qcext info      describe a map file (kind tree, certified bounds)
 
+Each call builds and parses with the parser of the command it names alone;
+help text, error messages and exit codes are those of the full ``qcext``
+parser, which parses any argument list that names no command or leaves
+arguments over.
+
 Exit codes: 0 success / all checks pass; 1 verification failure; 2 usage or
 parse error; 3 numerical failure.  Output is a pure function of the inputs
 and flags; randomized suites draw from a seeded generator (--seed, default 0).
@@ -414,57 +419,91 @@ def cmd_info(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _extend_options(p: argparse.ArgumentParser):
+    p.add_argument("--map", required=True,
+                   help="map description file (circle map for method de)")
+    p.add_argument("--method", choices=("family", "ns", "ba", "de"),
+                   default="ns")
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--x-min", type=float, default=-2.0)
+    p.add_argument("--x-max", type=float, default=2.0)
+    p.add_argument("--y-min", type=float, default=1e-2)
+    p.add_argument("--y-max", type=float, default=2.0)
+    p.add_argument("--nx", type=int, default=20)
+    p.add_argument("--ny", type=int, default=20)
+    p.add_argument("--quad-tol", type=float, default=1e-10)
+    p.add_argument("--im-scale", type=float, default=2.0)
+    p.add_argument("--n-nodes", type=int, default=512)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_extend)
+
+
+def _verify_options(p: argparse.ArgumentParser):
+    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--config", default=None, help="JSON config file")
+    p.set_defaults(func=cmd_verify)
+
+
+def _decompose_options(p: argparse.ArgumentParser):
+    p.add_argument("--map", required=True)
+    p.add_argument("--eps0", type=float, required=True)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_decompose)
+
+
+def _info_options(p: argparse.ArgumentParser):
+    p.add_argument("--map", required=True)
+    p.set_defaults(func=cmd_info)
+
+
+# subcommand name -> (help line in the full parser, function adding its options)
+_COMMANDS = {
+    "extend": ("evaluate an extension on a grid", _extend_options),
+    "verify": ("run a verification suite", _verify_options),
+    "decompose": ("factor a bi-Lipschitz map", _decompose_options),
+    "info": ("describe a map file", _info_options),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, on its own, for a name in ``_COMMANDS``;
+    with no name, the full ``qcext`` parser with every subcommand.  The two
+    parse a command's arguments alike (the subparser's prog is
+    ``qcext <command>`` too)."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"qcext {command}")
+        _COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="qcext",
         description="Quasiconformal boundary extensions: evaluate, verify, factor.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ext = sub.add_parser("extend", help="evaluate an extension on a grid")
-    p_ext.add_argument("--map", required=True,
-                       help="map description file (circle map for method de)")
-    p_ext.add_argument("--method", choices=("family", "ns", "ba", "de"),
-                       default="ns")
-    p_ext.add_argument("--a", type=float, default=1.0)
-    p_ext.add_argument("--alpha", type=float, default=2.0)
-    p_ext.add_argument("--x-min", type=float, default=-2.0)
-    p_ext.add_argument("--x-max", type=float, default=2.0)
-    p_ext.add_argument("--y-min", type=float, default=1e-2)
-    p_ext.add_argument("--y-max", type=float, default=2.0)
-    p_ext.add_argument("--nx", type=int, default=20)
-    p_ext.add_argument("--ny", type=int, default=20)
-    p_ext.add_argument("--quad-tol", type=float, default=1e-10)
-    p_ext.add_argument("--im-scale", type=float, default=2.0)
-    p_ext.add_argument("--n-nodes", type=int, default=512)
-    p_ext.add_argument("--tol", type=float, default=1e-10)
-    p_ext.add_argument("--out", default=None)
-    p_ext.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ext.set_defaults(func=cmd_extend)
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--trials", type=int, default=None)
-    p_ver.add_argument("--config", default=None, help="JSON config file")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_dec = sub.add_parser("decompose", help="factor a bi-Lipschitz map")
-    p_dec.add_argument("--map", required=True)
-    p_dec.add_argument("--eps0", type=float, required=True)
-    p_dec.add_argument("--tol", type=float, default=1e-6)
-    p_dec.add_argument("--out", default=None)
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_inf = sub.add_parser("info", help="describe a map file")
-    p_inf.add_argument("--map", required=True)
-    p_inf.set_defaults(func=cmd_info)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv: list):
+    """Parse argv with the parser of the command it names alone, and with the
+    full parser when it names none (no arguments, a top-level flag, an unknown
+    command) or leaves arguments over, so that help, error messages and exit
+    codes are those of the full parser."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import qcext
+from qcext import cli
 from qcext.analysis import dilatation_values, half_plane_grid
 from qcext.beurling_ahlfors import BAConfig, extend_ba
 from qcext.cli import main
@@ -450,3 +452,94 @@ def test_verify_seed_changes_draws_but_not_determinism(capsys):
                  "--seed", "7"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# -- parsing: each command alone, with the messages of the full parser ----------
+
+COMMANDS = ["extend", "verify", "decompose", "info"]
+# "MAP" stands for a bump map file
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["-x", "info"], ["--", "extend"],
+    *([command, "-h"] for command in COMMANDS),
+    ["decompose", "--map", "MAP"],                            # missing --eps0
+    ["extend", "--map", "MAP", "--nx", "x"],                  # bad type
+    ["extend", "--map", "MAP", "--method", "zz"],             # bad choice
+    ["verify", "--suite", "nope"],
+    ["extend", "--map", "MAP", "--bogus"],                    # unrecognized
+    ["info", "--map", "MAP", "extra"],
+    ["info", "--ma", "MAP"],                                  # abbreviated
+    ["extend", "--map", "MAP", "--nx", "3", "--ny", "2", "--format", "json"],
+    ["verify", "--suite", "homomorphism", "--trials", "2", "--seed", "3"],
+    ["decompose", "--map", "MAP", "--eps0", "0.3"],
+    ["info", "--map", "MAP"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS,
+                         ids=[" ".join(argv) or "no-args" for argv in PARSE_CORPUS])
+def test_parsing_matches_the_full_parser(tmp_path, monkeypatch, capsys, argv):
+    # exit code, stdout and stderr as when the full parser parses every call
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+    argv = [map_file if arg == "MAP" else arg for arg in argv]
+    got = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: cli.build_parser().parse_args(argv))
+    assert (main(argv), *capsys.readouterr()) == got
+
+
+def test_console_path_reads_sys_argv(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(qcext.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qcext.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    info = run("info", "--map", map_file)
+    assert main(["info", "--map", map_file]) == 0
+    assert (info.returncode, info.stdout, info.stderr) == (0, capsys.readouterr().out, "")
+    assert info.stdout.startswith("identity-plus-bump: deriv in [")
+    helped = run("--help")
+    assert helped.returncode == 0
+    assert all(command in helped.stdout for command in COMMANDS)
+    bare = run()
+    assert (bare.returncode, bare.stdout) == (2, "")
+    assert bare.stderr.startswith("usage: qcext [-h] {extend,verify,decompose,info}")
+
+
+def test_a_command_builds_one_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+    for argv in (["extend", "--map", map_file, "--nx", "2", "--ny", "2"],
+                 ["info", "--map", map_file]):
+        del built[:]
+        assert main(argv) == 0
+        assert len(built) == 1, argv
+    del built[:]
+    cli.build_parser()
+    assert len(built) == 1 + len(COMMANDS)  # the full tree, as counted here
+
+
+def _option_specs(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required,
+             a.nargs, a.help) for a in parser._actions]
+
+
+def test_full_parser_holds_each_command_parser():
+    full = cli.build_parser()
+    sub, = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == COMMANDS
+    for name, parser in sub.choices.items():
+        alone = cli.build_parser(name)
+        assert parser.prog == alone.prog == f"qcext {name}"
+        assert _option_specs(parser) == _option_specs(alone)
+        assert parser.get_default("func") is alone.get_default("func")
