@@ -22,12 +22,11 @@ from .beurling_ahlfors import (BAConfig, ba_affine_naturality_residual,
 from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,
                            compose_circle, de_defect, de_naturality_residual,
                            extend_de)
-from .analysis import (CubicMap, DilatationReport, QuadraticWindowMap,
-                       boundary_constant, boundary_residual,
-                       compare_dilatation, cubic_map, dilatation_analytic,
-                       dilatation_bound, dilatation_numeric, estimate_m,
-                       half_plane_grid, homomorphism_residual, m_ratio,
-                       pde_matrix, pde_residual, quadratic_window_map,
+from .analysis import (CubicMap, QuadraticWindowMap, boundary_constant,
+                       boundary_residual, compare_dilatation, cubic_map,
+                       dilatation_analytic, dilatation_bound, dilatation_numeric,
+                       estimate_m, half_plane_grid, homomorphism_residual,
+                       m_ratio, pde_matrix, pde_residual, quadratic_window_map,
                        sigma_factor, sup_dilatation)
 from .decompose import Factorization, chosen_eps, decompose_bilip, recompose
 

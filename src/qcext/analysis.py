@@ -5,6 +5,10 @@ sigma phase factor, numeric Beltrami quotients by centered differences,
 homomorphism and boundary-limit residuals, and the second-order PDE
 characterization Tr(A Hess F) = 0 of the family members.
 
+Every check takes arrays of points; a scalar point is the 0-d case, a float
+with the bits of the array element (the stencils divide by the real step
+componentwise and take moduli by hypot, as Python's complex arithmetic does).
+
 For alpha > 0 the modulus of the Beltrami quotient of F = E_{a,alpha} f is
 
     |1 - theta| / |1 - e^{i sigma} theta|,
@@ -22,7 +26,7 @@ the alpha = 0 member is a diffeomorphism but never quasiconformal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -102,20 +106,20 @@ def sigma_factor(p: ExtParams) -> complex:
     return num / den
 
 
-@dataclass
-class DilatationReport:
-    """Per-point record of the closed-form and finite-difference dilatation."""
+def _float_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
 
-    z: complex
-    theta: float
-    sigma_factor: complex
-    analytic: float
-    numeric: float = field(default=math.nan)
-    gap: float = field(default=math.nan)
 
-    def __post_init__(self):
-        if abs(abs(self.sigma_factor) - 1.0) > 1e-12:
-            raise DomainError("sigma factor must have unit modulus")
+def _over(c: np.ndarray, d):
+    """c / d for complex c and real d, componentwise as Python divides a
+    complex by a float (numpy's complex division multiplies by 1/d)."""
+    return c.real / d + 1j * (c.imag / d)
+
+
+def _raise_at_first(bad: np.ndarray, z: np.ndarray, message: str):
+    """DomainError naming the first point of z, in C order, where bad holds."""
+    if bad.any():
+        raise DomainError(message.format(z=complex(z.flat[np.argmax(bad)])))
 
 
 def dilatation_values(f: RealMap, p: ExtParams, z):
@@ -144,56 +148,59 @@ def dilatation_values(f: RealMap, p: ExtParams, z):
     return np.where(ok, val, np.nan), theta
 
 
-def _defined_dilatation(f: RealMap, p: ExtParams, z):
-    """``dilatation_values``, raising DomainError where it is undefined."""
+def dilatation_analytic(f: RealMap, p: ExtParams, z) -> SimpleNamespace:
+    """Closed-form Beltrami modulus and theta at each point of z, as the
+    record (analytic, theta); the first point, in C order, where the closed
+    form is undefined raises DomainError."""
     val, theta = dilatation_values(f, p, z)
-    if np.isnan(val).any():
-        raise DomainError("derivative must be positive on evaluation points")
-    return val, theta
+    _raise_at_first(np.isnan(val), np.asarray(z, dtype=complex),
+                    "derivative must be positive on evaluation points, not at z={z}")
+    return SimpleNamespace(analytic=_float_or_array(val), theta=_float_or_array(theta))
 
 
-def dilatation_analytic(f: RealMap, p: ExtParams, z: complex) -> DilatationReport:
-    """Closed-form Beltrami modulus at one point, with theta and the phase."""
-    val, theta = _defined_dilatation(f, p, complex(z))
-    return DilatationReport(z=complex(z), theta=float(theta),
-                            sigma_factor=sigma_factor(p), analytic=float(val))
-
-
-def dilatation_numeric(F, z: complex, h: float) -> float:
-    """|d_zbar F / d_z F| by centered differences at step h.
-
-    d_zbar = (d_x + i d_y)/2 and d_z = (d_x - i d_y)/2.  Requires Im z > 2h
-    so the stencil stays in the half-plane.
-    """
-    if not h > 0:
+def _stencil_points(z, h, what: str):
+    """z and h (default 1e-3 Im z) broadcast to arrays, checked for a
+    centered-difference stencil in the half-plane: h > 0 and Im z > 2h."""
+    z = np.asarray(z, dtype=complex)
+    z, h = np.broadcast_arrays(z, 1e-3 * z.imag if h is None
+                               else np.asarray(h, dtype=float))
+    if not np.all(h > 0):
         raise DomainError("h must be positive")
-    if not np.imag(z) > 2 * h:
-        raise DomainError("need Im z > 2h for the difference stencil")
-    fx = (F(z + h) - F(z - h)) / (2.0 * h)
-    fy = (F(z + 1j * h) - F(z - 1j * h)) / (2.0 * h)
-    dzbar = 0.5 * (fx + 1j * fy)
-    dz = 0.5 * (fx - 1j * fy)
-    if abs(dz) < 1e-12:
-        raise DomainError("degenerate point: |d_z F| below 1e-12")
-    return abs(dzbar) / abs(dz)
+    _raise_at_first(~(z.imag > 2 * h), z,
+                    f"need Im z > 2h for the {what} stencil, got z={{z}}")
+    return z, h
 
 
-def compare_dilatation(f: RealMap, p: ExtParams, z: complex, h: float) -> DilatationReport:
-    """Analytic and numeric dilatation at z, with their gap."""
+def dilatation_numeric(F, z, h):
+    """|d_zbar F / d_z F| by centered differences at step h (broadcast with
+    z) at each point of z, with d_zbar = (d_x + i d_y)/2 and
+    d_z = (d_x - i d_y)/2.  The four stencil points of every z go to F in
+    one call, stacked along a new first axis.  The first point, in C order,
+    with Im z <= 2h or |d_z F| below 1e-12 raises DomainError."""
+    z, h = _stencil_points(z, h, "difference")
+    east, west, north, south = F(np.stack([z + h, z - h, z + 1j * h, z - 1j * h]))
+    fx = _over(east - west, 2.0 * h)
+    fy = _over(north - south, 2.0 * h)
+    dz, dzbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+    dz = np.hypot(dz.real, dz.imag)
+    _raise_at_first(dz < 1e-12, z, "degenerate point z={z}: |d_z F| below 1e-12")
+    return _float_or_array(np.hypot(dzbar.real, dzbar.imag) / dz)
+
+
+def compare_dilatation(f: RealMap, p: ExtParams, z, h) -> SimpleNamespace:
+    """The record of ``dilatation_analytic`` with the centered-difference
+    dilatation at step h and the gap between the two (numeric, gap)."""
     report = dilatation_analytic(f, p, z)
-    num = dilatation_numeric(lambda w: extend_family(p, f, w), z, h)
-    report.numeric = float(num)
-    report.gap = abs(report.analytic - report.numeric)
+    report.numeric = dilatation_numeric(lambda w: extend_family(p, f, w), z, h)
+    report.gap = _float_or_array(np.abs(report.analytic - report.numeric))
     return report
 
 
 def sup_dilatation(f: RealMap, p: ExtParams, grid) -> float:
     """Maximum of the closed-form dilatation over a grid of points."""
-    grid = np.asarray(grid)
-    if grid.size == 0:
+    if np.size(grid) == 0:
         raise DomainError("grid must be nonempty")
-    vals, _ = _defined_dilatation(f, p, grid)
-    return float(np.max(vals))
+    return float(np.max(dilatation_analytic(f, p, grid).analytic))
 
 
 def dilatation_bound(p: ExtParams, deriv_lo: float, deriv_hi: float) -> float:
@@ -221,13 +228,15 @@ def homomorphism_residual(p: ExtParams, f: RealMap, g: RealMap, grid) -> float:
 
 
 def boundary_residual(p: ExtParams, f: RealMap, interval=(-1.0, 1.0),
-                      y: float = 1e-2, n: int = 201) -> float:
-    """sup over sampled x in the interval of |E f(x + i y) - f(x)|."""
-    if not y > 0:
+                      y=1e-2, n: int = 201):
+    """sup over n sampled x in the interval of |E f(x + i y) - f(x)|, at
+    each height of y in one call; a float for a scalar y."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0):
         raise DomainError("y must be positive")
     xs = np.linspace(interval[0], interval[1], n)
-    vals = extend_family(p, f, xs + 1j * y)
-    return float(np.max(np.abs(vals - f(xs))))
+    vals = extend_family(p, f, xs + 1j * y[..., None])
+    return _float_or_array(np.max(np.abs(vals - f(xs)), axis=-1))
 
 
 def boundary_constant(p: ExtParams, deriv_hi: float) -> float:
@@ -249,34 +258,24 @@ def pde_matrix(p: ExtParams) -> np.ndarray:
     return np.array([[(al - a) * a, off], [off, -1.0]])
 
 
-def pde_residual(f: RealMap, p: ExtParams, z: complex, h: float | None = None) -> float:
-    """|Tr(A Hess F)(z)| with Hessian entries by centered second differences.
-
-    Applies the stencil to the complex values directly (equivalently to the
-    real and imaginary parts separately).  Requires a map with a continuous
-    second derivative and Im z > 2h.
-    """
+def pde_residual(f: RealMap, p: ExtParams, z, h=None):
+    """|Tr(A Hess F)(z)| at each point of z, with Hessian entries by centered
+    second differences at step h (broadcast with z; 1e-3 Im z by default)
+    applied to the complex values.  The nine stencil points of every z go to
+    ``extend_family`` in one call.  Requires a C^2 map; the first point, in
+    C order, with Im z <= 2h raises DomainError."""
     if not f.has_second_deriv:
         raise DomainError("PDE residual requires a C^2 map kind")
-    z = complex(z)
-    y = z.imag
-    if h is None:
-        h = 1e-3 * y
-    if not h > 0:
-        raise DomainError("h must be positive")
-    if not y > 2 * h:
-        raise DomainError("need Im z > 2h for the Hessian stencil")
-
-    def F(w):
-        return extend_family(p, f, w)
-
-    h2 = h * h
-    fxx = (F(z + h) - 2.0 * F(z) + F(z - h)) / h2
-    fyy = (F(z + 1j * h) - 2.0 * F(z) + F(z - 1j * h)) / h2
-    fxy = (F(z + h + 1j * h) - F(z + h - 1j * h)
-           - F(z - h + 1j * h) + F(z - h - 1j * h)) / (4.0 * h2)
+    z, h = _stencil_points(z, h, "Hessian")
+    c, e, w, n, s, ne, se, nw, sw = extend_family(p, f, np.stack([
+        z, z + h, z - h, z + 1j * h, z - 1j * h,
+        z + h + 1j * h, z + h - 1j * h, z - h + 1j * h, z - h - 1j * h]))
+    fxx = _over(e - 2.0 * c + w, h * h)
+    fyy = _over(n - 2.0 * c + s, h * h)
+    fxy = _over(ne - se - nw + sw, 4.0 * (h * h))
     mat = pde_matrix(p)
-    return abs(mat[0, 0] * fxx + 2.0 * mat[0, 1] * fxy + mat[1, 1] * fyy)
+    r = mat[0, 0] * fxx + 2.0 * mat[0, 1] * fxy + mat[1, 1] * fyy
+    return _float_or_array(np.hypot(r.real, r.imag))
 
 
 # -- special analytic maps -----------------------------------------------------

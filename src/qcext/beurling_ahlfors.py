@@ -76,9 +76,10 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
     return complex(out) if out.ndim == 0 else out
 
 
-def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z: complex,
-                                  cfg: BAConfig = DEFAULT_BA) -> float:
-    """| E(f o g)(z) - E(f)(E(g)(z)) | for affine g.
+def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,
+                                  cfg: BAConfig = DEFAULT_BA):
+    """| E(f o g)(z) - E(f)(E(g)(z)) | for affine g at each point of z; a
+    float, with the bits of the array element, for a scalar point.
 
     Zero (up to quadrature error) at im_scale = 2; bounded away from zero for
     non-affine f at im_scale = 1, which pins the normalization discrepancy.
@@ -87,4 +88,5 @@ def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z: complex,
         raise DomainError("the pre-composed map must be affine")
     lhs = extend_ba(compose(f, g_affine), z, cfg)
     rhs = extend_ba(f, extend_ba(g_affine, z, cfg), cfg)
-    return abs(lhs - rhs)
+    r = np.hypot(np.real(lhs - rhs), np.imag(lhs - rhs))  # as abs(complex)
+    return float(r) if r.ndim == 0 else r

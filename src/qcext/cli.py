@@ -175,34 +175,30 @@ def _check(label: str, value: float, threshold: float, invert: bool = False):
 def _suite_homomorphism(cfg, rng):
     grid = analysis.half_plane_grid()
     bound = 1e-10 * (1.0 + float(np.max(np.abs(grid))))
-    rows = []
     for i in range(cfg["trials"]):
         f = random_bump_map(rng)
         g = random_bump_map(rng)
         p = random_group_params(rng)
         r = analysis.homomorphism_residual(p, f, g, grid)
-        rows.append(_check(f"homomorphism trial {i:02d}", r, bound))
-    return rows
+        yield _check(f"homomorphism trial {i:02d}", r, bound)
 
 
 def _suite_boundary(cfg, rng):
-    rows = []
+    ys = (1e-1, 1e-2, 1e-3)
     for i in range(cfg["trials"]):
         f = random_bump_map(rng)
         p = random_group_params(rng, a_range=(-1.0, 1.0), alpha_range=(0.5, 5.0))
         c = analysis.boundary_constant(p, f.deriv_hi)
-        for y in (1e-1, 1e-2, 1e-3):
-            r = analysis.boundary_residual(p, f, (-1.0, 1.0), y)
-            rows.append(_check(f"boundary trial {i:02d} y={y:g}", r / y, c))
-    return rows
+        rs = analysis.boundary_residual(p, f, (-1.0, 1.0), ys)
+        for y, r in zip(ys, rs.tolist()):
+            yield _check(f"boundary trial {i:02d} y={y:g}", r / y, c)
 
 
 def _suite_dilatation(cfg, rng):
-    rows = []
-    map_kind = cfg["map"]
-    p = ExtParams(cfg["a"], cfg["alpha"])
     if cfg["expect"] == "not-quasiconformal":
-        threshold = cfg["threshold"]
+        map_kind = cfg["map"]
+        # any map but the cubic is checked at alpha = 0
+        p = ExtParams(cfg["a"], cfg["alpha"] if map_kind == "cubic" else 0.0)
         if map_kind == "cubic":
             ys = np.geomspace(0.05, 1.0, 12)
             offs = np.linspace(-0.02, 0.02, 9)
@@ -213,48 +209,44 @@ def _suite_dilatation(cfg, rng):
             f = map_kind if isinstance(map_kind, RealMap) \
                 else random_bump_map(rng, with_affine=False)
             grid = analysis.half_plane_grid(-0.9, 0.9, 1.0, 200.0, 15, 40)
-            sup = analysis.sup_dilatation(f, ExtParams(p.a, 0.0), grid)
-        rows.append(_check(f"supremum (expected not quasiconformal, alpha={p.alpha:g})",
-                           sup, threshold, invert=True))
-        if rows[-1][3]:
+            sup = analysis.sup_dilatation(f, p, grid)
+        row = _check(f"supremum (expected not quasiconformal, alpha={p.alpha:g})",
+                     sup, cfg["threshold"], invert=True)
+        if row[3]:
             print("flag: not quasiconformal (supremum approaches 1)")
-        return rows
+        yield row
+        return
     for i in range(cfg["trials"]):
         f = random_bump_map(rng)
         pp = random_group_params(rng)
         sup = analysis.sup_dilatation(f, pp, analysis.half_plane_grid())
         bound = analysis.dilatation_bound(pp, *f.deriv_bounds())
-        rows.append(_check(f"dilatation trial {i:02d} sup vs certified bound",
-                           sup, bound + 1e-9))
+        yield _check(f"dilatation trial {i:02d} sup vs certified bound",
+                     sup, bound + 1e-9)
         z = complex(rng.uniform(-1, 1), rng.uniform(0.3, 1.5))
         rep = analysis.compare_dilatation(f, pp, z, 1e-4)
-        rows.append(_check(f"dilatation trial {i:02d} numeric gap", rep.gap, 1e-5))
-    return rows
+        yield _check(f"dilatation trial {i:02d} numeric gap", rep.gap, 1e-5)
 
 
 def _suite_pde(cfg, rng):
-    rows = []
     quad = analysis.quadratic_window_map()
     r = analysis.pde_residual(quad, ExtParams(1.0, 2.0), 2.5 + 0.5j, h=5e-3)
-    rows.append(_check("wave equation on the quadratic window", r, 1e-8))
+    yield _check("wave equation on the quadratic window", r, 1e-8)
     for i in range(cfg["trials"]):
         f = random_bump_map(rng, with_affine=False)
         p = random_group_params(rng, a_range=(-1.0, 1.0), alpha_range=(0.5, 3.0))
         z = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.05, 0.15))
-        r1 = analysis.pde_residual(f, p, z, h=1e-3)
+        r1, r2 = analysis.pde_residual(f, p, z, h=(1e-3, 5e-4)).tolist()
         if r1 < 1e-6:
             # truncation below the h/2 roundoff floor: the ratio is not
             # measurable, but the residual itself is already tiny
-            rows.append(_check(f"pde trial {i:02d} residual (flat point)", r1, 1e-6))
-            continue
-        r2 = analysis.pde_residual(f, p, z, h=5e-4)
-        rows.append((f"pde trial {i:02d} ratio under h/2", r1 / r2,
-                     "in [3.5, 4.5]", bool(3.5 <= r1 / r2 <= 4.5)))
-    return rows
+            yield _check(f"pde trial {i:02d} residual (flat point)", r1, 1e-6)
+        else:
+            yield (f"pde trial {i:02d} ratio under h/2", r1 / r2,
+                   "in [3.5, 4.5]", bool(3.5 <= r1 / r2 <= 4.5))
 
 
 def _suite_group_action(cfg, rng):
-    rows = []
     grid = analysis.half_plane_grid()
     e01 = family_extension(ExtParams(0.0, 1.0))
     for i in range(cfg["trials"]):
@@ -263,58 +255,50 @@ def _suite_group_action(cfg, rng):
         lhs = act(p, e01, f, grid)
         rhs = extend_family(p, f, grid)
         r = float(np.max(np.abs(lhs - rhs)))
-        rows.append(_check(f"orbit identity trial {i:02d}", r, 1e-12))
-    return rows
+        yield _check(f"orbit identity trial {i:02d}", r, 1e-12)
 
 
 def _suite_ba_naturality(cfg, rng):
-    rows = []
     cfg_ba = BAConfig()
     z0 = 0.4 + 0.8j
     r = abs(extend_ba(Affine(1.0, 0.0), z0, BAConfig(im_scale=1.0))
             - (z0.real + 0.5j * z0.imag))
-    rows.append(_check("printed normalization pins E(Id) = x + i y/2", r,
-                       BAConfig().quad_tol))
+    yield _check("printed normalization pins E(Id) = x + i y/2", r,
+                 BAConfig().quad_tol)
     for i in range(cfg["trials"]):
         f = random_bump_map(rng, with_affine=False)
         g = Affine(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-2.0, 2.0)))
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0))
         r = ba_affine_naturality_residual(f, g, z, cfg_ba)
-        rows.append(_check(f"affine naturality trial {i:02d} (im_scale=2)",
-                           r, 10.0 * cfg_ba.quad_tol))
-    return rows
+        yield _check(f"affine naturality trial {i:02d} (im_scale=2)",
+                     r, 10.0 * cfg_ba.quad_tol)
 
 
 def _suite_de_naturality(cfg, rng):
-    rows = []
     zs = [0.0, 0.5, -0.5, 0.5j, -0.3 + 0.4j]
     for i in range(cfg["trials"]):
         m = MobiusAutomorphism(float(rng.uniform(0, 2 * math.pi)),
                                complex(*(rng.uniform(-0.42, 0.42, 2))))
         z = zs[i % len(zs)]
         r = abs(extend_de(m.boundary(), z) - m(z))
-        rows.append(_check(f"mobius fixing trial {i:02d}", r, 1e-6))
+        yield _check(f"mobius fixing trial {i:02d}", r, 1e-6)
         f = CircleMap.from_fourier(float(rng.uniform(-0.3, 0.3)),
                                    cos_amps=rng.uniform(-0.05, 0.05, 2),
                                    sin_amps=rng.uniform(-0.05, 0.05, 2))
         for mode in ("post", "pre"):
             r = de_naturality_residual(f, m, z, mode=mode)
-            rows.append(_check(f"naturality ({mode}) trial {i:02d}", r, 1e-5))
-    return rows
+            yield _check(f"naturality ({mode}) trial {i:02d}", r, 1e-5)
 
 
 def _suite_decompose(cfg, rng):
-    rows = []
     eps0 = cfg["eps0"]
     for i in range(cfg["trials"]):
         f = random_bump_map(rng)
         fac = dc.decompose_bilip(f, eps0)
         worst = max(max(m.deriv_hi - 1.0, 1.0 - m.deriv_lo) for m in fac.factors)
-        rows.append(_check(f"decompose trial {i:02d} factor certification",
-                           worst, eps0))
-        rows.append(_check(f"decompose trial {i:02d} recomposition error",
-                           fac.recomposition_error, 1e-6))
-    return rows
+        yield _check(f"decompose trial {i:02d} factor certification", worst, eps0)
+        yield _check(f"decompose trial {i:02d} recomposition error",
+                     fac.recomposition_error, 1e-6)
 
 
 _SUITES = {
@@ -357,6 +341,19 @@ _CONFIG = {
 }
 
 
+def _fields_read(suite: str, cfg: dict) -> tuple[tuple, str]:
+    """The config fields that a run of ``suite`` with the checked settings
+    cfg reads, and the settings that narrow them down (for the error)."""
+    if suite != "dilatation":
+        return ("trials", "seed") + (("eps0",) if suite == "decompose" else ()), ""
+    if cfg["expect"] == "quasiconformal":
+        return ("trials", "seed", "expect"), " under expect 'quasiconformal'"
+    if cfg["map"] == "cubic":
+        return ("trials", "seed", "expect", "map", "a", "alpha", "threshold"), ""
+    return (("trials", "seed", "expect", "map", "a", "threshold"),
+            " for a map other than 'cubic', which is checked at alpha = 0")
+
+
 def _load_config(args, default_trials: int) -> dict:
     cfg = {}
     if args.config is not None:
@@ -371,22 +368,25 @@ def _load_config(args, default_trials: int) -> dict:
         if getattr(args, name) is not None:
             cfg[name] = getattr(args, name)
     cfg.setdefault("trials", default_trials)
-    return _checked(cfg, _CONFIG, "verify settings", other=())
+    checked = _checked(cfg, _CONFIG, "verify settings", other=())
+    read, narrowed = _fields_read(args.suite, checked)
+    unread = [name for name in cfg if name not in read]
+    if unread:
+        raise DomainError(f"verify settings: suite {args.suite!r} does not read "
+                          f"field {unread[0]!r}{narrowed}")
+    return checked
 
 
 def cmd_verify(args) -> int:
     suite_fn, default_trials = _SUITES[args.suite]
     cfg = _load_config(args, default_trials)
     rng = np.random.default_rng(cfg["seed"])
-    rows = suite_fn(cfg, rng)
-    all_ok = True
+    rows = list(suite_fn(cfg, rng))
     for label, value, bound, ok in rows:
-        all_ok &= ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {label}: {value:.6g} ({bound})")
-    n_ok = sum(1 for r in rows if r[3])
+        print(f"{'PASS' if ok else 'FAIL'} {label}: {value:.6g} ({bound})")
+    n_ok = sum(ok for *_, ok in rows)
     print(f"suite {args.suite}: {n_ok}/{len(rows)} checks passed")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if n_ok == len(rows) else EXIT_CHECK_FAILED
 
 
 # -- decompose / info ----------------------------------------------------------

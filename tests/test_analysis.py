@@ -131,6 +131,14 @@ def test_numeric_dilatation_validates(rng):
         dilatation_numeric(F, 0.5 + 0.001j, 1e-3)
     with pytest.raises(DomainError):
         dilatation_numeric(F, 0.5 + 1.0j, 0.0)
+    # the first bad point in C order is named, for either fault
+    zs = np.array([[0.5 + 1.0j, -0.25 + 0.001j], [0.5 + 0.0015j, 0.1 + 1.0j]])
+    with pytest.raises(DomainError, match=r"Im z > 2h.*z=\(-0\.25\+0\.001j\)"):
+        dilatation_numeric(F, zs, 1e-3)
+    flat_left = lambda w: np.where(w.real < 0, 0.0, w)  # constant for x < 0
+    zs = np.array([[0.5 + 1.0j, -1.0 + 1.0j], [-2.0 + 1.0j, 0.3 + 1.0j]])
+    with pytest.raises(DomainError, match=r"degenerate point z=\(-1\+1j\)"):
+        dilatation_numeric(flat_left, zs, 1e-3)
 
 
 # -- non-quasiconformal witnesses ----------------------------------------------------
@@ -240,6 +248,15 @@ def test_pde_residual_second_order_decay(rng):
         assert 3.5 <= r1 / r2 <= 4.5
 
 
+def test_pde_residual_names_the_first_point_off_its_stencil():
+    zs = np.array([[0.2 + 0.5j, 0.3 + 0.01j], [0.1 + 0.001j, 0.2 + 0.6j]])
+    with pytest.raises(DomainError, match=r"Im z > 2h.*z=\(0\.3\+0\.01j\)"):
+        pde_residual(bump_map(0.0, 1.0, 0.2), ExtParams(1.0, 2.0), zs, h=5e-3)
+    with pytest.raises(DomainError, match="h must be positive"):
+        pde_residual(bump_map(0.0, 1.0, 0.2), ExtParams(1.0, 2.0), 0.2 + 0.5j,
+                     h=[1e-3, 0.0])
+
+
 def test_pde_residual_requires_c2():
     smooth = bump_map(0.0, 1.0, 0.2)
     tapered = taper(smooth, 3.0)  # C^1 only
@@ -313,3 +330,105 @@ def test_dilatation_values_mark_undefined_points_nan():
                 assert dilatation_analytic(cub, p, z).analytic == v
         with pytest.raises(DomainError, match="derivative"):
             sup_dilatation(cub, p, zs)
+        with pytest.raises(DomainError, match=r"derivative.*z=\(-1\+1j\)"):
+            dilatation_analytic(cub, p, zs.reshape(2, 2))
+
+
+# -- checks on point arrays ------------------------------------------------------------
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+def test_checks_on_point_arrays_equal_their_scalar_calls(rng):
+    # every check on a 2-D array of points (with a 2-D array of steps) gives
+    # each point the bits of its scalar call, and a scalar call gives a float;
+    # alpha = 0 goes through the limiting form
+    for alpha_range in ((0.3, 4.0), (0.0, 0.0)):
+        for _ in range(3):
+            f = make_bump_map(rng)
+            p = make_params(rng, a_range=(-1.5, 1.5), alpha_range=alpha_range)
+            zs = (rng.uniform(-2.0, 2.0, (3, 4))
+                  + 1j * rng.uniform(0.05, 1.5, (3, 4)))
+            hs = 10.0 ** rng.uniform(-5.0, -2.5, (3, 4))
+            F = lambda w: extend_family(p, f, w)
+            rep = compare_dilatation(f, p, zs, hs)
+            checks = {
+                "analytic": (rep.analytic, lambda z, h: dilatation_analytic(f, p, z).analytic),
+                "theta": (rep.theta, lambda z, h: dilatation_analytic(f, p, z).theta),
+                "numeric": (rep.numeric, lambda z, h: compare_dilatation(f, p, z, h).numeric),
+                "gap": (rep.gap, lambda z, h: compare_dilatation(f, p, z, h).gap),
+                "dilatation_numeric": (dilatation_numeric(F, zs, hs),
+                                       lambda z, h: dilatation_numeric(F, z, h)),
+                "pde default h": (pde_residual(f, p, zs), lambda z, h: pde_residual(f, p, z)),
+                "pde": (pde_residual(f, p, zs, hs), lambda z, h: pde_residual(f, p, z, h)),
+            }
+            for name, (values, scalar_call) in checks.items():
+                assert values.shape == zs.shape, name
+                scalars = [scalar_call(z, h) for z, h in zip(zs.ravel().tolist(),
+                                                            hs.ravel().tolist())]
+                assert all(type(v) is float for v in scalars), name
+                assert _same_bits(values.ravel(), scalars), name
+            # a 0-d array is a scalar point too
+            assert type(pde_residual(f, p, np.asarray(zs[0, 0]))) is float
+            ys = np.array([[1e-1, 1e-2], [1e-3, 0.37]])
+            rs = boundary_residual(p, f, (-1.0, 1.0), ys)
+            scalars = [boundary_residual(p, f, (-1.0, 1.0), y) for y in ys.ravel().tolist()]
+            assert rs.shape == ys.shape and all(type(r) is float for r in scalars)
+            assert _same_bits(rs.ravel(), scalars)
+
+
+# Values of the scalar checks before they took point arrays, for the bump
+# 0.3 (1 - x^2)^3 on [-1, 1]: (a, alpha, z) -> analytic, theta, numeric and
+# gap at h = 1e-3, dilatation_numeric at h = 1e-4, and the PDE residual at
+# the default h and at h = 2e-3.
+SCALAR_CORPUS = [
+    ((-0.4, 1.3, 0.31 + 0.41j),
+     [0.5028572811866396, 2.0093527698222675, 0.5028561012851307,
+      1.1799015089408726e-06, 0.5028572693871515, 8.379216023484516e-07,
+      1.9918173791075438e-05]),
+    ((-0.4, 1.3, -0.6 + 0.25j),
+     [0.226343125981972, 0.7531674456928613, 0.2263429053441738,
+      2.2063779819836427e-07, 0.22634312377529364, 3.125851953266007e-07,
+      1.9691368782516337e-05]),
+    ((1.0, 2.0, -0.6 + 0.25j),
+     [0.1411045599304013, 0.7526877643201993, 0.1411039551627623,
+      6.047676389953072e-07, 0.14110455388281973, 0.0, 0.0]),
+    ((0.7, 0.0, 0.31 + 0.41j),
+     [0.44628892031607525, 1.0, 0.4462872185478549, 1.7017682203412932e-06,
+      0.44628890329779564, 3.3111074924757628e-06, 7.880119554076837e-05]),
+    ((0.7, 0.0, -0.6 + 0.25j),
+     [0.017578602992290443, 1.0, 0.01757865578040434, 5.278811389744509e-08,
+      0.017578603520094178, 3.812439549948206e-07, 2.4329095562025927e-05]),
+]
+
+
+@pytest.mark.parametrize("case, expected", SCALAR_CORPUS)
+def test_scalar_checks_keep_their_values(case, expected):
+    a, alpha, z = case
+    f, p = bump_map(0.0, 1.0, 0.3), ExtParams(a, alpha)
+    rep = compare_dilatation(f, p, z, 1e-3)
+    got = [rep.analytic, rep.theta, rep.numeric, rep.gap,
+           dilatation_numeric(lambda w: extend_family(p, f, w), z, 1e-4),
+           pde_residual(f, p, z), pde_residual(f, p, z, 2e-3)]
+    assert _same_bits(got, expected)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7, 5)])
+def test_stencils_make_one_extension_call(monkeypatch, shape):
+    import qcext.analysis as analysis
+    f, p = bump_map(0.0, 1.0, 0.3), ExtParams(0.4, 1.3)
+    zs = np.full(shape, 0.2 + 0.5j)
+    calls = []
+
+    def counted(p, f, w):
+        calls.append(w.shape)
+        return extend_family(p, f, w)
+
+    dilatation_numeric(lambda w: counted(p, f, w), zs, 1e-3)
+    assert calls == [(4, *shape)]
+    calls.clear()
+    monkeypatch.setattr(analysis, "extend_family", counted)
+    pde_residual(f, p, zs)
+    compare_dilatation(f, p, zs, 1e-3)
+    assert calls == [(9, *shape), (4, *shape)]

@@ -54,6 +54,12 @@ def test_naturality_residual_small_at_natural_scale(rng):
         f = make_bump_map(rng, affine_prob=0.0)
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0))
         assert ba_affine_naturality_residual(f, g, z, NATURAL) <= 10 * QTOL
+    # a point array gives each point the bits of its scalar call
+    zs = rng.uniform(-1.5, 1.5, (2, 3)) + 1j * rng.uniform(0.2, 2.0, (2, 3))
+    rs = ba_affine_naturality_residual(f, g, zs, NATURAL)
+    scalars = [ba_affine_naturality_residual(f, g, z, NATURAL) for z in zs.ravel().tolist()]
+    assert rs.shape == zs.shape and all(type(r) is float for r in scalars)
+    assert np.array_equal(rs.ravel(), scalars)
 
 
 def test_naturality_residual_fails_at_printed_scale():

@@ -246,6 +246,12 @@ def test_verify_dilatation_cubic_expected_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "not quasiconformal" in out
+    # a map other than the cubic is checked at alpha = 0, which reads a
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"map": BUMP, "a": 0.5, "threshold": 0.9,
+                      "expect": "not-quasiconformal"})
+    assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0
+    assert "not quasiconformal" in capsys.readouterr().out
 
 
 def test_verify_malformed_config_exits_2(tmp_path):
@@ -365,6 +371,30 @@ BAD_INPUTS = [
     (["verify", "--suite", "pde", "--trials", "1001"], None, ["'trials'", "MAX_TRIALS = 1000"]),
     (["verify", "--suite", "pde", "--config", "@config"], {"trials": 10 ** 400},
      ["'trials'", "MAX_TRIALS"]),
+    # a field that the run would not read
+    (["verify", "--suite", "pde", "--config", "@config"], {"eps0": 0.2}, ["'eps0'", "'pde'"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"], {"eps0": 0.2}, ["'eps0'"]),
+    (["verify", "--suite", "pde", "--config", "@config"], {"map": "cubic"}, ["'map'"]),
+    (["verify", "--suite", "boundary", "--config", "@config"], {"a": 1.0}, ["'a'"]),
+    (["verify", "--suite", "homomorphism", "--config", "@config"], {"alpha": 2.0},
+     ["'alpha'"]),
+    (["verify", "--suite", "decompose", "--config", "@config"], {"threshold": 0.5},
+     ["'threshold'"]),
+    (["verify", "--suite", "group-action", "--config", "@config"],
+     {"expect": "quasiconformal"}, ["'expect'"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"],
+     {"map": "cubic", "trials": 2}, ["'map'", "quasiconformal"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"],
+     {"map": {"kind": "affine", "slope": 2.0}, "trials": 2}, ["'map'"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"],
+     {"a": 0.5, "alpha": 1.5}, ["'a'"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"],
+     {"expect": "quasiconformal", "threshold": 0.5}, ["'threshold'"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"],
+     {"expect": "not-quasiconformal", "alpha": 1.0}, ["'alpha'", "alpha = 0"]),
+    (["verify", "--suite", "dilatation", "--config", "@config"],
+     {"map": {"kind": "affine", "slope": 2.0}, "expect": "not-quasiconformal",
+      "alpha": 2.0}, ["'alpha'", "cubic"]),
 ]
 
 

@@ -46,8 +46,38 @@ def test_circle_map_periodicity_and_monotonicity(rng):
 
 
 def test_circle_map_rejects_non_monotone():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="fourier: lift is not strictly increasing"):
         CircleMap.from_fourier(0.0, cos_amps=[0.0], sin_amps=[1.5])
+    with pytest.raises(DomainError, match="not strictly increasing"):
+        CircleMap(lambda t: t + 1.5 * np.sin(t))
+
+
+def test_generic_lift_is_checked_for_periodicity():
+    with pytest.raises(DomainError, match="not 2\\*pi-periodic"):
+        CircleMap(lambda t: 1.01 * t)
+
+
+def _lift_calls(monkeypatch):
+    """Count the lift evaluations of every CircleMap built from now on."""
+    calls = []
+    init = CircleMap.__init__
+
+    def counting_init(self, lift, *args, **kwargs):
+        init(self, lambda t: calls.append(np.size(t)) or lift(t), *args, **kwargs)
+
+    monkeypatch.setattr(CircleMap, "__init__", counting_init)
+    return calls
+
+
+def test_fourier_build_evaluates_the_lift_once(monkeypatch):
+    # periodic by construction: only the monotonicity sample is taken, while
+    # a generic lift is sampled again one period on
+    calls = _lift_calls(monkeypatch)
+    CircleMap.from_fourier(0.1, cos_amps=[0.05, -0.02], sin_amps=[0.03, 0.01])
+    assert calls == [2048]
+    calls.clear()
+    CircleMap(lambda t: t + 0.05 * np.sin(t))
+    assert calls == [2048, 2048]
 
 
 def test_mobius_boundary_matches_direct_values(rng):
@@ -157,6 +187,20 @@ def test_extension_fixes_mobius(rng):
             assert abs(extend_de(m.boundary(), z) - m(z)) <= 1e-6
 
 
+def test_mobius_boundary_solves_without_newton_steps(rng, monkeypatch):
+    # the Poisson seed of a Mobius boundary is the map itself (the harmonic
+    # extension of a holomorphic map), so the seed already meets tol
+    from qcext import douady_earle
+    jacobian, calls = douady_earle._de_jacobian, []
+    monkeypatch.setattr(douady_earle, "_de_jacobian",
+                        lambda *args: calls.append(1) or jacobian(*args))
+    for _ in range(10):
+        m = random_mobius(rng)
+        for z in (0.0, disk_grid(0.9, 4)):
+            assert np.max(np.abs(extend_de(m.boundary(), z) - m(z))) <= 1e-6
+    assert calls == []
+
+
 def test_solver_defect_reevaluated_below_tol(rng):
     tol = 1e-10
     for _ in range(5):
@@ -256,6 +300,14 @@ def test_naturality_random(rng):
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         assert de_naturality_residual(f, m, z, mode="post") <= 1e-5
         assert de_naturality_residual(f, m, z, mode="pre") <= 1e-5
+    # a point array: the solves give each point its scalar bits, and m rounds
+    # an array element and a scalar apart by at most a few ulps
+    zs = np.array([Z_SET[:3], (*Z_SET[3:], 0.2 - 0.1j)])
+    for mode in ("post", "pre"):
+        rs = de_naturality_residual(f, m, zs, mode=mode)
+        scalars = [de_naturality_residual(f, m, z, mode=mode) for z in zs.ravel().tolist()]
+        assert rs.shape == zs.shape and all(isinstance(r, float) for r in scalars)
+        assert np.allclose(rs.ravel(), scalars, rtol=0.0, atol=1e-15)
 
 
 def test_compose_circle_lift_order(rng):
