@@ -22,8 +22,6 @@ from .extensions import require_upper_half
 from .quadrature import adaptive_integral
 from .realmap import Affine, RealMap, compose
 
-_QUAD_ORDER = 16
-
 
 @dataclass(frozen=True)
 class BAConfig:
@@ -64,8 +62,8 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
         raise DomainError(
             f"averaging window of z={first} vanishes in floating point")
     try:
-        i_minus, i_plus = adaptive_integral(f, lo, hi, cfg.quad_tol * span,
-                                            _QUAD_ORDER) / span
+        i_minus, i_plus = adaptive_integral(f, lo, hi,
+                                            cfg.quad_tol * span) / span
     except QuadratureFailure as exc:
         if exc.index is None:  # raised by f, e.g. by a power-integral table
             raise

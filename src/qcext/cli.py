@@ -32,9 +32,9 @@ from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,
                            de_naturality_residual, extend_de)
 from .errors import DomainError, QCExtError
 from .extensions import ExtParams, act, extend_family, extend_ns, family_extension
-from .realmap import (Affine, BUMP_SLOPE_MAX, NUMBER, REQUIRED, BumpProfile,
+from .realmap import (Affine, BUMP_SLOPE_MAX, MAP, NUMBER, REQUIRED, BumpProfile,
                       Field, IdentityPlusBump, RealMap, _checked, compose,
-                      map_from_dict, map_from_file)
+                      description_from_file, map_from_file)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,12 +108,13 @@ def _cell_texts(v: np.ndarray, spelling: dict) -> list:
     return texts
 
 
-def _coordinate_texts(v: np.ndarray, spelling: dict) -> list:
-    """``_cell_texts`` of a grid coordinate column, which holds few distinct
-    values: one repr per distinct bit pattern (so -0.0 keeps its sign)."""
+def _coordinate_texts(v: np.ndarray) -> list:
+    """The repr of each float of a grid coordinate column, which holds few
+    distinct values, all finite: one repr per distinct bit pattern (so -0.0
+    keeps its sign)."""
     bits, where = np.unique(np.ascontiguousarray(v).view(np.int64),
                             return_inverse=True)
-    texts = np.array(_cell_texts(bits.view(np.float64), spelling), dtype=object)
+    texts = np.array(_cell_texts(bits.view(np.float64), {}), dtype=object)
     return texts[where].tolist()
 
 
@@ -124,7 +125,7 @@ def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
     json.dumps(rows, indent=1) and a newline (fmt "json") would write, one
     f-string per row."""
     values, dilatation = _SPELLING[fmt]
-    rows = zip(_coordinate_texts(zs.real, values), _coordinate_texts(zs.imag, values),
+    rows = zip(_coordinate_texts(zs.real), _coordinate_texts(zs.imag),
                _cell_texts(vals.real, values), _cell_texts(vals.imag, values),
                _cell_texts(dil, dilatation))
     if fmt == "csv":
@@ -151,8 +152,7 @@ def cmd_extend(args) -> int:
     zs = analysis.half_plane_grid(args.x_min, args.x_max, args.y_min,
                                   args.y_max, args.nx, args.ny)
     if args.method == "de":
-        with open(args.map, "r", encoding="utf-8") as fh:
-            boundary_map = circle_map_from_dict(json.load(fh))
+        boundary_map = circle_map_from_dict(description_from_file(args.map))
         p = None
     else:
         boundary_map = map_from_file(args.map)
@@ -330,8 +330,8 @@ _CONFIG = {
     "trials": (_TRIALS, REQUIRED),  # the suite's default is filled in first
     "seed": (_COUNT, 0),
     "map": (Field('"random", "cubic" or a map description',
-                  lambda v: v if v in ("random", "cubic") else
-                  map_from_dict(v) if isinstance(v, dict) else None, None), "random"),
+                  lambda v: v if v in ("random", "cubic") else MAP.check(v), None),
+             "random"),
     "expect": (Field(" or ".join(map(repr, _EXPECT)),
                      lambda v: v if v in _EXPECT else None, None), "quasiconformal"),
     "a": (NUMBER, 1.0),
@@ -508,7 +508,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:  # deep nesting, or a long composition (a call per map)

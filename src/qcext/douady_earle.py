@@ -42,9 +42,10 @@ class CircleMap:
         if check:
             self._validate()
 
-    def _validate(self, n: int = 2048, periodic: bool = False):
-        """Check monotonicity, and periodicity unless known ``periodic``."""
-        t = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+    def _validate(self, periodic: bool = False):
+        """Check monotonicity, and periodicity unless known ``periodic``, on
+        2048 points of [0, 2 pi)."""
+        t = np.linspace(0.0, _TWO_PI, 2048, endpoint=False)
         lt = np.asarray(self.lift(t), dtype=float)
         if not (np.diff(lt) > 0).all():
             raise DomainError(f"{self.label}: lift is not strictly increasing")
@@ -216,10 +217,10 @@ def _poisson_seed(fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 # Points solved together carry n_nodes-long rows through the solve.  A block
-# holds at most _BLOCK_SIZE nodes in all, so that each complex temporary
-# (128 KiB) stays below glibc's default mmap threshold: larger temporaries
-# are mapped and unmapped afresh on every operation, and on a 2-vCPU Xeon VM
-# the page faults made a 32 x 512 block twice as slow per point as 16 x 512.
+# holds at most _BLOCK_SIZE nodes in all, which bounds the memory of each
+# points x nodes complex temporary (128 KiB): unblocked, a 200 x 200 grid at
+# 512 nodes would need about 330 MB per temporary.  The value is otherwise
+# free: 131072 nodes gave the same time and the same bits as 8192.
 _BLOCK_SIZE = 8192
 
 
@@ -308,21 +309,21 @@ def _solve_block(fv, kernel, z, tol, max_iter):
 
 
 def de_naturality_residual(f: CircleMap, m: MobiusAutomorphism, z,
-                           tol: float = 1e-10, n_nodes: int = 512,
                            mode: str = "post"):
     """Conformal-naturality residual against a Mobius automorphism at each
-    point of z, a float for a scalar point (an array element may differ from
-    its scalar call in the last bits, since m rounds the two apart).
+    point of z, with ``extend_de`` at its defaults; a float for a scalar
+    point (an array element may differ from its scalar call in the last
+    bits, since m rounds the two apart).
 
     mode="post": | E(m o f)(z) - m(E(f)(z)) |
     mode="pre":  | E(f o m)(z) - E(f)(m(z)) |
     """
     if mode == "post":
-        lhs = extend_de(compose_circle(m.boundary(), f), z, tol, n_nodes)
-        rhs = m(extend_de(f, z, tol, n_nodes))
+        lhs = extend_de(compose_circle(m.boundary(), f), z)
+        rhs = m(extend_de(f, z))
     elif mode == "pre":
-        lhs = extend_de(compose_circle(f, m.boundary()), z, tol, n_nodes)
-        rhs = extend_de(f, m(z), tol, n_nodes)
+        lhs = extend_de(compose_circle(f, m.boundary()), z)
+        rhs = extend_de(f, m(z))
     else:
         raise DomainError(f"mode must be 'pre' or 'post', got {mode!r}")
     return abs(lhs - rhs)

@@ -10,21 +10,17 @@ rule; failing panels are halved.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import QuadratureFailure
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached per order."""
-    try:
-        return _NODE_CACHE[order]
-    except KeyError:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _NODE_CACHE[order] = (nodes, weights)
-        return _NODE_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_samples(fun, lo, hi, order: int = 16):
@@ -55,10 +51,10 @@ def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
 
 
 _MAX_DEPTH = 52  # refinement passes, each halving the panels that fail
+_ORDER = 16  # nodes of the panel rule; its embedded estimate takes half
 
 
-def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,
-                      max_panels: int = 4096):
+def adaptive_integral(fun, a, b, tol=1e-10, max_panels: int = 4096):
     """Integrate ``fun`` over each [a_i, b_i] to absolute accuracy ``tol_i``.
 
     ``a``, ``b`` and ``tol`` broadcast; a float for scalar inputs, else an
@@ -83,8 +79,8 @@ def adaptive_integral(fun, a, b, tol=1e-10, order: int = 16,
     for _ in range(_MAX_DEPTH):
         if not owner.size:
             break
-        i_hi = panel_integrals(fun, lo, hi, order)
-        i_lo = panel_integrals(fun, lo, hi, max(2, order // 2))
+        i_hi = panel_integrals(fun, lo, hi, _ORDER)
+        i_lo = panel_integrals(fun, lo, hi, _ORDER // 2)
         err = np.abs(i_hi - i_lo)
         share = tol[owner] * (hi - lo) / span[owner]
         done = err <= share

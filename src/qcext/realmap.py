@@ -55,24 +55,8 @@ def _interval_power(lo: float, hi: float, exponent: float, what: str):
 def _same_map(f: "RealMap", g: "RealMap") -> bool:
     """Whether two nodes denote the same map: object identity or identical
     construction parameters (the algebra is deterministic, so an equal
-    description is an equal map).  This is ``f.to_dict() == g.to_dict()``,
-    found by walking the ``KINDS`` fields of both trees without building
-    their descriptions."""
-    if f is g:
-        return True
-    if f.kind != g.kind:
-        return False
-    for name, (field, _) in KINDS[f.kind][1].items():
-        a, b = getattr(f, name), getattr(g, name)
-        if field is MAP:
-            same = _same_map(a, b)
-        elif field is MAPS:
-            same = len(a) == len(b) and all(map(_same_map, a, b))
-        else:
-            same = field.encode(a) == field.encode(b)
-        if not same:
-            return False
-    return True
+    description is an equal map)."""
+    return f is g or f.to_dict() == g.to_dict()
 
 
 def _require_finite(v: np.ndarray, name: str):
@@ -516,6 +500,8 @@ class InverseMap(RealMap):
     def __init__(self, base: RealMap, value_tol: float = 1e-11):
         if not base.bilipschitz:
             raise DomainError("only bi-Lipschitz maps have certified inverses")
+        if not value_tol > 0:
+            raise DomainError(f"value_tol must be positive, got {value_tol}")
         super().__init__(1.0 / base.deriv_hi, 1.0 / base.deriv_lo)
         self.base = base
         self.value_tol = float(value_tol)
@@ -953,13 +939,18 @@ def map_from_dict(d: dict, family: str = "map"):
     return parsed[key]
 
 
-def map_from_file(path) -> RealMap:
+def description_from_file(path):
+    """The JSON value in the map description file ``path``, for
+    ``map_from_dict`` or ``circle_map_from_dict``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DomainError(f"invalid JSON map description: {exc}") from exc
-    return map_from_dict(payload)
+
+
+def map_from_file(path) -> RealMap:
+    return map_from_dict(description_from_file(path))
 
 
 register("map", "affine", Affine, slope=NUMBER, intercept=(NUMBER, 0.0))

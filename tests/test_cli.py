@@ -337,7 +337,8 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
 HUGE_SLOPES = {"kind": "composition", "maps": [{"kind": "affine", "slope": 1e300},
                                               {"kind": "affine", "slope": 1e300}]}
 BAD_INPUTS = [
-    # (argv with @map / @circle / @config placeholders, config, words in the error)
+    # (argv with @map / @circle / @cut / @config placeholders, config, words in
+    # the error)
     (["verify", "--suite", "dilatation", "--config", "@config"], {"a": "x"}, ["'a'"]),
     (["verify", "--suite", "pde", "--config", "@config"], {"trials": 2.5}, ["'trials'"]),
     (["verify", "--suite", "pde", "--config", "@config"], {"trials": True}, ["'trials'"]),
@@ -395,6 +396,9 @@ BAD_INPUTS = [
     (["verify", "--suite", "dilatation", "--config", "@config"],
      {"map": {"kind": "affine", "slope": 2.0}, "expect": "not-quasiconformal",
       "alpha": 2.0}, ["'alpha'", "cubic"]),
+    # a circle-map file cut short, read like any other map file
+    (["extend", "--method", "de", "--map", "@cut", *DISK_GRID], None,
+     ["invalid JSON map description"]),
 ]
 
 
@@ -424,7 +428,10 @@ def test_over_deep_input_is_one_error_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, config, words", BAD_INPUTS)
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config, words):
-    paths = {"@map": write_json(tmp_path / "bump.json", BUMP),
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(MOBIUS)[:-7])
+    paths = {"@cut": str(cut),
+             "@map": write_json(tmp_path / "bump.json", BUMP),
              "@circle": write_json(tmp_path / "circ.json", MOBIUS),
              "@huge": write_json(tmp_path / "huge.json", HUGE_SLOPES),
              "@config": write_json(tmp_path / "cfg.json", config)}

@@ -207,3 +207,21 @@ def test_reloaded_factorization_builds_one_power_integral_per_exponent():
     xs = np.linspace(-10.0, 10.0, 2001)
     assert np.array_equal(whole(xs), folded(xs))
     assert np.array_equal(whole.deriv(xs), folded.deriv(xs))
+
+
+def test_reload_keeps_the_certified_bounds_of_every_factor():
+    # a translated map's terminal factor reloads its prefix composition as a
+    # new object, so only description equality sees that the chain rule cancels
+    for f in _bench_like_maps():
+        for eps0 in (0.05, 0.15, 0.25):
+            fac = decompose_bilip(f, eps0)
+            bounds = [m.deriv_bounds() for m in fac.factors]
+            descs = json.loads(json.dumps(fac.to_dict()))["factors"]
+            assert [map_from_dict(d).deriv_bounds() for d in descs] == bounds
+            node = map_from_dict(descs[0] if len(descs) == 1
+                                 else {"kind": "composition", "maps": descs})
+            reloaded = []
+            for _ in descs[1:]:  # the left fold, peeled from its innermost factor
+                reloaded.append(node.inner)
+                node = node.outer
+            assert [m.deriv_bounds() for m in [node] + reloaded[::-1]] == bounds

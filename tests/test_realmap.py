@@ -206,6 +206,11 @@ def test_inverse_map_bounds_and_values():
 def test_invert_requires_positive_tol():
     with pytest.raises(DomainError):
         invert_at(identity(), 1.0, 0.0)
+    # refused when built, not after the passes of its first evaluation
+    for value_tol in (0.0, -1e-11, math.nan):
+        for build in (inverse_map, realmap.InverseMap):
+            with pytest.raises(DomainError, match="value_tol must be positive"):
+                build(bump_map(0.0, 1.0, 0.3), value_tol)
 
 
 def _inversion_maps():
