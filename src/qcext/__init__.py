@@ -12,7 +12,7 @@ from .errors import (DomainError, NonConvergence, NonTermination,
 from .realmap import (Affine, BumpProfile, BUMP_SLOPE_MAX, Composition,
                       IdentityPlusBump, InverseMap, PowerIntegral, RealMap,
                       SampledMonotone, Tapered, bump_map, compose, identity,
-                      inverse_map, invert_at, map_from_dict, map_from_file,
+                      inverse_map, map_from_dict, map_from_file,
                       power_integral_map, sampled_monotone, taper)
 from .extensions import (ExtParams, act, extend_family, extend_ns,
                          family_extension, group_identity, group_inv,

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, raise_at_first, scalar_or_array
 from .extensions import ExtParams, extend_family, require_upper_half
 from .realmap import NUMBER, RealMap, compose, register
 
@@ -106,20 +106,10 @@ def sigma_factor(p: ExtParams) -> complex:
     return num / den
 
 
-def _float_or_array(out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _over(c: np.ndarray, d):
     """c / d for complex c and real d, componentwise as Python divides a
     complex by a float (numpy's complex division multiplies by 1/d)."""
     return c.real / d + 1j * (c.imag / d)
-
-
-def _raise_at_first(bad: np.ndarray, z: np.ndarray, message: str):
-    """DomainError naming the first point of z, in C order, where bad holds."""
-    if bad.any():
-        raise DomainError(message.format(z=complex(z.flat[np.argmax(bad)])))
 
 
 def dilatation_values(f: RealMap, p: ExtParams, z):
@@ -153,9 +143,9 @@ def dilatation_analytic(f: RealMap, p: ExtParams, z) -> SimpleNamespace:
     record (analytic, theta); the first point, in C order, where the closed
     form is undefined raises DomainError."""
     val, theta = dilatation_values(f, p, z)
-    _raise_at_first(np.isnan(val), np.asarray(z, dtype=complex),
-                    "derivative must be positive on evaluation points, not at z={z}")
-    return SimpleNamespace(analytic=_float_or_array(val), theta=_float_or_array(theta))
+    raise_at_first(np.isnan(val), np.asarray(z, dtype=complex),
+                   "derivative must be positive on evaluation points, not at z={}")
+    return SimpleNamespace(analytic=scalar_or_array(val), theta=scalar_or_array(theta))
 
 
 def _stencil_points(z, h, what: str):
@@ -166,8 +156,8 @@ def _stencil_points(z, h, what: str):
                                else np.asarray(h, dtype=float))
     if not np.all(h > 0):
         raise DomainError("h must be positive")
-    _raise_at_first(~(z.imag > 2 * h), z,
-                    f"need Im z > 2h for the {what} stencil, got z={{z}}")
+    raise_at_first(~(z.imag > 2 * h), z,
+                   f"need Im z > 2h for the {what} stencil, got z={{}}")
     return z, h
 
 
@@ -183,8 +173,8 @@ def dilatation_numeric(F, z, h):
     fy = _over(north - south, 2.0 * h)
     dz, dzbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
     dz = np.hypot(dz.real, dz.imag)
-    _raise_at_first(dz < 1e-12, z, "degenerate point z={z}: |d_z F| below 1e-12")
-    return _float_or_array(np.hypot(dzbar.real, dzbar.imag) / dz)
+    raise_at_first(dz < 1e-12, z, "degenerate point z={}: |d_z F| below 1e-12")
+    return scalar_or_array(np.hypot(dzbar.real, dzbar.imag) / dz)
 
 
 def compare_dilatation(f: RealMap, p: ExtParams, z, h) -> SimpleNamespace:
@@ -192,7 +182,7 @@ def compare_dilatation(f: RealMap, p: ExtParams, z, h) -> SimpleNamespace:
     dilatation at step h and the gap between the two (numeric, gap)."""
     report = dilatation_analytic(f, p, z)
     report.numeric = dilatation_numeric(lambda w: extend_family(p, f, w), z, h)
-    report.gap = _float_or_array(np.abs(report.analytic - report.numeric))
+    report.gap = scalar_or_array(np.abs(report.analytic - report.numeric))
     return report
 
 
@@ -236,7 +226,7 @@ def boundary_residual(p: ExtParams, f: RealMap, interval=(-1.0, 1.0),
         raise DomainError("y must be positive")
     xs = np.linspace(interval[0], interval[1], n)
     vals = extend_family(p, f, xs + 1j * y[..., None])
-    return _float_or_array(np.max(np.abs(vals - f(xs)), axis=-1))
+    return scalar_or_array(np.max(np.abs(vals - f(xs)), axis=-1))
 
 
 def boundary_constant(p: ExtParams, deriv_hi: float) -> float:
@@ -275,7 +265,7 @@ def pde_residual(f: RealMap, p: ExtParams, z, h=None):
     fxy = _over(ne - se - nw + sw, 4.0 * (h * h))
     mat = pde_matrix(p)
     r = mat[0, 0] * fxx + 2.0 * mat[0, 1] * fxy + mat[1, 1] * fyy
-    return _float_or_array(np.hypot(r.real, r.imag))
+    return scalar_or_array(np.hypot(r.real, r.imag))
 
 
 # -- special analytic maps -----------------------------------------------------

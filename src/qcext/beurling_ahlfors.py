@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure
+from .errors import (DomainError, QuadratureFailure, raise_at_first,
+                     scalar_or_array)
 from .extensions import require_upper_half
 from .quadrature import adaptive_integral
 from .realmap import Affine, RealMap, compose
@@ -29,12 +30,10 @@ class BAConfig:
     im_scale: float = 2.0
 
     def __post_init__(self):
-        if not 0 < self.quad_tol < math.inf:
-            raise DomainError(
-                f"quad_tol must be positive and finite, got {self.quad_tol}")
-        if not 0 < self.im_scale < math.inf:
-            raise DomainError(
-                f"im_scale must be positive and finite, got {self.im_scale}")
+        for name in ("quad_tol", "im_scale"):
+            value = getattr(self, name)
+            raise_at_first(not 0 < value < math.inf, value,
+                           f"{name} must be positive and finite, got {{}}")
 
 
 DEFAULT_BA = BAConfig()
@@ -56,11 +55,8 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
     lo = np.stack([x - y, x])
     hi = np.stack([x, x + y])
     span = hi - lo
-    empty = ~(span > 0)
-    if empty.any():
-        first = complex(np.broadcast_to(z, span.shape)[empty][0])
-        raise DomainError(
-            f"averaging window of z={first} vanishes in floating point")
+    raise_at_first(~(span > 0), np.broadcast_to(z, span.shape),
+                   "averaging window of z={} vanishes in floating point")
     try:
         i_minus, i_plus = adaptive_integral(f, lo, hi,
                                             cfg.quad_tol * span) / span
@@ -70,8 +66,8 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
         at = complex(z.flat[exc.index % z.size])
         raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
                                 index=exc.index) from exc
-    out = 0.5 * (i_plus + i_minus) + 0.5j * cfg.im_scale * (i_plus - i_minus)
-    return complex(out) if out.ndim == 0 else out
+    return scalar_or_array(0.5 * (i_plus + i_minus)
+                           + 0.5j * cfg.im_scale * (i_plus - i_minus))
 
 
 def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,
@@ -86,5 +82,5 @@ def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,
         raise DomainError("the pre-composed map must be affine")
     lhs = extend_ba(compose(f, g_affine), z, cfg)
     rhs = extend_ba(f, extend_ba(g_affine, z, cfg), cfg)
-    r = np.hypot(np.real(lhs - rhs), np.imag(lhs - rhs))  # as abs(complex)
-    return float(r) if r.ndim == 0 else r
+    d = lhs - rhs
+    return scalar_or_array(np.hypot(np.real(d), np.imag(d)))  # as abs(complex)

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, StepOutOfDisk
+from .errors import (DomainError, NonConvergence, StepOutOfDisk, raise_at_first,
+                     scalar_or_array)
 from .realmap import NUMBER, NUMBERS, PAIR, map_from_dict, register
 
 _TWO_PI = 2.0 * math.pi
@@ -138,13 +139,10 @@ def _disk_points(w, name: str) -> np.ndarray:
     """``w`` as a complex array; the first point (in C order) that is not
     finite or not strictly inside the unit disk raises DomainError."""
     w = np.asarray(w, dtype=complex)
-    bad = ~(np.abs(w) < 1)
-    if bad.any():
-        first = complex(w[bad][0])
-        if not cmath.isfinite(first):
-            raise DomainError(f"{name} must be finite, got {name}={first}")
-        raise DomainError(
-            f"{name} must lie strictly inside the unit disk, got {name}={first}")
+    raise_at_first(
+        ~(np.abs(w) < 1), w,
+        f"{name} must lie strictly inside the unit disk, got {name}={{}}",
+        f"{name} must be finite, got {name}={{}}")
     return w
 
 
@@ -174,10 +172,6 @@ def _kernel(zeta: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 1.0 / (dx * dx + dy * dy)
 
 
-def _scalar_or_array(out: np.ndarray):
-    return complex(out) if out.ndim == 0 else out
-
-
 def _defect(w: np.ndarray, fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The trapezoid sum of the defect integrand, one row per point."""
     w = w[..., None]
@@ -196,7 +190,7 @@ def de_defect(f: CircleMap, w, z, n_nodes: int = 512):
     z = _disk_points(z, "z")
     _check_nodes(n_nodes)
     zeta, fv = _samples(f, n_nodes)
-    return _scalar_or_array(_defect(w, fv, _kernel(zeta, z)))
+    return scalar_or_array(_defect(w, fv, _kernel(zeta, z)))
 
 
 def _de_jacobian(w: np.ndarray, fv: np.ndarray, kernel: np.ndarray):
@@ -222,10 +216,10 @@ def _poisson_seed(fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # 512 nodes would need about 330 MB per temporary.  The value is otherwise
 # free: 131072 nodes gave the same time and the same bits as 8192.
 _BLOCK_SIZE = 8192
+_MAX_ITER = 50  # Newton steps of one point's solve
 
 
-def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512,
-              max_iter: int = 50):
+def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512):
     """Solve the defect equation for w at each point of ``z``; a complex for
     a scalar ``z``, else an array of its shape.
 
@@ -233,12 +227,13 @@ def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512,
     with a mask of the points still iterating.  Every point follows the
     rules of a solve of its own and gets the same bits as one: the
     returned point satisfies |de_defect(f, w, z)| <= tol (the defect at the
-    accepted iterate is always the re-evaluated one).  All points are
-    validated before any is solved; the first one outside the disk, in C
-    order, raises DomainError.
+    accepted iterate is always the re-evaluated one).  A ``tol`` that is
+    not positive and finite raises DomainError, as does the first point
+    outside the disk, in C order; all points are validated before any is
+    solved.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    raise_at_first(not 0 < tol < math.inf, tol,
+                   "tol must be positive and finite, got {}")
     _check_nodes(n_nodes)
     z = _disk_points(z, "z")
     zeta, fv = _samples(f, n_nodes)
@@ -247,17 +242,17 @@ def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512,
     block = max(1, _BLOCK_SIZE // n_nodes)
     for s in range(0, flat.size, block):
         zb = flat[s:s + block]
-        w[s:s + block] = _solve_block(fv, _kernel(zeta, zb), zb, tol, max_iter)
-    return _scalar_or_array(w.reshape(z.shape))
+        w[s:s + block] = _solve_block(fv, _kernel(zeta, zb), zb, tol)
+    return scalar_or_array(w.reshape(z.shape))
 
 
-def _solve_block(fv, kernel, z, tol, max_iter):
+def _solve_block(fv, kernel, z, tol):
     w = _poisson_seed(fv, kernel)
     r = np.abs(w)
     degenerate = r >= 1.0 - 1e-9  # seed on the circle: retreat toward 0
     w[degenerate] *= (1.0 - 1e-6) / r[degenerate]
     g = _defect(w, fv, kernel)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         act = np.flatnonzero(~(np.abs(g) <= tol))
         if act.size == 0:
             return w
@@ -304,7 +299,7 @@ def _solve_block(fv, kernel, z, tol, max_iter):
         i = int(np.argmax(bad))
         raise NonConvergence(
             f"disk solve at z={complex(z[i])} did not reach tol={tol:g} in "
-            f"{max_iter} iterations (final defect {abs(g[i]):.3g})")
+            f"{_MAX_ITER} iterations (final defect {abs(g[i]):.3g})")
     return w
 
 

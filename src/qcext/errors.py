@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two conventions every
+operator on point arrays keeps: a bad input raises DomainError naming the
+first bad point in C order, and a 0-d result comes back as a Python scalar.
+"""
+
+import cmath
+
+import numpy as np
 
 
 class QCExtError(Exception):
@@ -34,3 +41,22 @@ class ToleranceFailure(QCExtError, RuntimeError):
 
 class NonTermination(QCExtError, RuntimeError):
     """A guarded recursion exceeded its round limit."""
+
+
+def raise_at_first(bad, values, message: str, nonfinite: str | None = None):
+    """Raise DomainError if the mask ``bad`` holds anywhere, with the first
+    such entry of ``values`` (same shape), in C order, formatted into
+    ``message`` at ``{}``; into ``nonfinite`` instead, when given and that
+    entry is not finite."""
+    bad = np.asarray(bad)
+    if bad.any():
+        first = np.asarray(values)[bad][0].item()
+        if nonfinite is not None and not cmath.isfinite(first):
+            message = nonfinite
+        raise DomainError(message.format(first))
+
+
+def scalar_or_array(out):
+    """``out`` (an ndarray or numpy scalar) as a Python float or complex with
+    the same bits when it is 0-d, else unchanged."""
+    return out.item() if out.ndim == 0 else out

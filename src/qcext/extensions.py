@@ -15,14 +15,13 @@ computed, with no clamping, so verification code can see violations.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, raise_at_first
 from .realmap import RealMap
 
 
@@ -30,13 +29,9 @@ def require_upper_half(z):
     """Validate that every point is finite with Im z > 0; returns z as given.
     The first bad point, in C order, is named in the DomainError."""
     w = np.asarray(z, dtype=complex)
-    bad = ~(np.isfinite(w) & (w.imag > 0))
-    if bad.any():
-        first = complex(w[bad][0])
-        if not cmath.isfinite(first):
-            raise DomainError(f"point must be finite, got z={first}")
-        raise DomainError(
-            f"point must lie in the open upper half-plane, got z={first}")
+    raise_at_first(~(np.isfinite(w) & (w.imag > 0)), w,
+                   "point must lie in the open upper half-plane, got z={}",
+                   "point must be finite, got z={}")
     return z
 
 

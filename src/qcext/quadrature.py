@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, raise_at_first, scalar_or_array
 
 
 @functools.cache
@@ -52,23 +52,26 @@ def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
 
 _MAX_DEPTH = 52  # refinement passes, each halving the panels that fail
 _ORDER = 16  # nodes of the panel rule; its embedded estimate takes half
+_MAX_PANELS = 4096  # panels of one integral
 
 
-def adaptive_integral(fun, a, b, tol=1e-10, max_panels: int = 4096):
+def adaptive_integral(fun, a, b, tol=1e-10):
     """Integrate ``fun`` over each [a_i, b_i] to absolute accuracy ``tol_i``.
 
     ``a``, ``b`` and ``tol`` broadcast; a float for scalar inputs, else an
     array of the broadcast shape.  Interval-halving on panels whose embedded
     error estimate exceeds the length-proportional share of their integral's
     ``tol``; the panels of all integrals are refined together, with one
-    ``panel_integrals`` call per order and pass.  Raises QuadratureFailure,
-    whose ``index`` is the flat index of the failing integral, when one
-    integral exceeds the panel budget or the depth limit is exhausted.
+    ``panel_integrals`` call per order and pass.  A ``tol`` that is not
+    positive and finite raises DomainError naming the first one.  Raises
+    QuadratureFailure, whose ``index`` is the flat index of the failing
+    integral, when one integral exceeds the panel budget or the depth limit
+    is exhausted.
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                       for v in (a, b, tol)))
-    if not (tol > 0).all():
-        raise ValueError("tol must be positive")
+    raise_at_first(~((tol > 0) & (tol < np.inf)), tol,
+                   "tol must be positive and finite, got {}")
     shape = a.shape
     a, b, tol = a.ravel(), b.ravel(), tol.ravel()
     lo0, hi0 = np.minimum(a, b), np.maximum(a, b)
@@ -92,11 +95,11 @@ def adaptive_integral(fun, a, b, tol=1e-10, max_panels: int = 4096):
         hi = np.concatenate([mid, hi])
         owner = np.concatenate([owner, owner])
         panels = np.bincount(owner, minlength=a.size)
-        if (panels > max_panels).any():
-            j = int(np.argmax(panels > max_panels))
+        if (panels > _MAX_PANELS).any():
+            j = int(np.argmax(panels > _MAX_PANELS))
             raise QuadratureFailure(
                 f"panel budget exceeded integrating over [{a[j]}, {b[j]}]: "
-                f"{panels[j]} panels (budget {max_panels}, tol {tol[j]:g})",
+                f"{panels[j]} panels (budget {_MAX_PANELS}, tol {tol[j]:g})",
                 index=j)
     if owner.size:
         j = int(owner.min())
@@ -104,5 +107,4 @@ def adaptive_integral(fun, a, b, tol=1e-10, max_panels: int = 4096):
             f"depth limit {_MAX_DEPTH} exceeded integrating over "
             f"[{a[j]}, {b[j]}]: {np.count_nonzero(owner == j)} panels left "
             f"(tol {tol[j]:g})", index=j)
-    total = np.where(b < a, -total, total).reshape(shape)
-    return float(total) if total.ndim == 0 else total
+    return scalar_or_array(np.where(b < a, -total, total).reshape(shape))

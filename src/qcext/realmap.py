@@ -35,7 +35,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, QuadratureFailure
+from .errors import (DomainError, NonConvergence, QuadratureFailure,
+                     raise_at_first, scalar_or_array)
 from .quadrature import panel_integrals, panel_samples
 
 # sup |p'| for the bump profile p(t) = (1 - t^2)^3, attained at t = 1/sqrt(5)
@@ -57,13 +58,6 @@ def _same_map(f: "RealMap", g: "RealMap") -> bool:
     construction parameters (the algebra is deterministic, so an equal
     description is an equal map)."""
     return f is g or f.to_dict() == g.to_dict()
-
-
-def _require_finite(v: np.ndarray, name: str):
-    """Raise DomainError naming the first non-finite entry of the flat v."""
-    bad = ~np.isfinite(v)
-    if bad.any():
-        raise DomainError(f"{name} must be finite, got {name}={float(v[bad][0])}")
 
 
 class RealMap:
@@ -96,8 +90,7 @@ class RealMap:
     @staticmethod
     def _apply(op, x):
         arr = np.asarray(x, dtype=float)
-        out = op(arr.ravel()).reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        return scalar_or_array(op(arr.ravel()).reshape(arr.shape))
 
     def __call__(self, x):
         return self._apply(self._eval, x)
@@ -421,7 +414,7 @@ class PowerIntegral(RealMap):
             return self._table
 
     def _eval(self, x):
-        _require_finite(x, "x")
+        raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
         if x.size == 0:
             return x.copy()
         edges, cum, flat = self._ensure_table(float(x.min()), float(x.max()))
@@ -500,8 +493,8 @@ class InverseMap(RealMap):
     def __init__(self, base: RealMap, value_tol: float = 1e-11):
         if not base.bilipschitz:
             raise DomainError("only bi-Lipschitz maps have certified inverses")
-        if not value_tol > 0:
-            raise DomainError(f"value_tol must be positive, got {value_tol}")
+        raise_at_first(not 0 < value_tol < math.inf, value_tol,
+                       "value_tol must be positive and finite, got {}")
         super().__init__(1.0 / base.deriv_hi, 1.0 / base.deriv_lo)
         self.base = base
         self.value_tol = float(value_tol)
@@ -751,8 +744,10 @@ def sampled_monotone(xs, ys) -> SampledMonotone:
 
 # -- inversion -------------------------------------------------------------
 
-def _invert_array(f: RealMap, y: np.ndarray, tol: float,
-                  max_iter: int = 200) -> np.ndarray:
+_MAX_ITER = 200  # passes of one inversion
+
+
+def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     """Solve f(x) = y for a flat y to |f(x) - y| <= tol by safeguarded Newton.
 
     ``f._inverse_start`` supplies a certified bracket of each preimage and a
@@ -772,9 +767,7 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
     is affine, a start one ulp from the root has a Newton step that lands on
     the bracket end, and bisection would not end); the others bisect.
     """
-    if not f.bilipschitz:
-        raise DomainError("inversion requires certified positive slope bounds")
-    _require_finite(y, "y")
+    raise_at_first(~np.isfinite(y), y, "y must be finite, got y={}")
     if y.size == 0:
         return y.copy()
     b, B = f.deriv_bounds()
@@ -788,7 +781,7 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
     slope = np.full(y.shape, np.nan)   # f' of each point's last Newton step
     dx = hi - lo                       # the length of each point's last step
     act = np.arange(y.size)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         xa = x[act]
         r = np.asarray(f(xa)) - y[act]
         below = r < 0.0
@@ -824,16 +817,8 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float,
     if np.all(r <= tol):
         return x
     raise NonConvergence(
-        f"inversion did not reach tol={tol:g} in {max_iter} iterations "
+        f"inversion did not reach tol={tol:g} in {_MAX_ITER} iterations "
         f"(worst residual {float(r.max()):.3g}); map may be malformed")
-
-
-def invert_at(f: RealMap, y: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Solve f(x) = y to |f(x) - y| <= tol; safeguarded Newton from the
-    bracket the map supplies (see ``_invert_array``)."""
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    return float(_invert_array(f, np.asarray([y], dtype=float), tol, max_iter)[0])
 
 
 # -- map-description format -------------------------------------------------

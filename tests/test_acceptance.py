@@ -303,7 +303,7 @@ def test_criterion_11_douady_earle():
                                        cos_amps=rng.uniform(-0.05, 0.05, 3),
                                        sin_amps=rng.uniform(-0.05, 0.05, 3))
             z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            w = extend_de(f, z, tol=1e-10, max_iter=50)
+            w = extend_de(f, z, tol=1e-10)
             worst_defect = max(worst_defect, abs(de_defect(f, w, z, 512)))
         assert worst_defect <= 1e-10
         worst_nat = 0.0

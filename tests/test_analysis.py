@@ -14,7 +14,7 @@ from qcext.analysis import (boundary_residual, compare_dilatation, cubic_map,
                             sup_dilatation)
 from qcext.errors import DomainError
 from qcext.extensions import ExtParams, extend_family
-from qcext.realmap import (Affine, bump_map, identity, invert_at,
+from qcext.realmap import (Affine, bump_map, identity, inverse_map,
                            power_integral_map, sampled_monotone, taper)
 from conftest import make_bump_map, make_params
 
@@ -178,7 +178,7 @@ def test_cubic_is_gated_from_bilipschitz_machinery():
     with pytest.raises(DomainError):
         power_integral_map(cub, 0.5)
     with pytest.raises(DomainError):
-        invert_at(cub, 1.0, 1e-8)
+        inverse_map(cub, 1e-8)(1.0)
     with pytest.raises(DomainError):
         taper(cub, 1.0)
 

@@ -399,6 +399,9 @@ BAD_INPUTS = [
     # a circle-map file cut short, read like any other map file
     (["extend", "--method", "de", "--map", "@cut", *DISK_GRID], None,
      ["invalid JSON map description"]),
+    # a tolerance that is not finite, named
+    (["extend", "--method", "de", "--map", "@circle", "--tol", "inf", *DISK_GRID],
+     None, ["tol must be positive and finite, got inf"]),
 ]
 
 

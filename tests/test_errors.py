@@ -1,0 +1,114 @@
+"""The two conventions every operator on point arrays shares: a bad point
+raises DomainError naming the first one in C order, and a 0-d result is a
+Python float or complex."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qcext.analysis import (boundary_residual, compare_dilatation, cubic_map,
+                            dilatation_analytic, dilatation_numeric,
+                            pde_residual)
+from qcext.beurling_ahlfors import ba_affine_naturality_residual, extend_ba
+from qcext.douady_earle import MobiusAutomorphism, de_defect, extend_de
+from qcext.errors import DomainError
+from qcext.extensions import ExtParams, extend_ns
+from qcext.quadrature import adaptive_integral
+from qcext.realmap import Affine, PowerIntegral, bump_map, inverse_map
+
+F = bump_map(0.0, 1.0, 0.3)
+NS = ExtParams(1.0, 2.0)
+DISK = MobiusAutomorphism(0.3, 0.2 + 0.1j).boundary()
+NAN, INF = math.nan, math.inf
+
+
+def _numeric(z):
+    return dilatation_numeric(lambda w: extend_ns(F, w), z, 1e-3)
+
+
+def _flat_left(z):  # a map constant for x < 0, so |d_z F| vanishes there
+    return dilatation_numeric(lambda w: np.where(w.real < 0, 0.0, w), z, 1e-3)
+
+
+# (operator, a good point, the first bad point, a later bad point, the message)
+CASES = {
+    "half-plane": (lambda z: extend_ns(F, z), 0.3 + 0.5j, complex(0.5, -0.0),
+                   complex(NAN, 1.0),
+                   "point must lie in the open upper half-plane, got z=(0.5-0j)"),
+    "half-plane non-finite": (lambda z: extend_ns(F, z), 0.3 + 0.5j,
+                              complex(NAN, 1.0), complex(0.5, -1.0),
+                              "point must be finite, got z=(nan+1j)"),
+    "disk z": (lambda z: extend_de(DISK, z), 0.1 + 0.2j, complex(-0.0, -1.0),
+               complex(INF, 0.0),
+               "z must lie strictly inside the unit disk, got z=(-0-1j)"),
+    "disk z non-finite": (lambda z: extend_de(DISK, z), 0.1 + 0.2j,
+                          complex(INF, 0.0), complex(-0.0, -1.0),
+                          "z must be finite, got z=(inf+0j)"),
+    "disk w": (lambda w: de_defect(DISK, w, 0.1j), 0.2 + 0j, complex(1.0, -0.0),
+               complex(NAN, 0.0),
+               "w must lie strictly inside the unit disk, got w=(1-0j)"),
+    "power-integral x": (PowerIntegral(F, 0.5), 0.5, -INF, NAN,
+                         "x must be finite, got x=-inf"),
+    "inversion y": (inverse_map(F), -0.0, NAN, INF, "y must be finite, got y=nan"),
+    "difference stencil": (_numeric, 0.3 + 0.5j, complex(-0.0, 0.002),
+                           complex(NAN, NAN),
+                           "need Im z > 2h for the difference stencil, "
+                           "got z=(-0+0.002j)"),
+    "Hessian stencil": (lambda z: pde_residual(F, NS, z, 1e-3), 0.3 + 0.5j,
+                        complex(0.25, 0.0015), complex(NAN, NAN),
+                        "need Im z > 2h for the Hessian stencil, "
+                        "got z=(0.25+0.0015j)"),
+    "degenerate stencil": (_flat_left, 0.5 + 1j, complex(-1.0, 1.0),
+                           complex(-2.0, 1.0),
+                           "degenerate point z=(-1+1j): |d_z F| below 1e-12"),
+    "undefined dilatation": (lambda z: dilatation_analytic(cubic_map(), NS, z),
+                             0.3 + 0.5j, complex(-0.5, 0.5), complex(-1.0, 1.0),
+                             "derivative must be positive on evaluation points, "
+                             "not at z=(-0.5+0.5j)"),
+    "BA window": (lambda z: extend_ba(F, z), 0.3 + 0.5j, complex(1e300, 1e-300),
+                  complex(-1e300, 1e-290),
+                  "averaging window of z=(1e+300+1e-300j) vanishes in "
+                  "floating point"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_first_bad_point_is_named_exactly(case):
+    op, good, bad, later, message = CASES[case]
+    for points in (bad, np.array(bad), np.array([good, bad, later]),
+                   np.array([[good, good], [bad, later]])):
+        with pytest.raises(DomainError) as info:
+            op(points)
+        assert str(info.value) == message
+
+
+ZERO_D = {
+    "map value": (lambda: F(0.3), float),
+    "map slope": (lambda: F.deriv(np.float64(0.3)), float),
+    "map second derivative": (lambda: F.second_deriv(np.array(0.3)), float),
+    "power integral": (lambda: PowerIntegral(F, 0.5)(0.3), float),
+    "inverse": (lambda: inverse_map(F)(0.3), float),
+    "extend_ba": (lambda: extend_ba(F, 0.3 + 0.5j), complex),
+    "ba naturality": (lambda: ba_affine_naturality_residual(
+        F, Affine(2.0, 1.0), 0.3 + 0.5j), float),
+    "extend_de": (lambda: extend_de(DISK, 0.1 + 0.2j), complex),
+    "de_defect": (lambda: de_defect(DISK, 0.2, 0.1j), complex),
+    "analytic dilatation": (lambda: dilatation_analytic(F, NS, 0.3 + 0.5j).analytic,
+                            float),
+    "theta": (lambda: dilatation_analytic(F, NS, 0.3 + 0.5j).theta, float),
+    "alpha 0 theta": (lambda: dilatation_analytic(F, ExtParams(0.0, 0.0),
+                                                  0.3 + 0.5j).theta, float),
+    "numeric dilatation": (lambda: _numeric(0.3 + 0.5j), float),
+    "dilatation gap": (lambda: compare_dilatation(F, NS, 0.3 + 0.5j, 1e-3).gap, float),
+    "boundary residual": (lambda: boundary_residual(NS, F, y=0.1), float),
+    "pde residual": (lambda: pde_residual(F, NS, 0.3 + 0.5j), float),
+    "adaptive integral": (lambda: adaptive_integral(np.cos, 0.0, 1.0), float),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_D)
+def test_zero_d_results_are_python_scalars(case):
+    call, kind = ZERO_D[case]
+    # a numpy scalar would pass isinstance
+    assert type(call()) is kind

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qcext.errors import NonConvergence, QuadratureFailure
+import qcext.quadrature as quadrature
+from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.quadrature import adaptive_integral, gauss_legendre, panel_integrals
 
 
@@ -41,12 +42,12 @@ def test_adaptive_handles_kinked_integrand():
     assert val == pytest.approx(exact, abs=1e-11)
 
 
-def test_adaptive_raises_when_budget_exhausted():
+def test_adaptive_raises_when_budget_exhausted(monkeypatch):
     # unresolvable oscillation keeps every panel's error estimate above its
     # share until the panel budget runs out
-    with pytest.raises(QuadratureFailure):
-        adaptive_integral(lambda t: np.sin(1e9 * t), 0.0, 1.0, 1e-12,
-                          max_panels=512)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 512)
+    with pytest.raises(QuadratureFailure, match=r"\(budget 512,"):
+        adaptive_integral(lambda t: np.sin(1e9 * t), 0.0, 1.0, 1e-12)
 
 
 def test_adaptive_array_matches_scalar_calls():
@@ -65,17 +66,20 @@ def test_adaptive_array_matches_scalar_calls():
             assert abs(got[i, j] - ref) <= 2 * tol[j]
 
 
-def test_adaptive_array_failure_names_the_integral():
+def test_adaptive_array_failure_names_the_integral(monkeypatch):
     fun = lambda t: np.where(t > 5.0, np.sin(1e9 * t), t)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 512)
     with pytest.raises(QuadratureFailure, match=r"\[6\.0, 7\.0\].*panels") as info:
-        adaptive_integral(fun, [0.0, 6.0, 1.0], [1.0, 7.0, 2.0], 1e-12,
-                          max_panels=512)
+        adaptive_integral(fun, [0.0, 6.0, 1.0], [1.0, 7.0, 2.0], 1e-12)
     assert info.value.index == 1
 
 
 def test_adaptive_rejects_bad_tol():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^tol must be positive and finite, got 0\.0$"):
         adaptive_integral(np.sin, 0.0, 1.0, 0.0)
+    # the first bad tolerance of a batch, in C order, is named
+    with pytest.raises(DomainError, match=r"got inf$"):
+        adaptive_integral(np.sin, 0.0, 1.0, [[1e-10, math.inf], [math.nan, 0.0]])
 
 
 def test_disk_solver_reports_unreachable_tolerance(rng):

@@ -13,7 +13,7 @@ from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.quadrature import panel_integrals
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile,
                            IdentityPlusBump, PowerIntegral, _invert_array,
-                           bump_map, compose, identity, inverse_map, invert_at,
+                           bump_map, compose, identity, inverse_map,
                            map_from_dict, power_integral_map, sampled_monotone,
                            taper)
 from conftest import make_bump_map
@@ -161,11 +161,11 @@ def test_rejects_nonpositive_lower_bound():
 # -- inversion ------------------------------------------------------------------
 
 def test_invert_affine():
-    assert invert_at(Affine(2.0, 1.0), 7.0, 1e-12) == pytest.approx(3.0, abs=1e-12)
+    assert inverse_map(Affine(2.0, 1.0), 1e-12)(7.0) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_invert_identity():
-    assert invert_at(identity(), math.pi, 1e-12) == pytest.approx(math.pi, abs=1e-12)
+    assert inverse_map(identity(), 1e-12)(math.pi) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_invert_against_bisection_oracle():
@@ -180,8 +180,8 @@ def test_invert_against_bisection_oracle():
         else:
             hi = mid
     oracle = 0.5 * (lo + hi)
-    assert invert_at(f, y, 1e-10) == pytest.approx(oracle, abs=1e-8)
-    assert invert_at(f, y, 1e-10) == pytest.approx(0.4, abs=1e-9)
+    assert inverse_map(f, 1e-10)(y) == pytest.approx(oracle, abs=1e-8)
+    assert inverse_map(f, 1e-10)(y) == pytest.approx(0.4, abs=1e-9)
 
 
 def test_invert_roundtrip_random(rng):
@@ -190,7 +190,7 @@ def test_invert_roundtrip_random(rng):
         if f.deriv_lo < 0.5:
             continue
         for x in rng.uniform(-8, 8, 5):
-            x_hat = invert_at(f, f(float(x)), tol)
+            x_hat = inverse_map(f, tol)(f(float(x)))
             assert abs(x_hat - x) <= 2 * tol
 
 
@@ -204,10 +204,8 @@ def test_inverse_map_bounds_and_values():
 
 
 def test_invert_requires_positive_tol():
-    with pytest.raises(DomainError):
-        invert_at(identity(), 1.0, 0.0)
     # refused when built, not after the passes of its first evaluation
-    for value_tol in (0.0, -1e-11, math.nan):
+    for value_tol in (0.0, -1e-11, math.nan, math.inf):
         for build in (inverse_map, realmap.InverseMap):
             with pytest.raises(DomainError, match="value_tol must be positive"):
                 build(bump_map(0.0, 1.0, 0.3), value_tol)
@@ -241,22 +239,22 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     make = lambda: PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     # y = 0 on a fresh table, on a table built only at 0, and through the
     # inverse map all give 0
-    assert invert_at(make(), 0.0) == 0.0
+    assert inverse_map(make(), 1e-10)(0.0) == 0.0
     assert inverse_map(make())(0.0) == 0.0
     assert np.array_equal(inverse_map(make())(np.zeros(3)), np.zeros(3))
     f = make()
     assert f(0.0) == 0.0
-    assert invert_at(f, 0.0) == 0.0
+    assert inverse_map(f, 1e-10)(0.0) == 0.0
     f = make()
     f(2.0)
     edges, cum, flat = f._table
     # P(edges[i]) == cum[i] bit for bit, so a table entry inverts exactly
     assert np.array_equal(f(edges), cum)
     assert np.array_equal(_invert_array(f, cum, 1e-12), edges)
-    assert invert_at(f, 0.0, 1e-12) == 0.0
+    assert inverse_map(f, 1e-12)(0.0) == 0.0
     # a preimage past the table end grows the table; the held entries stay
     y = f.deriv_hi * 40.0
-    x = invert_at(f, y, 1e-11)
+    x = inverse_map(f)(y)
     assert abs(f(x) - y) <= 1e-11
     edges2, cum2, flat2 = f._table
     assert edges2[-1] >= x
@@ -276,7 +274,7 @@ def test_inversion_table_grows_near_the_preimages():
     f = PowerIntegral(g, 2.0)
     assert f.deriv_lo < 1e-5
     for y in (3.0, -3.0, 40.0):
-        x = invert_at(f, y, 1e-11)
+        x = inverse_map(f)(y)
         assert abs(f(x) - y) <= 1e-11
     edges, _, _ = f._table
     assert -6.0 < edges[0] and edges[-1] < 60.0
@@ -310,7 +308,7 @@ def test_fresh_inversion_of_zero_evaluates_nothing_past_the_table_build(monkeypa
         slopes.clear()
 
     monkeypatch.setattr(f, "_build_table", build_then_forget)
-    assert invert_at(f, 0.0) == 0.0
+    assert inverse_map(f, 1e-10)(0.0) == 0.0
     assert f._table is not None and slopes == []
 
 
@@ -341,22 +339,23 @@ def test_inversion_round_trips_match_brentq():
             assert np.max(np.abs(got - xs)) <= 2e-12 / f.deriv_lo
 
 
-def test_inversion_raises_nonconvergence():
+def test_inversion_raises_nonconvergence(monkeypatch):
     f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     with pytest.raises(NonConvergence, match=r"tol=1e-30 in 200 iterations"):
         _invert_array(f, np.linspace(-0.9, 0.9, 101), 1e-30)
     y = f(np.array([0.37, -0.61]))
+    monkeypatch.setattr(realmap, "_MAX_ITER", 1)
     with pytest.raises(NonConvergence, match=r"in 1 iterations"):
-        invert_at(f, float(y[0]), 1e-12, max_iter=1)
+        inverse_map(f, 1e-12)(float(y[0]))
     with pytest.raises(NonConvergence):
-        invert_at(bump_map(0.0, 1.0, 0.3), 0.37, 1e-12, max_iter=1)
+        inverse_map(bump_map(0.0, 1.0, 0.3), 1e-12)(0.37)
 
 
 def test_inversion_generic_path_inverts_an_inverse_map():
     g = bump_map(0.1, 1.0, 0.3)
     inv = inverse_map(g)
     for x in (-1.7, -0.4, 0.0, 0.55, 3.0):
-        assert invert_at(inv, x, 1e-12) == pytest.approx(g(x), abs=1e-11)
+        assert inverse_map(inv, 1e-12)(x) == pytest.approx(g(x), abs=1e-11)
     xs = np.linspace(-2.0, 2.0, 41)
     assert np.max(np.abs(inverse_map(inv)(xs) - g(xs))) <= 1e-10
 
@@ -364,7 +363,7 @@ def test_inversion_generic_path_inverts_an_inverse_map():
 def test_non_finite_values_raise_domain_error():
     f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     with pytest.raises(DomainError, match="y=nan"):
-        invert_at(f, math.nan)
+        inverse_map(f, 1e-10)(math.nan)
     with pytest.raises(DomainError, match="y=inf"):
         inverse_map(f)(math.inf)
     with pytest.raises(DomainError, match="y=-inf"):
@@ -386,11 +385,11 @@ def test_power_integral_table_has_a_panel_budget():
                        match=r"over \[-0\.25, 1e\+06\] would need more than 65536 panels"):
         f(1e6)
     with pytest.raises(QuadratureFailure, match="panels"):
-        invert_at(f, -1e300)
+        inverse_map(f, 1e-10)(-1e300)
     # the distance to the preimage overflows to inf
     for y in (1.7e308, -1.7e308):
         with pytest.raises(QuadratureFailure, match="panels"):
-            invert_at(f, y)
+            inverse_map(f, 1e-10)(y)
     assert f(3.0) == PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)(3.0)  # intact
 
 
