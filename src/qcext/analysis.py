@@ -280,7 +280,6 @@ class CubicMap(RealMap):
     """
 
     kind = "cubic"
-    has_second_deriv = True
 
     def __init__(self):
         super().__init__(0.0, math.inf, bilipschitz=False)
@@ -310,7 +309,6 @@ class QuadraticWindowMap(RealMap):
     """
 
     kind = "quadratic-window"
-    has_second_deriv = True
 
     def __init__(self, window_lo: float = 1.0, window_hi: float = 4.0,
                  ramp: float = 0.25):

@@ -47,19 +47,23 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
     [x - y, x] and [x, x + y].  The integrand has a kink only at t = 0, the
     shared endpoint of the two, so it is a fixed breakpoint.  The
     half-windows of all points go to one ``adaptive_integral`` call, each
-    with its own tolerance.  All points are validated before any is
-    integrated; the first bad one, in C order, raises DomainError.
+    with the tolerance ``quad_tol`` times its width.  All points are
+    validated before any is integrated; the first bad one, in C order,
+    raises DomainError: first a window whose tolerance rounds to 0, then
+    one past the float range.
     """
     z = require_upper_half(np.asarray(z, dtype=complex))
     x, y = z.real, z.imag
-    lo = np.stack([x - y, x])
-    hi = np.stack([x, x + y])
-    span = hi - lo
-    raise_at_first(~(span > 0), np.broadcast_to(z, span.shape),
-                   "averaging window of z={} vanishes in floating point")
+    with np.errstate(over="ignore"):  # an overflowed window is refused below
+        lo = np.stack([x - y, x])
+        hi = np.stack([x, x + y])
+        span = hi - lo
+        tol = cfg.quad_tol * span
+    for ok, what in ((tol > 0, "vanishes"), (tol < np.inf, "overflows")):
+        raise_at_first(~ok, np.broadcast_to(z, span.shape),
+                       f"averaging window of z={{}} {what} in floating point")
     try:
-        i_minus, i_plus = adaptive_integral(f, lo, hi,
-                                            cfg.quad_tol * span) / span
+        i_minus, i_plus = adaptive_integral(f, lo, hi, tol) / span
     except QuadratureFailure as exc:
         if exc.index is None:  # raised by f, e.g. by a power-integral table
             raise

@@ -40,7 +40,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, NonTermination, ToleranceFailure
+from .errors import (DomainError, NonTermination, ToleranceFailure,
+                     raise_at_first)
 from .realmap import (Affine, RealMap, compose, inverse_map, power_integral_map)
 
 
@@ -90,12 +91,13 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization
     """Factor f into maps with certified ||f_j' - 1||_inf < eps0.
 
     The recomposition is checked against f at 1000 evenly spaced points of
-    [-10, 10]; a sup-error above ``tol`` raises ToleranceFailure.
+    [-10, 10]; a sup-error above ``tol`` raises ToleranceFailure, and a
+    ``tol`` that is not positive and finite raises DomainError.
     """
     if not 0 < eps0 < 1:
         raise DomainError(f"eps0 must lie in (0, 1), got {eps0}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    raise_at_first(not 0 < tol < math.inf, tol,
+                   "tol must be positive and finite, got {}")
     if not f.bilipschitz:
         raise DomainError("decomposition requires certified positive slope bounds")
     b, B = f.deriv_bounds()

@@ -11,10 +11,10 @@ factorization routine) possible.
 All maps are immutable after construction; evaluation accepts scalars or
 ndarrays and is safe to share across threads.  The only internal mutable
 state is the power-integral table, which grows under a lock by appending
-panels and never changes an entry it holds, so a value does not depend on
-what was evaluated before.  A point at a table edge, or on a panel where
-the integrand is one value, is evaluated from the table alone.  Maps may
-list the points where their derivative is not smooth (``breakpoints``);
+panels and never changes an entry it holds, so neither a value nor a
+refusal depends on what was evaluated before.  A point at a table edge, or
+on a panel where the integrand is one value, is evaluated from the table
+alone.  Maps may list the points where their derivative is not smooth (``breakpoints``);
 tables put panel edges there.  Monotone inversion is one safeguarded Newton
 loop that starts from a bracket the map supplies: the certified slope
 bracket, or one table panel for a power integral.  ``map_from_dict`` builds
@@ -64,7 +64,6 @@ class RealMap:
     """Base class: a strictly increasing C^1 map with certified slope bounds."""
 
     kind = "abstract"
-    has_second_deriv = False  # a property where it depends on the parts
 
     def __init__(self, deriv_lo: float, deriv_hi: float, bilipschitz: bool = True):
         if bilipschitz and not deriv_lo > 0:
@@ -97,6 +96,13 @@ class RealMap:
 
     def deriv(self, x):
         return self._apply(self._deriv, x)
+
+    @property
+    def has_second_deriv(self) -> bool:
+        """Whether the map exposes a continuous second derivative: its kind
+        defines ``_second`` and every map it is built from has one."""
+        return hasattr(self, "_second") and all(
+            m.has_second_deriv for m in self.children())
 
     def second_deriv(self, x):
         if not self.has_second_deriv:
@@ -153,7 +159,6 @@ class Affine(RealMap):
     """x -> slope * x + intercept with slope > 0."""
 
     kind = "affine"
-    has_second_deriv = True
 
     def __init__(self, slope: float, intercept: float = 0.0):
         if not slope > 0:
@@ -230,7 +235,6 @@ class IdentityPlusBump(RealMap):
     """
 
     kind = "identity-plus-bump"
-    has_second_deriv = True
 
     def __init__(self, bumps):
         bumps = tuple(bumps)
@@ -295,6 +299,9 @@ class PowerIntegral(RealMap):
     panel on each side of 0 and grows outward on demand by appending panels
     and accumulating ``cum`` outward from 0, so growing never changes an
     entry it holds and a value does not depend on what was evaluated before.
+    A call grows it to the coarse edges around the range the call asks for,
+    and the ``_MAX_PANELS`` limit applies to that range alone, so what was
+    evaluated before does not decide whether a call is refused either.
     ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
     preimage to one panel by ``searchsorted`` on ``cum``.
     Certified bounds are the interval power of the base bounds.
@@ -361,16 +368,18 @@ class PowerIntegral(RealMap):
 
     def _build_table(self, lo: float, hi: float):
         """Grow the table outward until it covers [lo, hi] and at least one
-        coarse panel on each side of 0; both new sides are refined together."""
-        table = self._table
-        edges, cum, flat = table if table is not None else (
-            np.zeros(1), np.zeros(1), np.full(1, np.nan))
-        lo = float(min(lo, edges[0], -self._PANEL))
-        hi = float(max(hi, edges[-1], self._PANEL))
+        coarse panel on each side of 0; both new sides are refined together.
+        The panel limit applies to that range alone, as on a fresh map, not
+        to its union with the table held."""
+        lo, hi = float(min(lo, -self._PANEL)), float(max(hi, self._PANEL))
         if not hi - lo <= self._MAX_PANELS * self._PANEL:  # inf and nan too
             raise QuadratureFailure(
                 f"a power-integral table over [{lo:.6g}, {hi:.6g}] would need "
                 f"more than {self._MAX_PANELS} panels")
+        table = self._table
+        edges, cum, flat = table if table is not None else (
+            np.zeros(1), np.zeros(1), np.full(1, np.nan))
+        lo, hi = min(lo, float(edges[0])), max(hi, float(edges[-1]))
         k_lo, k_hi = math.floor(lo / self._PANEL), math.ceil(hi / self._PANEL)
         kinks = np.asarray(self.base.breakpoints(), dtype=float)
 
@@ -395,22 +404,16 @@ class PowerIntegral(RealMap):
             np.concatenate([sums[on_left], flat[:-1], sums[~on_left], [np.nan]]))
 
     def _ensure_table(self, lo: float, hi: float):
-        """The table, grown if needed to cover [min(lo, 0), max(hi, 0)]; a
-        side that must grow grows by at least a quarter of the table span."""
+        """The table, grown if needed to cover [min(lo, 0), max(hi, 0)] and
+        no further than ``_build_table`` rounds that range out."""
         lo, hi = min(lo, 0.0), max(hi, 0.0)
         table = self._table
         if table is not None and table[0][0] <= lo and table[0][-1] >= hi:
             return table
         with self._lock:
             table = self._table
-            if table is not None:
-                e0, e1 = float(table[0][0]), float(table[0][-1])
-                if e0 <= lo and e1 >= hi:
-                    return table
-                grow = 0.25 * (e1 - e0)
-                lo = min(lo, e0 - grow) if lo < e0 else lo
-                hi = max(hi, e1 + grow) if hi > e1 else hi
-            self._build_table(lo, hi)
+            if table is None or table[0][0] > lo or table[0][-1] < hi:
+                self._build_table(lo, hi)
             return self._table
 
     def _eval(self, x):
@@ -437,16 +440,15 @@ class PowerIntegral(RealMap):
         """One table panel per point: grow the table until ``cum`` brackets y,
         find the panel by ``searchsorted`` and start at its secant point.
 
-        Each round extends a short side by the missing height over the mean
-        slope of its outermost panel (1 before the first build), clamped to
-        the certified bounds, and by at least one coarse panel;
-        ``_ensure_table`` adds at least a quarter of the span, so the rounds
-        are few.  Going by deriv_lo would take one round but may ask for a
-        table far past the preimages when deriv_lo is far below the slope
-        there."""
-        def reach(gap, panel):  # x distance to add for a missing height gap
-            if not gap > 0.0:
-                return 0.0
+        Each round asks only for the sides that do not bracket y yet (0 for
+        a side that does), so the panel limit applies to what the preimages
+        need, not to the table held.  A short side is extended by the
+        missing height over the mean slope of its outermost panel (1 before
+        the first build), clamped to the certified bounds, and by at least
+        one coarse panel.  Going by deriv_lo would take one round but may
+        ask for a table far past the preimages when deriv_lo is far below
+        the slope there."""
+        def reach(gap, panel):  # x distance to add for a missing height gap > 0
             slope = 1.0
             if cum.size > 1:
                 slope = float((cum[panel + 1] - cum[panel])
@@ -458,17 +460,13 @@ class PowerIntegral(RealMap):
         table = self._table  # P(0) = 0 stands in for a table not built yet
         edges, cum = table[:2] if table is not None else (np.zeros(1), np.zeros(1))
         while cum.size < 2 or cum[0] > y0 or cum[-1] < y1:
-            edges, cum, _ = self._ensure_table(
-                edges[0] - reach(float(cum[0]) - y0, 0),
-                edges[-1] + reach(y1 - float(cum[-1]), -2))
+            lo = edges[0] - reach(float(cum[0]) - y0, 0) if cum[0] > y0 else 0.0
+            hi = edges[-1] + reach(y1 - float(cum[-1]), -2) if cum[-1] < y1 else 0.0
+            edges, cum, _ = self._ensure_table(lo, hi)
         i = np.clip(np.searchsorted(cum, y, side="right") - 1, 0, cum.size - 2)
         lo, hi = edges[i], edges[i + 1]
         x0 = lo + (y - cum[i]) / (cum[i + 1] - cum[i]) * (hi - lo)
         return lo, hi, np.clip(x0, lo, hi)
-
-    @property
-    def has_second_deriv(self):
-        return self.base.has_second_deriv
 
     def _second(self, x):
         d = self.base.deriv(x)
@@ -483,24 +481,22 @@ def power_integral_map(f: RealMap, alpha: float) -> RealMap:
 
 
 class InverseMap(RealMap):
-    """Lazy monotone inverse; values come from ``_invert_array`` on the base,
-    which starts from the bracket the base supplies (one table panel for a
-    power integral, the certified slope bracket otherwise).
+    """Lazy monotone inverse; values come from ``_invert_array`` on the base
+    to the residual ``_VALUE_TOL``, starting from the bracket the base
+    supplies (one table panel for a power integral, the certified slope
+    bracket otherwise).  Like every kind, it is fixed by its description.
     """
 
     kind = "inverse"
 
-    def __init__(self, base: RealMap, value_tol: float = 1e-11):
+    def __init__(self, base: RealMap):
         if not base.bilipschitz:
             raise DomainError("only bi-Lipschitz maps have certified inverses")
-        raise_at_first(not 0 < value_tol < math.inf, value_tol,
-                       "value_tol must be positive and finite, got {}")
         super().__init__(1.0 / base.deriv_hi, 1.0 / base.deriv_lo)
         self.base = base
-        self.value_tol = float(value_tol)
 
     def _eval(self, y):
-        return _invert_array(self.base, y, self.value_tol)
+        return _invert_array(self.base, y, _VALUE_TOL)
 
     def _deriv(self, y):
         return 1.0 / self.base.deriv(self._eval(y))
@@ -508,18 +504,14 @@ class InverseMap(RealMap):
     def breakpoints(self):
         return self.base(self.base.breakpoints())
 
-    @property
-    def has_second_deriv(self):
-        return self.base.has_second_deriv
-
     def _second(self, y):
         u = self._eval(y)
         d = self.base.deriv(u)
         return -self.base.second_deriv(u) / d ** 3
 
 
-def inverse_map(f: RealMap, value_tol: float = 1e-11) -> InverseMap:
-    return InverseMap(f, value_tol)
+def inverse_map(f: RealMap) -> InverseMap:
+    return InverseMap(f)
 
 
 class Composition(RealMap):
@@ -570,10 +562,6 @@ class Composition(RealMap):
         if self.outer.deriv_lo == self.outer.deriv_hi:
             return self.outer.deriv_lo * di  # constant outer slope
         return self.outer._deriv(self.inner._eval(x)) * di
-
-    @property
-    def has_second_deriv(self):
-        return self.outer.has_second_deriv and self.inner.has_second_deriv
 
     def _second(self, x):
         u = self.inner._eval(x)
@@ -744,7 +732,8 @@ def sampled_monotone(xs, ys) -> SampledMonotone:
 
 # -- inversion -------------------------------------------------------------
 
-_MAX_ITER = 200  # passes of one inversion
+_MAX_ITER = 200     # passes of one inversion
+_VALUE_TOL = 1e-11  # residual |f(x) - y| of an inverse map's values
 
 
 def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:

@@ -145,6 +145,21 @@ def test_extend_alpha_zero_without_second_derivative_has_empty_column(tmp_path):
         assert dil == ""
 
 
+def test_extend_alpha_zero_on_a_power_integral_writes_the_dilatation(tmp_path):
+    # a power integral of a bump has a second derivative, which the alpha = 0
+    # dilatation reads
+    desc = {"kind": "power-integral", "base": BUMP, "exponent": 0.5}
+    map_file = write_json(tmp_path / "power.json", desc)
+    out = tmp_path / "out.csv"
+    assert main(["extend", "--map", map_file, "--method", "family", "--a", "0.4",
+                 "--alpha", "0", "--nx", "4", "--ny", "4", "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    ref, _ = dilatation_values(map_from_dict(desc), ExtParams(0.4, 0.0),
+                               half_plane_grid(-2.0, 2.0, 1e-2, 2.0, 4, 4))
+    assert [dil for *_, dil in rows] == [repr(d) for d in ref.tolist()]
+    assert all(dil != "" for *_, dil in rows)
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # qcext never imports scipy: the CLI runs, sampled-monotone maps included,
     # with the import blocked
@@ -236,6 +251,45 @@ def test_verify_homomorphism_passes(capsys):
 
 def test_verify_group_action_passes(capsys):
     assert main(["verify", "--suite", "group-action", "--trials", "5"]) == 0
+
+
+# the report of each suite whose trial loop no other test runs, at
+# --trials 2 --seed 0, byte for byte
+SUITE_REPORTS = {
+    "dilatation": (
+        "PASS dilatation trial 00 sup vs certified bound: 0.294358 (<= 0.500703)\n"
+        "PASS dilatation trial 00 numeric gap: 5.33686e-07 (<= 1e-05)\n"
+        "PASS dilatation trial 01 sup vs certified bound: 0.136458 (<= 0.563207)\n"
+        "PASS dilatation trial 01 numeric gap: 1.80411e-09 (<= 1e-05)\n"
+        "suite dilatation: 4/4 checks passed\n"),
+    "ba-naturality": (
+        "PASS printed normalization pins E(Id) = x + i y/2: 0 (<= 1e-10)\n"
+        "PASS affine naturality trial 00 (im_scale=2): 4.74287e-16 (<= 1e-09)\n"
+        "PASS affine naturality trial 01 (im_scale=2): 4.96507e-16 (<= 1e-09)\n"
+        "suite ba-naturality: 3/3 checks passed\n"),
+    "de-naturality": (
+        "PASS mobius fixing trial 00: 2.77556e-17 (<= 1e-06)\n"
+        "PASS naturality (post) trial 00: 1.14439e-16 (<= 1e-05)\n"
+        "PASS naturality (pre) trial 00: 1.73472e-16 (<= 1e-05)\n"
+        "PASS mobius fixing trial 01: 1.11022e-16 (<= 1e-06)\n"
+        "PASS naturality (post) trial 01: 1.33458e-15 (<= 1e-05)\n"
+        "PASS naturality (pre) trial 01: 1.38778e-16 (<= 1e-05)\n"
+        "suite de-naturality: 6/6 checks passed\n"),
+    "decompose": (
+        "PASS decompose trial 00 factor certification: 0.136486 (<= 0.2)\n"
+        "PASS decompose trial 00 recomposition error: 4.44089e-16 (<= 1e-06)\n"
+        "PASS decompose trial 01 factor certification: 0.198375 (<= 0.2)\n"
+        "PASS decompose trial 01 recomposition error: 0 (<= 1e-06)\n"
+        "suite decompose: 4/4 checks passed\n"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_REPORTS)
+def test_verify_suite_report_at_two_trials(capsys, suite):
+    assert main(["verify", "--suite", suite, "--trials", "2", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == SUITE_REPORTS[suite]
+    assert captured.err == ""
 
 
 def test_verify_dilatation_cubic_expected_failure(tmp_path, capsys):
@@ -402,6 +456,16 @@ BAD_INPUTS = [
     # a tolerance that is not finite, named
     (["extend", "--method", "de", "--map", "@circle", "--tol", "inf", *DISK_GRID],
      None, ["tol must be positive and finite, got inf"]),
+    (["decompose", "--map", "@map", "--eps0", "0.2", "--tol", "inf"], None,
+     ["tol must be positive and finite, got inf"]),
+    # an averaging window whose tolerance underflows, or that overflows, is
+    # named by its point, not by the tolerance derived from it
+    (["extend", "--method", "ba", "--map", "@map", "--x-min=-1e-300", "--x-max", "0",
+      "--y-min", "1e-316", "--y-max", "2e-316", "--nx", "2", "--ny", "2"], None,
+     ["averaging window of z=(-1e-300+1e-316j) vanishes"]),
+    (["extend", "--method", "ba", "--map", "@map", "--x-min", "1e308", "--x-max",
+      "1.5e308", "--y-min", "1e308", "--y-max", "1.2e308", "--nx", "2", "--ny", "2"],
+     None, ["averaging window of z=(1e+308+1e+308j) overflows"]),
 ]
 
 

@@ -32,6 +32,12 @@ def counted(monkeypatch, obj, name):
     return calls
 
 
+def invert(f, y, tol):
+    """f^{-1}(y) for a float y, to the residual tol: what an inverse map
+    computes, at a tolerance of the caller's choice."""
+    return _invert_array(f, np.array([y], dtype=float), tol).item()
+
+
 def sample_maps(rng):
     """A handful of maps covering every constructor."""
     g = bump_map(0.0, 1.0, 0.3)
@@ -161,11 +167,11 @@ def test_rejects_nonpositive_lower_bound():
 # -- inversion ------------------------------------------------------------------
 
 def test_invert_affine():
-    assert inverse_map(Affine(2.0, 1.0), 1e-12)(7.0) == pytest.approx(3.0, abs=1e-12)
+    assert invert(Affine(2.0, 1.0), 7.0, 1e-12) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_invert_identity():
-    assert inverse_map(identity(), 1e-12)(math.pi) == pytest.approx(math.pi, abs=1e-12)
+    assert invert(identity(), math.pi, 1e-12) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_invert_against_bisection_oracle():
@@ -180,8 +186,8 @@ def test_invert_against_bisection_oracle():
         else:
             hi = mid
     oracle = 0.5 * (lo + hi)
-    assert inverse_map(f, 1e-10)(y) == pytest.approx(oracle, abs=1e-8)
-    assert inverse_map(f, 1e-10)(y) == pytest.approx(0.4, abs=1e-9)
+    assert invert(f, y, 1e-10) == pytest.approx(oracle, abs=1e-8)
+    assert invert(f, y, 1e-10) == pytest.approx(0.4, abs=1e-9)
 
 
 def test_invert_roundtrip_random(rng):
@@ -190,7 +196,7 @@ def test_invert_roundtrip_random(rng):
         if f.deriv_lo < 0.5:
             continue
         for x in rng.uniform(-8, 8, 5):
-            x_hat = inverse_map(f, tol)(f(float(x)))
+            x_hat = invert(f, f(float(x)), tol)
             assert abs(x_hat - x) <= 2 * tol
 
 
@@ -201,14 +207,6 @@ def test_inverse_map_bounds_and_values():
     x = 0.7
     assert inv(f(x)) == pytest.approx(x, abs=1e-9)
     assert inv.deriv(f(x)) == pytest.approx(1.0 / f.deriv(x), rel=1e-8)
-
-
-def test_invert_requires_positive_tol():
-    # refused when built, not after the passes of its first evaluation
-    for value_tol in (0.0, -1e-11, math.nan, math.inf):
-        for build in (inverse_map, realmap.InverseMap):
-            with pytest.raises(DomainError, match="value_tol must be positive"):
-                build(bump_map(0.0, 1.0, 0.3), value_tol)
 
 
 def _inversion_maps():
@@ -239,19 +237,19 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     make = lambda: PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     # y = 0 on a fresh table, on a table built only at 0, and through the
     # inverse map all give 0
-    assert inverse_map(make(), 1e-10)(0.0) == 0.0
+    assert invert(make(), 0.0, 1e-10) == 0.0
     assert inverse_map(make())(0.0) == 0.0
     assert np.array_equal(inverse_map(make())(np.zeros(3)), np.zeros(3))
     f = make()
     assert f(0.0) == 0.0
-    assert inverse_map(f, 1e-10)(0.0) == 0.0
+    assert invert(f, 0.0, 1e-10) == 0.0
     f = make()
     f(2.0)
     edges, cum, flat = f._table
     # P(edges[i]) == cum[i] bit for bit, so a table entry inverts exactly
     assert np.array_equal(f(edges), cum)
     assert np.array_equal(_invert_array(f, cum, 1e-12), edges)
-    assert inverse_map(f, 1e-12)(0.0) == 0.0
+    assert invert(f, 0.0, 1e-12) == 0.0
     # a preimage past the table end grows the table; the held entries stay
     y = f.deriv_hi * 40.0
     x = inverse_map(f)(y)
@@ -308,7 +306,7 @@ def test_fresh_inversion_of_zero_evaluates_nothing_past_the_table_build(monkeypa
         slopes.clear()
 
     monkeypatch.setattr(f, "_build_table", build_then_forget)
-    assert inverse_map(f, 1e-10)(0.0) == 0.0
+    assert invert(f, 0.0, 1e-10) == 0.0
     assert f._table is not None and slopes == []
 
 
@@ -322,7 +320,7 @@ def test_inversion_of_empty_and_zero_d_inputs():
         x = inv(np.float64(0.4))
         assert isinstance(x, float)
         assert x == inv(np.array([0.4]))[0]
-        assert abs(f(x) - 0.4) <= inv.value_tol
+        assert abs(f(x) - 0.4) <= realmap._VALUE_TOL
 
 
 def test_inversion_round_trips_match_brentq():
@@ -330,9 +328,8 @@ def test_inversion_round_trips_match_brentq():
     g = bump_map(0.2, 1.1, 0.3)
     for base in (g, compose(Affine(1.3, -0.4), g)):
         for f in (base, PowerIntegral(base, 0.7)):
-            inv = inverse_map(f, 1e-12)
             xs = np.linspace(-3.0, 3.0, 23)
-            got = inv(f(xs))
+            got = _invert_array(f, f(xs), 1e-12)
             for y, x in zip(f(xs), got):
                 ref = brentq(lambda t: f(t) - y, -10.0, 10.0, xtol=1e-15)
                 assert abs(x - ref) <= 2e-12 / f.deriv_lo
@@ -346,16 +343,16 @@ def test_inversion_raises_nonconvergence(monkeypatch):
     y = f(np.array([0.37, -0.61]))
     monkeypatch.setattr(realmap, "_MAX_ITER", 1)
     with pytest.raises(NonConvergence, match=r"in 1 iterations"):
-        inverse_map(f, 1e-12)(float(y[0]))
+        invert(f, float(y[0]), 1e-12)
     with pytest.raises(NonConvergence):
-        inverse_map(bump_map(0.0, 1.0, 0.3), 1e-12)(0.37)
+        invert(bump_map(0.0, 1.0, 0.3), 0.37, 1e-12)
 
 
 def test_inversion_generic_path_inverts_an_inverse_map():
     g = bump_map(0.1, 1.0, 0.3)
     inv = inverse_map(g)
     for x in (-1.7, -0.4, 0.0, 0.55, 3.0):
-        assert inverse_map(inv, 1e-12)(x) == pytest.approx(g(x), abs=1e-11)
+        assert invert(inv, x, 1e-12) == pytest.approx(g(x), abs=1e-11)
     xs = np.linspace(-2.0, 2.0, 41)
     assert np.max(np.abs(inverse_map(inv)(xs) - g(xs))) <= 1e-10
 
@@ -363,7 +360,7 @@ def test_inversion_generic_path_inverts_an_inverse_map():
 def test_non_finite_values_raise_domain_error():
     f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     with pytest.raises(DomainError, match="y=nan"):
-        inverse_map(f, 1e-10)(math.nan)
+        inverse_map(f)(math.nan)
     with pytest.raises(DomainError, match="y=inf"):
         inverse_map(f)(math.inf)
     with pytest.raises(DomainError, match="y=-inf"):
@@ -385,11 +382,11 @@ def test_power_integral_table_has_a_panel_budget():
                        match=r"over \[-0\.25, 1e\+06\] would need more than 65536 panels"):
         f(1e6)
     with pytest.raises(QuadratureFailure, match="panels"):
-        inverse_map(f, 1e-10)(-1e300)
+        inverse_map(f)(-1e300)
     # the distance to the preimage overflows to inf
     for y in (1.7e308, -1.7e308):
         with pytest.raises(QuadratureFailure, match="panels"):
-            inverse_map(f, 1e-10)(y)
+            inverse_map(f)(y)
     assert f(3.0) == PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)(3.0)  # intact
 
 
@@ -441,6 +438,58 @@ def test_power_integral_values_do_not_depend_on_history():
     # a point's value does not depend on the other points of the call
     xs = np.linspace(-6.0, 6.0, 97)
     assert np.array_equal(make()(xs), np.array([f(float(x)) for x in xs]))
+
+
+def test_power_integral_refusals_do_not_depend_on_history():
+    # the panel limit applies to the range a call asks for, never to its
+    # union with what earlier calls built
+    make = lambda: PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
+    f = make()
+    f(13000.0)
+    f(13100.0)
+    assert f(16300.0) == make()(16300.0)
+    g = make()
+    g(9000.0)
+    assert g(-9000.0) == make()(-9000.0)
+    h = make()
+    h(13000.0)
+    h(13100.0)
+    assert inverse_map(h)(-9000.0) == inverse_map(make())(-9000.0)
+    # a call refused on a fresh map is refused, with the same message, after
+    # any history
+    with pytest.raises(QuadratureFailure) as fresh:
+        make()(-16500.0)
+    with pytest.raises(QuadratureFailure) as grown:
+        g(-16500.0)
+    assert str(grown.value) == str(fresh.value)
+    assert "over [-16500, 0.25]" in str(fresh.value)
+
+
+def test_second_derivatives_of_power_integrals_and_inverses():
+    # against central differences of the slope, away from the bump edges
+    g = bump_map(0.3, 1.2, 0.3)
+    p, q = PowerIntegral(g, 0.6), PowerIntegral(g, 0.25)
+    xs, h = np.linspace(-2.0, 2.0, 17) + 0.03, 1e-4
+    for f in (p, inverse_map(q), compose(p, inverse_map(q))):
+        fd = (f.deriv(xs + h) - f.deriv(xs - h)) / (2.0 * h)
+        assert np.max(np.abs(f.second_deriv(xs) - fd)) <= 1e-6
+        for x, d in zip(xs.tolist(), fd.tolist()):
+            assert abs(f.second_deriv(x) - d) <= 1e-6
+
+
+def test_has_second_deriv_follows_the_parts():
+    g = bump_map(0.3, 1.2, 0.3)
+    t = taper(g, 2.0)
+    s = sampled_monotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1])
+    for f, c2 in ((g, True), (Affine(2.0, 1.0), True), (PowerIntegral(g, 0.5), True),
+                  (inverse_map(g), True), (compose(g, inverse_map(g)), True),
+                  (t, False), (s, False), (PowerIntegral(t, 0.5), False),
+                  (inverse_map(s), False), (compose(g, t), False),
+                  (compose(t, g), False)):
+        assert f.has_second_deriv is c2, f
+        if not c2:
+            with pytest.raises(DomainError, match="second derivative"):
+                f.second_deriv(0.3)
 
 
 def _kinked_bases():
