@@ -7,10 +7,8 @@ Subcommands::
     qcext decompose factor a bi-Lipschitz map into near-identity factors
     qcext info      describe a map file (kind tree, certified bounds)
 
-Each call builds and parses with the parser of the command it names alone;
-help text, error messages and exit codes are those of the full ``qcext``
-parser, which parses any argument list that names no command or leaves
-arguments over.
+Every call parses with one ``qcext`` parser, built once at import.
+``extend`` reads and checks only the options of its ``--method``.
 
 Exit codes: 0 success / all checks pass; 1 verification failure; 2 usage or
 parse error; 3 numerical failure.  Output is a pure function of the inputs
@@ -70,28 +68,6 @@ def random_group_params(rng: np.random.Generator,
 
 # -- extend ------------------------------------------------------------------
 
-def _evaluate_rows(method: str, boundary_map, p, zs: np.ndarray,
-                   ba_cfg: BAConfig, de_tol: float, de_nodes: int):
-    """The columns of the rows (x, y, re, im, dilatation) in grid order, as
-    the arrays (zs, vals, dil): x + iy, re + i im and the dilatation.  Every
-    method evaluates the whole grid in one array call.  The dilatation column
-    is the closed form of ``family`` and ``ns`` (one array call too), NaN
-    where that form is undefined, which ``_write_rows`` writes as an empty
-    cell; it is all NaN for ``ba``, ``de`` and for alpha = 0 on a map without
-    a second derivative."""
-    dil = np.full(zs.shape, math.nan)
-    if method == "ba":
-        vals = extend_ba(boundary_map, zs, ba_cfg)
-    elif method == "de":
-        vals = extend_de(boundary_map, zs, tol=de_tol, n_nodes=de_nodes)
-    else:
-        vals = (extend_ns(boundary_map, zs) if method == "ns"
-                else extend_family(p, boundary_map, zs))
-        if p.alpha > 0 or boundary_map.has_second_deriv:
-            dil, _ = analysis.dilatation_values(boundary_map, p, zs)
-    return zs, vals, dil
-
-
 # How a row format spells the reprs of non-finite floats: values, then the
 # dilatation column, whose NaN is an empty cell.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -120,10 +96,10 @@ def _coordinate_texts(v: np.ndarray) -> list:
 
 def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
                 fmt: str):
-    """Write the columns from ``_evaluate_rows`` to out_path, or to stdout if
-    it is None, as the bytes csv.writer over repr cells (fmt "csv") or
-    json.dumps(rows, indent=1) and a newline (fmt "json") would write, one
-    f-string per row."""
+    """Write the columns (x + iy, re + i im, dilatation) of the rows to
+    out_path, or to stdout if it is None, as the bytes csv.writer over repr
+    cells (fmt "csv") or json.dumps(rows, indent=1) and a newline (fmt
+    "json") would write, one f-string per row."""
     values, dilatation = _SPELLING[fmt]
     rows = zip(_coordinate_texts(zs.real), _coordinate_texts(zs.imag),
                _cell_texts(vals.real, values), _cell_texts(vals.imag, values),
@@ -149,18 +125,32 @@ def _write_text(text: str, out_path):
 
 
 def cmd_extend(args) -> int:
+    """Write the rows (x, y, re, im, dilatation) of the grid in grid order.
+    Each method reads and checks only its own options, after the grid and
+    the map file and before the points, and evaluates the whole grid in one
+    array call.  The dilatation column is the closed form of ``family`` and
+    ``ns`` (one array call too), NaN where that form is undefined, which
+    ``_write_rows`` writes as an empty cell; it is all NaN for ``ba``, ``de``
+    and for alpha = 0 on a map without a second derivative."""
     zs = analysis.half_plane_grid(args.x_min, args.x_max, args.y_min,
                                   args.y_max, args.nx, args.ny)
+    dil = np.full(zs.shape, math.nan)
     if args.method == "de":
-        boundary_map = circle_map_from_dict(description_from_file(args.map))
-        p = None
+        vals = extend_de(circle_map_from_dict(description_from_file(args.map)), zs,
+                         tol=args.tol, n_nodes=args.n_nodes)
+    elif args.method == "ba":
+        vals = extend_ba(map_from_file(args.map), zs,
+                         BAConfig(quad_tol=args.quad_tol, im_scale=args.im_scale))
     else:
-        boundary_map = map_from_file(args.map)
-        p = ExtParams(args.a, args.alpha) if args.method == "family" else ExtParams(1.0, 2.0)
-    ba_cfg = BAConfig(quad_tol=args.quad_tol, im_scale=args.im_scale)
-    columns = _evaluate_rows(args.method, boundary_map, p, zs, ba_cfg,
-                             args.tol, args.n_nodes)
-    _write_rows(*columns, args.out, args.format)
+        f = map_from_file(args.map)
+        if args.method == "ns":
+            p, vals = ExtParams(1.0, 2.0), extend_ns(f, zs)
+        else:
+            p = ExtParams(args.a, args.alpha)
+            vals = extend_family(p, f, zs)
+        if p.alpha > 0 or f.has_second_deriv:
+            dil, _ = analysis.dilatation_values(f, p, zs)
+    _write_rows(zs, vals, dil, args.out, args.format)
     return EXIT_OK
 
 
@@ -462,7 +452,7 @@ def _info_options(p: argparse.ArgumentParser):
     p.set_defaults(func=cmd_info)
 
 
-# subcommand name -> (help line in the full parser, function adding its options)
+# subcommand name -> (help line, function adding its options)
 _COMMANDS = {
     "extend": ("evaluate an extension on a grid", _extend_options),
     "verify": ("run a verification suite", _verify_options),
@@ -471,15 +461,9 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of one subcommand, on its own, for a name in ``_COMMANDS``;
-    with no name, the full ``qcext`` parser with every subcommand.  The two
-    parse a command's arguments alike (the subparser's prog is
-    ``qcext <command>`` too)."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"qcext {command}")
-        _COMMANDS[command][1](parser)
-        return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The ``qcext`` parser, with one subparser (prog ``qcext <command>``)
+    per entry of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="qcext",
         description="Quasiconformal boundary extensions: evaluate, verify, factor.")
@@ -489,21 +473,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list):
-    """Parse argv with the parser of the command it names alone, and with the
-    full parser when it names none (no arguments, a top-level flag, an unknown
-    command) or leaves arguments over, so that help, error messages and exit
-    codes are those of the full parser."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+# built once, at import: a call parses with it and builds no parser
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

@@ -558,38 +558,9 @@ def test_verify_seed_changes_draws_but_not_determinism(capsys):
     assert first == second
 
 
-# -- parsing: each command alone, with the messages of the full parser ----------
+# -- parsing: one parser, built at import -------------------------------------
 
 COMMANDS = ["extend", "verify", "decompose", "info"]
-# "MAP" stands for a bump map file
-PARSE_CORPUS = [
-    [], ["-h"], ["--help"], ["bogus"], ["-x", "info"], ["--", "extend"],
-    *([command, "-h"] for command in COMMANDS),
-    ["decompose", "--map", "MAP"],                            # missing --eps0
-    ["extend", "--map", "MAP", "--nx", "x"],                  # bad type
-    ["extend", "--map", "MAP", "--method", "zz"],             # bad choice
-    ["verify", "--suite", "nope"],
-    ["extend", "--map", "MAP", "--bogus"],                    # unrecognized
-    ["info", "--map", "MAP", "extra"],
-    ["info", "--ma", "MAP"],                                  # abbreviated
-    ["extend", "--map", "MAP", "--nx", "3", "--ny", "2", "--format", "json"],
-    ["verify", "--suite", "homomorphism", "--trials", "2", "--seed", "3"],
-    ["decompose", "--map", "MAP", "--eps0", "0.3"],
-    ["info", "--map", "MAP"],
-]
-
-
-@pytest.mark.parametrize("argv", PARSE_CORPUS,
-                         ids=[" ".join(argv) or "no-args" for argv in PARSE_CORPUS])
-def test_parsing_matches_the_full_parser(tmp_path, monkeypatch, capsys, argv):
-    # exit code, stdout and stderr as when the full parser parses every call
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
-    map_file = write_json(tmp_path / "bump.json", BUMP)
-    argv = [map_file if arg == "MAP" else arg for arg in argv]
-    got = (main(argv), *capsys.readouterr())
-    monkeypatch.setattr(cli, "_parse",
-                        lambda argv: cli.build_parser().parse_args(argv))
-    assert (main(argv), *capsys.readouterr()) == got
 
 
 def test_console_path_reads_sys_argv(tmp_path, capsys):
@@ -613,7 +584,7 @@ def test_console_path_reads_sys_argv(tmp_path, capsys):
     assert bare.stderr.startswith("usage: qcext [-h] {extend,verify,decompose,info}")
 
 
-def test_a_command_builds_one_parser(tmp_path, monkeypatch, capsys):
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -623,19 +594,13 @@ def test_a_command_builds_one_parser(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     map_file = write_json(tmp_path / "bump.json", BUMP)
-    for argv in (["extend", "--map", map_file, "--nx", "2", "--ny", "2"],
-                 ["info", "--map", map_file]):
-        del built[:]
-        assert main(argv) == 0
-        assert len(built) == 1, argv
-    del built[:]
+    for argv, code in ((["extend", "--map", map_file, "--nx", "2", "--ny", "2"], 0),
+                       (["info", "--map", map_file], 0),
+                       (["info", "--map", map_file, "extra"], 2)):
+        assert main(argv) == code, argv
+    assert built == []
     cli.build_parser()
     assert len(built) == 1 + len(COMMANDS)  # the full tree, as counted here
-
-
-def _option_specs(parser):
-    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required,
-             a.nargs, a.help) for a in parser._actions]
 
 
 def test_full_parser_holds_each_command_parser():
@@ -643,7 +608,28 @@ def test_full_parser_holds_each_command_parser():
     sub, = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == COMMANDS
     for name, parser in sub.choices.items():
-        alone = cli.build_parser(name)
-        assert parser.prog == alone.prog == f"qcext {name}"
-        assert _option_specs(parser) == _option_specs(alone)
-        assert parser.get_default("func") is alone.get_default("func")
+        assert parser.prog == f"qcext {name}"
+
+
+def test_the_shared_parser_keeps_no_state_between_calls():
+    grid = ["--map", "m.json", "--nx", "2", "--ny", "2"]
+    calls = [["extend", "--method", "family", "--a", "0.5", "--alpha", "1.5", *grid],
+             ["extend", "--method", "ns", *grid],
+             ["extend", "--method", "family", *grid]]
+    parsed = [cli._PARSER.parse_args(argv) for argv in calls]
+    assert parsed == [cli.build_parser().parse_args(argv) for argv in calls]
+    assert [(args.method, args.a) for args in parsed] == [
+        ("family", 0.5), ("ns", 1.0), ("family", 1.0)]
+
+
+@pytest.mark.parametrize("option", [["--quad-tol", "0"], ["--im-scale", "nan"]],
+                         ids=["quad-tol", "im-scale"])
+@pytest.mark.parametrize("method", ["ns", "family", "de"])
+def test_extend_ignores_the_options_of_other_methods(tmp_path, capsys, method, option):
+    # --quad-tol and --im-scale are read, and refused when bad, by ba alone
+    map_file = write_json(tmp_path / "map.json", MOBIUS if method == "de" else BUMP)
+    argv = ["extend", "--map", map_file, "--method", method, *DISK_GRID]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + option) == 0
+    assert capsys.readouterr() == plain and plain.err == ""

@@ -20,7 +20,7 @@ HEADER = ("x", "y", "re", "im", "dilatation")
 
 
 def oracle(fmt, zs, vals, dil):
-    """The bytes the stdlib renderers write for the columns of _evaluate_rows."""
+    """The bytes the stdlib renderers write for the columns of _write_rows."""
     rows = [(z.real, z.imag, v.real, v.imag, None if math.isnan(d) else d)
             for z, v, d in zip(zs.tolist(), vals.tolist(), dil.tolist())]
     if fmt == "csv":
