@@ -18,7 +18,9 @@ one whose hash differs.  The records:
 - ``map/...``: values, slopes and second derivatives, 0-d and array, of
   every map kind alone and under one or two of ``tapered``,
   ``power-integral``, ``inverse`` and ``composition`` (the ``DomainError``
-  line where a map cannot be built or has no second derivative).
+  line where a map cannot be built or has no second derivative);
+- ``check/...``: the full bits of the dilatation, PDE and boundary checks
+  on C^2 maps of that corpus, which ``verify`` prints to six digits only.
 
 The temporary directory the records run in is replaced by ``<tmp>`` before
 hashing.  A change that moves an output on purpose regenerates the file and
