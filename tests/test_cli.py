@@ -561,6 +561,35 @@ def test_verify_seed_changes_draws_but_not_determinism(capsys):
 # -- parsing: one parser, built at import -------------------------------------
 
 COMMANDS = ["extend", "verify", "decompose", "info"]
+# "MAP" stands for a bump map file
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["-x", "info"], ["--", "extend"],
+    *([command, "-h"] for command in COMMANDS),
+    ["decompose", "--map", "MAP"],                            # missing --eps0
+    ["extend", "--map", "MAP", "--nx", "x"],                  # bad type
+    ["extend", "--map", "MAP", "--method", "zz"],             # bad choice
+    ["verify", "--suite", "nope"],
+    ["extend", "--map", "MAP", "--bogus"],                    # unrecognized
+    ["info", "--map", "MAP", "extra"],
+    ["info", "--ma", "MAP"],                                  # abbreviated
+    ["extend", "--map", "MAP", "--nx", "3", "--ny", "2", "--format", "json"],
+    ["verify", "--suite", "homomorphism", "--trials", "2", "--seed", "3"],
+    ["decompose", "--map", "MAP", "--eps0", "0.3"],
+    ["info", "--map", "MAP"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS,
+                         ids=[" ".join(argv) or "no-args" for argv in PARSE_CORPUS])
+def test_parsing_matches_the_full_parser(tmp_path, monkeypatch, capsys, argv):
+    # exit code, stdout and stderr of the shared parser, which has parsed
+    # every earlier call of the session, as of a freshly built one
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+    argv = [map_file if arg == "MAP" else arg for arg in argv]
+    got = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    assert (main(argv), *capsys.readouterr()) == got
 
 
 def test_console_path_reads_sys_argv(tmp_path, capsys):
