@@ -11,23 +11,21 @@ from .errors import (DomainError, NonConvergence, NonTermination,
                      ToleranceFailure)
 from .realmap import (Affine, BumpProfile, BUMP_SLOPE_MAX, Composition,
                       IdentityPlusBump, InverseMap, PowerIntegral, RealMap,
-                      SampledMonotone, Tapered, bump_map, compose, identity,
-                      inverse_map, map_from_dict, map_from_file,
-                      power_integral_map, sampled_monotone, taper)
+                      SampledMonotone, Tapered, bump_map, identity,
+                      map_from_dict, map_from_file, power_integral_map)
 from .extensions import (ExtParams, act, extend_family, extend_ns,
                          family_extension, group_identity, group_inv,
                          group_mul, shear)
-from .beurling_ahlfors import (BAConfig, ba_affine_naturality_residual,
-                               extend_ba)
+from .beurling_ahlfors import ba_affine_naturality_residual, extend_ba
 from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,
                            compose_circle, de_defect, de_naturality_residual,
                            extend_de)
 from .analysis import (CubicMap, QuadraticWindowMap, boundary_constant,
-                       boundary_residual, compare_dilatation, cubic_map,
+                       boundary_residual, compare_dilatation,
                        dilatation_analytic, dilatation_bound, dilatation_numeric,
                        estimate_m, half_plane_grid, homomorphism_residual,
-                       m_ratio, pde_matrix, pde_residual, quadratic_window_map,
-                       sigma_factor, sup_dilatation)
+                       m_ratio, pde_matrix, pde_residual, sigma_factor,
+                       sup_dilatation)
 from .decompose import Factorization, chosen_eps, decompose_bilip, recompose
 
 import numpy as _np

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, raise_at_first, scalar_or_array
 from .extensions import ExtParams, extend_family, require_upper_half
-from .realmap import NUMBER, RealMap, compose, register
+from .realmap import NUMBER, Composition, RealMap, register
 
 
 # -- grids -------------------------------------------------------------------
@@ -212,7 +212,7 @@ def homomorphism_residual(p: ExtParams, f: RealMap, g: RealMap, grid) -> float:
     alpha > 0, so only float noise survives."""
     p.require_group()
     grid = np.asarray(grid)
-    lhs = extend_family(p, compose(f, g), grid)
+    lhs = extend_family(p, Composition(f, g), grid)
     rhs = extend_family(p, f, extend_family(p, g, grid))
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -294,10 +294,6 @@ class CubicMap(RealMap):
         return 6.0 * x
 
 
-def cubic_map() -> CubicMap:
-    return CubicMap()
-
-
 class QuadraticWindowMap(RealMap):
     """Equals x^2 on [window_lo + ramp, window_hi - ramp], with the slope
     ramped C^1-continuously to constants outside, so the map is a C^2
@@ -372,11 +368,6 @@ class QuadraticWindowMap(RealMap):
             np.zeros_like(x),
         ]
         return np.select(self._pieces(x), vals)
-
-
-def quadratic_window_map(window_lo: float = 1.0, window_hi: float = 4.0,
-                         ramp: float = 0.25) -> QuadraticWindowMap:
-    return QuadraticWindowMap(window_lo, window_hi, ramp)
 
 
 register("map", "cubic", CubicMap)

@@ -7,13 +7,12 @@ The printed classical formula has im_scale = 1, under which the identity map
 extends to x + i y/2, so the operator does not fix affine maps.  With
 im_scale = 2 every affine map is fixed and the operator commutes with affine
 pre- and post-composition; that is the default here.  Both normalizations
-are kept and tested, selected through ``BAConfig``.
+are kept and tested, selected through ``extend_ba``'s ``im_scale``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +20,14 @@ from .errors import (DomainError, QuadratureFailure, raise_at_first,
                      scalar_or_array)
 from .extensions import require_upper_half
 from .quadrature import adaptive_integral
-from .realmap import Affine, RealMap, compose
+from .realmap import Affine, Composition, RealMap
+
+QUAD_TOL = 1e-10  # default absolute tolerance per unit of window width
+IM_SCALE = 2.0    # default normalization: fixes every affine map
 
 
-@dataclass(frozen=True)
-class BAConfig:
-    quad_tol: float = 1e-10
-    im_scale: float = 2.0
-
-    def __post_init__(self):
-        for name in ("quad_tol", "im_scale"):
-            value = getattr(self, name)
-            raise_at_first(not 0 < value < math.inf, value,
-                           f"{name} must be positive and finite, got {{}}")
-
-
-DEFAULT_BA = BAConfig()
-
-
-def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
+def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
+              im_scale: float = IM_SCALE):
     """Evaluate the averaged extension of f at half-plane points ``z``; a
     complex for a scalar ``z``, else an array of its shape.
 
@@ -50,20 +38,28 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
     with the tolerance ``quad_tol`` times its width.  All points are
     validated before any is integrated; the first bad one, in C order,
     raises DomainError: first a window whose tolerance rounds to 0, then
-    one past the float range.
+    one past the float range.  A ``quad_tol`` or ``im_scale`` that is not
+    positive and finite raises DomainError before any point is checked.
+    An integrand value that is not finite raises QuadratureFailure naming
+    the point.
     """
+    for name, value in (("quad_tol", quad_tol), ("im_scale", im_scale)):
+        raise_at_first(not 0 < value < math.inf, value,
+                       f"{name} must be positive and finite, got {{}}")
     z = require_upper_half(np.asarray(z, dtype=complex))
     x, y = z.real, z.imag
     with np.errstate(over="ignore"):  # an overflowed window is refused below
         lo = np.stack([x - y, x])
         hi = np.stack([x, x + y])
         span = hi - lo
-        tol = cfg.quad_tol * span
+        tol = quad_tol * span
     for ok, what in ((tol > 0, "vanishes"), (tol < np.inf, "overflows")):
         raise_at_first(~ok, np.broadcast_to(z, span.shape),
                        f"averaging window of z={{}} {what} in floating point")
     try:
-        i_minus, i_plus = adaptive_integral(f, lo, hi, tol) / span
+        # overflow or NaN in f is refused by the integral's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            i_minus, i_plus = adaptive_integral(f, lo, hi, tol) / span
     except QuadratureFailure as exc:
         if exc.index is None:  # raised by f, e.g. by a power-integral table
             raise
@@ -71,11 +67,12 @@ def extend_ba(f: RealMap, z, cfg: BAConfig = DEFAULT_BA):
         raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
                                 index=exc.index) from exc
     return scalar_or_array(0.5 * (i_plus + i_minus)
-                           + 0.5j * cfg.im_scale * (i_plus - i_minus))
+                           + 0.5j * im_scale * (i_plus - i_minus))
 
 
 def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,
-                                  cfg: BAConfig = DEFAULT_BA):
+                                  quad_tol: float = QUAD_TOL,
+                                  im_scale: float = IM_SCALE):
     """| E(f o g)(z) - E(f)(E(g)(z)) | for affine g at each point of z; a
     float, with the bits of the array element, for a scalar point.
 
@@ -84,7 +81,8 @@ def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,
     """
     if not isinstance(g_affine, Affine):
         raise DomainError("the pre-composed map must be affine")
-    lhs = extend_ba(compose(f, g_affine), z, cfg)
-    rhs = extend_ba(f, extend_ba(g_affine, z, cfg), cfg)
+    lhs = extend_ba(Composition(f, g_affine), z, quad_tol, im_scale)
+    rhs = extend_ba(f, extend_ba(g_affine, z, quad_tol, im_scale),
+                    quad_tol, im_scale)
     d = lhs - rhs
     return scalar_or_array(np.hypot(np.real(d), np.imag(d)))  # as abs(complex)

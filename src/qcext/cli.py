@@ -25,13 +25,14 @@ import sys
 import numpy as np
 
 from . import analysis, decompose as dc
-from .beurling_ahlfors import BAConfig, ba_affine_naturality_residual, extend_ba
+from .beurling_ahlfors import (IM_SCALE, QUAD_TOL, ba_affine_naturality_residual,
+                               extend_ba)
 from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,
                            de_naturality_residual, extend_de)
 from .errors import DomainError, QCExtError
 from .extensions import ExtParams, act, extend_family, extend_ns, family_extension
 from .realmap import (Affine, BUMP_SLOPE_MAX, MAP, NUMBER, REQUIRED, BumpProfile,
-                      Field, IdentityPlusBump, RealMap, _checked, compose,
+                      Composition, Field, IdentityPlusBump, RealMap, _checked,
                       description_from_file, map_from_file)
 
 EXIT_OK = 0
@@ -56,8 +57,8 @@ def random_bump_map(rng: np.random.Generator, with_affine: bool = True) -> RealM
                                  sign * w * width / BUMP_SLOPE_MAX))
     f: RealMap = IdentityPlusBump(bumps)
     if with_affine and rng.uniform() < 0.7:
-        f = compose(Affine(float(rng.uniform(0.7, 1.5)),
-                           float(rng.uniform(-2.0, 2.0))), f)
+        f = Composition(Affine(float(rng.uniform(0.7, 1.5)),
+                               float(rng.uniform(-2.0, 2.0))), f)
     return f
 
 
@@ -139,8 +140,7 @@ def cmd_extend(args) -> int:
         vals = extend_de(circle_map_from_dict(description_from_file(args.map)), zs,
                          tol=args.tol, n_nodes=args.n_nodes)
     elif args.method == "ba":
-        vals = extend_ba(map_from_file(args.map), zs,
-                         BAConfig(quad_tol=args.quad_tol, im_scale=args.im_scale))
+        vals = extend_ba(map_from_file(args.map), zs, args.quad_tol, args.im_scale)
     else:
         f = map_from_file(args.map)
         if args.method == "ns":
@@ -194,7 +194,7 @@ def _suite_dilatation(cfg, rng):
             offs = np.linspace(-0.02, 0.02, 9)
             grid = (ys[:, None] * (1.0 + offs[None, :])
                     + 1j * ys[:, None]).ravel()
-            sup = analysis.sup_dilatation(analysis.cubic_map(), p, grid)
+            sup = analysis.sup_dilatation(analysis.CubicMap(), p, grid)
         else:
             f = map_kind if isinstance(map_kind, RealMap) \
                 else random_bump_map(rng, with_affine=False)
@@ -219,7 +219,7 @@ def _suite_dilatation(cfg, rng):
 
 
 def _suite_pde(cfg, rng):
-    quad = analysis.quadratic_window_map()
+    quad = analysis.QuadraticWindowMap()
     r = analysis.pde_residual(quad, ExtParams(1.0, 2.0), 2.5 + 0.5j, h=5e-3)
     yield _check("wave equation on the quadratic window", r, 1e-8)
     for i in range(cfg["trials"]):
@@ -249,19 +249,17 @@ def _suite_group_action(cfg, rng):
 
 
 def _suite_ba_naturality(cfg, rng):
-    cfg_ba = BAConfig()
     z0 = 0.4 + 0.8j
-    r = abs(extend_ba(Affine(1.0, 0.0), z0, BAConfig(im_scale=1.0))
+    r = abs(extend_ba(Affine(1.0, 0.0), z0, im_scale=1.0)
             - (z0.real + 0.5j * z0.imag))
-    yield _check("printed normalization pins E(Id) = x + i y/2", r,
-                 BAConfig().quad_tol)
+    yield _check("printed normalization pins E(Id) = x + i y/2", r, QUAD_TOL)
     for i in range(cfg["trials"]):
         f = random_bump_map(rng, with_affine=False)
         g = Affine(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-2.0, 2.0)))
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0))
-        r = ba_affine_naturality_residual(f, g, z, cfg_ba)
+        r = ba_affine_naturality_residual(f, g, z)
         yield _check(f"affine naturality trial {i:02d} (im_scale=2)",
-                     r, 10.0 * cfg_ba.quad_tol)
+                     r, 10.0 * QUAD_TOL)
 
 
 def _suite_de_naturality(cfg, rng):
@@ -422,8 +420,8 @@ def _extend_options(p: argparse.ArgumentParser):
     p.add_argument("--y-max", type=float, default=2.0)
     p.add_argument("--nx", type=int, default=20)
     p.add_argument("--ny", type=int, default=20)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
-    p.add_argument("--im-scale", type=float, default=2.0)
+    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p.add_argument("--im-scale", type=float, default=IM_SCALE)
     p.add_argument("--n-nodes", type=int, default=512)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)

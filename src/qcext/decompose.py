@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (DomainError, NonTermination, ToleranceFailure,
                      raise_at_first)
-from .realmap import (Affine, RealMap, compose, inverse_map, power_integral_map)
+from .realmap import Affine, Composition, InverseMap, RealMap, power_integral_map
 
 
 @dataclass
@@ -108,7 +108,7 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization
                              recomposition_error=0.0)
 
     f0 = f(0.0)
-    core = f if f0 == 0.0 else compose(Affine(1.0, -f0), f)
+    core = f if f0 == 0.0 else Composition(Affine(1.0, -f0), f)
 
     L = max(B, 1.0 / b)
     if not math.log(1.0 + eps) > 0:
@@ -135,13 +135,13 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization
         if pi_prev is None:
             f_k = pi_gamma
         else:
-            f_k = compose(pi_gamma, inverse_map(pi_prev))
+            f_k = Composition(pi_gamma, InverseMap(pi_prev))
         _certify_factor(f_k, eps0)
         inner_factors.append(f_k)
         gamma, pi_prev = gamma_next, pi_gamma
         L_k = max(B ** (1.0 - gamma), (1.0 / b) ** (1.0 - gamma))
 
-    g_terminal = compose(core, inverse_map(pi_prev))
+    g_terminal = Composition(core, InverseMap(pi_prev))
     _certify_factor(g_terminal, eps0)
 
     factors = []
@@ -150,7 +150,7 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization
     factors.append(g_terminal)
     factors.extend(reversed(inner_factors))
 
-    recomposed = reduce(compose, factors)
+    recomposed = reduce(Composition, factors)
     xs = np.linspace(-10.0, 10.0, 1000)
     err = float(np.max(np.abs(recomposed(xs) - f(xs))))
     if err > tol:
@@ -164,4 +164,4 @@ def recompose(fac: Factorization) -> RealMap:
     """Left-to-right composition of the stored factors (outermost first)."""
     if not fac.factors:
         raise DomainError("factorization has no factors")
-    return reduce(compose, fac.factors)
+    return reduce(Composition, fac.factors)

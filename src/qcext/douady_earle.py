@@ -111,7 +111,13 @@ class MobiusAutomorphism:
         self.c = c
 
     def __call__(self, w):
-        return cmath.exp(1j * self.phi) * (w - self.c) / (1.0 - np.conj(self.c) * w)
+        """m at each point of ``w``; a complex for a scalar ``w``, with the
+        bits of the array element."""
+        w = np.asarray(w, dtype=complex)
+        flat = w.ravel()  # 1-d even for a scalar: 0-d math rounds apart
+        out = (cmath.exp(1j * self.phi) * (flat - self.c)
+               / (1.0 - np.conj(self.c) * flat))
+        return scalar_or_array(out.reshape(w.shape))
 
     def inverse(self) -> "MobiusAutomorphism":
         return MobiusAutomorphism(-self.phi, -self.c * cmath.exp(1j * self.phi))
@@ -306,9 +312,8 @@ def _solve_block(fv, kernel, z, tol):
 def de_naturality_residual(f: CircleMap, m: MobiusAutomorphism, z,
                            mode: str = "post"):
     """Conformal-naturality residual against a Mobius automorphism at each
-    point of z, with ``extend_de`` at its defaults; a float for a scalar
-    point (an array element may differ from its scalar call in the last
-    bits, since m rounds the two apart).
+    point of z, with ``extend_de`` at its defaults; a float, with the bits
+    of the array element, for a scalar point.
 
     mode="post": | E(m o f)(z) - m(E(f)(z)) |
     mode="pre":  | E(f o m)(z) - E(f)(m(z)) |
@@ -321,7 +326,8 @@ def de_naturality_residual(f: CircleMap, m: MobiusAutomorphism, z,
         rhs = extend_de(f, m(z))
     else:
         raise DomainError(f"mode must be 'pre' or 'post', got {mode!r}")
-    return abs(lhs - rhs)
+    d = lhs - rhs
+    return scalar_or_array(np.hypot(np.real(d), np.imag(d)))  # as abs(complex)
 
 
 def circle_map_from_dict(d: dict) -> CircleMap:

@@ -66,7 +66,7 @@ def adaptive_integral(fun, a, b, tol=1e-10):
     positive and finite raises DomainError naming the first one.  Raises
     QuadratureFailure, whose ``index`` is the flat index of the failing
     integral, when one integral exceeds the panel budget or the depth limit
-    is exhausted.
+    is exhausted, or on the first pass where a panel value is not finite.
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                       for v in (a, b, tol)))
@@ -84,6 +84,11 @@ def adaptive_integral(fun, a, b, tol=1e-10):
             break
         i_hi = panel_integrals(fun, lo, hi, _ORDER)
         i_lo = panel_integrals(fun, lo, hi, _ORDER // 2)
+        bad = ~(np.isfinite(i_hi) & np.isfinite(i_lo))
+        if bad.any():
+            j = int(owner[bad].min())
+            raise QuadratureFailure(
+                f"integrand is not finite on [{a[j]}, {b[j]}]", index=j)
         err = np.abs(i_hi - i_lo)
         share = tol[owner] * (hi - lo) / span[owner]
         done = err <= share

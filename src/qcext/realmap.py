@@ -510,10 +510,6 @@ class InverseMap(RealMap):
         return -self.base.second_deriv(u) / d ** 3
 
 
-def inverse_map(f: RealMap) -> InverseMap:
-    return InverseMap(f)
-
-
 class Composition(RealMap):
     """outer(inner(x)); bounds by interval product, tightened when the pair
     is a power integral composed with the inverse of a power integral of the
@@ -579,11 +575,6 @@ class Composition(RealMap):
         return (self.outer, self.inner)
 
 
-def compose(f: RealMap, g: RealMap) -> RealMap:
-    """The composition x -> f(g(x))."""
-    return Composition(f, g)
-
-
 class Tapered(RealMap):
     """Id + (base - Id) * psi, with psi a C^1 cutoff: 1 on [-T, T], 0 outside
     [-2T, 2T], |psi'| <= 1.5/T on the smoothstep transitions.
@@ -638,11 +629,6 @@ class Tapered(RealMap):
     def _deriv(self, x):
         return (1.0 + (self.base._deriv(x) - 1.0) * self._psi(x)
                 + (self.base._eval(x) - x) * self._psi_d1(x))
-
-
-def taper(f: RealMap, T: float) -> Tapered:
-    """Agrees with f on [-T, T] and with the identity outside [-2T, 2T]."""
-    return Tapered(f, T)
 
 
 class SampledMonotone(RealMap):
@@ -724,10 +710,6 @@ class SampledMonotone(RealMap):
         inner = self._cubic(self._dc, x)
         out = np.where(x < x0, self._slopes[0], inner)
         return np.where(x > xN, self._slopes[1], out)
-
-
-def sampled_monotone(xs, ys) -> SampledMonotone:
-    return SampledMonotone(xs, ys)
 
 
 # -- inversion -------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qcext.extensions import ExtParams
-from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile,
-                           IdentityPlusBump, compose)
+from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
+                           IdentityPlusBump)
 
 
 def make_bump_map(rng, max_bumps=3, slope_budget=0.5, affine_prob=0.5,
@@ -22,8 +22,8 @@ def make_bump_map(rng, max_bumps=3, slope_budget=0.5, affine_prob=0.5,
                                  sign * w * width / BUMP_SLOPE_MAX))
     f = IdentityPlusBump(bumps)
     if rng.uniform() < affine_prob:
-        f = compose(Affine(float(rng.uniform(*slope_range)),
-                           float(rng.uniform(-2.0, 2.0))), f)
+        f = Composition(Affine(float(rng.uniform(*slope_range)),
+                               float(rng.uniform(-2.0, 2.0))), f)
     return f
 
 

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from qcext.analysis import (boundary_residual, compare_dilatation, cubic_map,
-                            dilatation_analytic, dilatation_bound,
-                            dilatation_numeric, dilatation_values,
-                            estimate_m, half_plane_grid,
+from qcext.analysis import (CubicMap, QuadraticWindowMap, boundary_residual,
+                            compare_dilatation, dilatation_analytic,
+                            dilatation_bound, dilatation_numeric,
+                            dilatation_values, estimate_m, half_plane_grid,
                             homomorphism_residual, m_ratio, pde_matrix,
-                            pde_residual, quadratic_window_map, sigma_factor,
-                            sup_dilatation)
+                            pde_residual, sigma_factor, sup_dilatation)
 from qcext.errors import DomainError
 from qcext.extensions import ExtParams, extend_family
-from qcext.realmap import (Affine, bump_map, identity, inverse_map,
-                           power_integral_map, sampled_monotone, taper)
+from qcext.realmap import (Affine, InverseMap, SampledMonotone, Tapered,
+                           bump_map, identity, power_integral_map)
 from conftest import make_bump_map, make_params
 
 
@@ -144,7 +143,7 @@ def test_numeric_dilatation_validates(rng):
 # -- non-quasiconformal witnesses ----------------------------------------------------
 
 def test_cubic_under_ns_saturates():
-    cub = cubic_map()
+    cub = CubicMap()
     p = ExtParams(1.0, 2.0)
     ys = np.geomspace(0.05, 1.0, 12)
     offs = np.linspace(-0.02, 0.02, 9)
@@ -174,13 +173,13 @@ def test_alpha_zero_affine_is_conformal():
 
 
 def test_cubic_is_gated_from_bilipschitz_machinery():
-    cub = cubic_map()
+    cub = CubicMap()
     with pytest.raises(DomainError):
         power_integral_map(cub, 0.5)
     with pytest.raises(DomainError):
-        inverse_map(cub)(1.0)
+        InverseMap(cub)(1.0)
     with pytest.raises(DomainError):
-        taper(cub, 1.0)
+        Tapered(cub, 1.0)
 
 
 # -- homomorphism / boundary residuals -------------------------------------------------
@@ -231,7 +230,7 @@ def test_pde_residual_affine(rng):
 
 
 def test_pde_residual_quadratic_window_wave_equation():
-    quad = quadratic_window_map()
+    quad = QuadraticWindowMap()
     r = pde_residual(quad, ExtParams(1.0, 2.0), 2.5 + 0.5j, h=5e-3)
     assert r <= 1e-8
 
@@ -259,10 +258,10 @@ def test_pde_residual_names_the_first_point_off_its_stencil():
 
 def test_pde_residual_requires_c2():
     smooth = bump_map(0.0, 1.0, 0.2)
-    tapered = taper(smooth, 3.0)  # C^1 only
+    tapered = Tapered(smooth, 3.0)  # C^1 only
     with pytest.raises(DomainError):
         pde_residual(tapered, ExtParams(1.0, 2.0), 0.2 + 0.5j)
-    samp = sampled_monotone([0.0, 1.0, 2.0], [0.0, 1.1, 2.0])
+    samp = SampledMonotone([0.0, 1.0, 2.0], [0.0, 1.1, 2.0])
     with pytest.raises(DomainError):
         pde_residual(samp, ExtParams(1.0, 2.0), 0.2 + 0.5j)
 
@@ -270,7 +269,7 @@ def test_pde_residual_requires_c2():
 # -- the quadratic window map ----------------------------------------------------------
 
 def test_quadratic_window_map_is_quadratic_on_window():
-    quad = quadratic_window_map(1.0, 4.0, 0.25)
+    quad = QuadraticWindowMap(1.0, 4.0, 0.25)
     lo, hi = quad.window
     xs = np.linspace(lo, hi, 50)
     assert np.max(np.abs(quad(xs) - xs ** 2)) == 0.0
@@ -279,7 +278,7 @@ def test_quadratic_window_map_is_quadratic_on_window():
 
 
 def test_quadratic_window_map_smooth_joints():
-    quad = quadratic_window_map(1.0, 4.0, 0.25)
+    quad = QuadraticWindowMap(1.0, 4.0, 0.25)
     h = 1e-4
     for joint in (0.75, 1.25, 3.75, 4.25):
         fd = (quad(joint + h) - quad(joint - h)) / (2 * h)
@@ -289,7 +288,7 @@ def test_quadratic_window_map_smooth_joints():
 
 
 def test_quadratic_window_monotone_and_certified():
-    quad = quadratic_window_map()
+    quad = QuadraticWindowMap()
     xs = np.linspace(-10, 10, 2001)
     assert np.all(np.diff(quad(xs)) > 0)
     d = quad.deriv(xs)
@@ -316,7 +315,7 @@ def test_grid_validation():
 
 
 def test_dilatation_values_mark_undefined_points_nan():
-    cub = cubic_map()
+    cub = CubicMap()
     zs = np.array([2.0j, -1.0 + 1.0j, 0.5 + 0.5j, -0.5 + 0.5j])
     for p in (ExtParams(1.0, 2.0), ExtParams(1.0, 0.0)):
         vals, _ = dilatation_values(cub, p, zs)

@@ -300,14 +300,31 @@ def test_naturality_random(rng):
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         assert de_naturality_residual(f, m, z, mode="post") <= 1e-5
         assert de_naturality_residual(f, m, z, mode="pre") <= 1e-5
-    # a point array: the solves give each point its scalar bits, and m rounds
-    # an array element and a scalar apart by at most a few ulps
+    # a point array gives each point the bits of its scalar call
     zs = np.array([Z_SET[:3], (*Z_SET[3:], 0.2 - 0.1j)])
     for mode in ("post", "pre"):
         rs = de_naturality_residual(f, m, zs, mode=mode)
         scalars = [de_naturality_residual(f, m, z, mode=mode) for z in zs.ravel().tolist()]
-        assert rs.shape == zs.shape and all(isinstance(r, float) for r in scalars)
-        assert np.allclose(rs.ravel(), scalars, rtol=0.0, atol=1e-15)
+        assert rs.shape == zs.shape and all(type(r) is float for r in scalars)
+        assert np.array_equal(rs.ravel(), scalars)
+
+
+def test_mobius_and_naturality_residual_give_array_elements_their_scalar_bits(rng):
+    # m and the residual's modulus take one array path: a scalar is its 0-d
+    # case, not numpy scalar math, which rounds complex division apart
+    for _ in range(40):
+        f = small_perturbation(rng)
+        m = random_mobius(rng)
+        zs = rng.uniform(-0.5, 0.5, (2, 3)) + 1j * rng.uniform(-0.5, 0.5, (2, 3))
+        points = zs.ravel().tolist()
+        ws = m(zs)
+        assert ws.shape == zs.shape
+        assert np.array_equal(ws.ravel(), [m(z) for z in points])
+        assert type(m(points[0])) is complex
+        for mode in ("post", "pre"):
+            rs = de_naturality_residual(f, m, zs, mode=mode)
+            assert np.array_equal(
+                rs.ravel(), [de_naturality_residual(f, m, z, mode=mode) for z in points])
 
 
 def test_compose_circle_lift_order(rng):

@@ -7,12 +7,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qcext.analysis import cubic_map
+from qcext.analysis import CubicMap
 from qcext.decompose import (MAX_ROUNDS, Factorization, chosen_eps, decompose_bilip,
                              recompose)
 from qcext.errors import DomainError
-from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, IdentityPlusBump,
-                           PowerIntegral, bump_map, compose, map_from_dict)
+from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
+                           IdentityPlusBump, PowerIntegral, bump_map,
+                           map_from_dict)
 from conftest import make_bump_map
 
 
@@ -60,7 +61,7 @@ def test_pure_scaling_closed_form():
 
 
 def test_translation_emitted_as_affine_factor():
-    f = compose(Affine(1.0, 3.0), Affine(2.0, 0.0))  # 2x + 3
+    f = Composition(Affine(1.0, 3.0), Affine(2.0, 0.0))  # 2x + 3
     fac = decompose_bilip(f, 0.25)
     t = fac.factors[0]
     assert t.kind == "affine"
@@ -100,7 +101,7 @@ def _bench_like_maps():
         bumps = [BumpProfile(c, 2.0, (-1) ** j * total / (k + 1) * 2.0 / BUMP_SLOPE_MAX)
                  for j, c in enumerate(centers)]
         f = IdentityPlusBump(bumps)
-        out.append(f if k % 2 else compose(Affine(1.0, 0.7 - k), f))
+        out.append(f if k % 2 else Composition(Affine(1.0, 0.7 - k), f))
     return out
 
 
@@ -165,7 +166,7 @@ def test_rejects_bad_inputs():
     with pytest.raises(DomainError):
         decompose_bilip(Affine(2.0, 0.0), 1.0)
     with pytest.raises(DomainError):
-        decompose_bilip(cubic_map(), 0.2)
+        decompose_bilip(CubicMap(), 0.2)
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="tol must be positive"):
             decompose_bilip(Affine(2.0, 0.0), 0.2, tol=tol)
@@ -194,12 +195,12 @@ def _power_integrals(m):
 
 
 def test_reloaded_factorization_builds_one_power_integral_per_exponent():
-    f = compose(Affine(1.3, 0.4), IdentityPlusBump([
+    f = Composition(Affine(1.3, 0.4), IdentityPlusBump([
         BumpProfile(-0.5, 1.5, 0.3 * 1.5 / BUMP_SLOPE_MAX),
         BumpProfile(1.0, 2.0, -0.2 * 2.0 / BUMP_SLOPE_MAX)]))
     descs = json.loads(json.dumps(decompose_bilip(f, 0.1).to_dict()))["factors"]
     whole = map_from_dict({"kind": "composition", "maps": descs})
-    folded = reduce(compose, [map_from_dict(d) for d in descs])
+    folded = reduce(Composition, [map_from_dict(d) for d in descs])
     exponents = {m.exponent for m in _power_integrals(whole)}
     assert len(exponents) > 3
     assert len(_power_integrals(whole)) == len(exponents)

@@ -1,21 +1,27 @@
 """The two conventions every operator on point arrays shares: a bad point
 raises DomainError naming the first one in C order, and a 0-d result is a
-Python float or complex."""
+Python float or complex.  And a solver that runs out of budget raises a
+typed error naming the point or the interval."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qcext.analysis import (boundary_residual, compare_dilatation, cubic_map,
+import qcext.douady_earle as douady_earle
+import qcext.quadrature as quadrature
+from qcext.analysis import (CubicMap, boundary_residual, compare_dilatation,
                             dilatation_analytic, dilatation_numeric,
                             pde_residual)
 from qcext.beurling_ahlfors import ba_affine_naturality_residual, extend_ba
-from qcext.douady_earle import MobiusAutomorphism, de_defect, extend_de
-from qcext.errors import DomainError
+from qcext.cli import main
+from qcext.douady_earle import (CircleMap, MobiusAutomorphism, de_defect,
+                                de_naturality_residual, extend_de)
+from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.extensions import ExtParams, extend_ns
 from qcext.quadrature import adaptive_integral
-from qcext.realmap import Affine, PowerIntegral, bump_map, inverse_map
+from qcext.realmap import (Affine, InverseMap, PowerIntegral, SampledMonotone,
+                           bump_map)
 
 F = bump_map(0.0, 1.0, 0.3)
 NS = ExtParams(1.0, 2.0)
@@ -50,7 +56,7 @@ CASES = {
                "w must lie strictly inside the unit disk, got w=(1-0j)"),
     "power-integral x": (PowerIntegral(F, 0.5), 0.5, -INF, NAN,
                          "x must be finite, got x=-inf"),
-    "inversion y": (inverse_map(F), -0.0, NAN, INF, "y must be finite, got y=nan"),
+    "inversion y": (InverseMap(F), -0.0, NAN, INF, "y must be finite, got y=nan"),
     "difference stencil": (_numeric, 0.3 + 0.5j, complex(-0.0, 0.002),
                            complex(NAN, NAN),
                            "need Im z > 2h for the difference stencil, "
@@ -62,7 +68,7 @@ CASES = {
     "degenerate stencil": (_flat_left, 0.5 + 1j, complex(-1.0, 1.0),
                            complex(-2.0, 1.0),
                            "degenerate point z=(-1+1j): |d_z F| below 1e-12"),
-    "undefined dilatation": (lambda z: dilatation_analytic(cubic_map(), NS, z),
+    "undefined dilatation": (lambda z: dilatation_analytic(CubicMap(), NS, z),
                              0.3 + 0.5j, complex(-0.5, 0.5), complex(-1.0, 1.0),
                              "derivative must be positive on evaluation points, "
                              "not at z=(-0.5+0.5j)"),
@@ -88,12 +94,15 @@ ZERO_D = {
     "map slope": (lambda: F.deriv(np.float64(0.3)), float),
     "map second derivative": (lambda: F.second_deriv(np.array(0.3)), float),
     "power integral": (lambda: PowerIntegral(F, 0.5)(0.3), float),
-    "inverse": (lambda: inverse_map(F)(0.3), float),
+    "inverse": (lambda: InverseMap(F)(0.3), float),
     "extend_ba": (lambda: extend_ba(F, 0.3 + 0.5j), complex),
     "ba naturality": (lambda: ba_affine_naturality_residual(
         F, Affine(2.0, 1.0), 0.3 + 0.5j), float),
     "extend_de": (lambda: extend_de(DISK, 0.1 + 0.2j), complex),
     "de_defect": (lambda: de_defect(DISK, 0.2, 0.1j), complex),
+    "mobius": (lambda: MobiusAutomorphism(0.3, 0.2 + 0.1j)(0.1 + 0.2j), complex),
+    "de naturality": (lambda: de_naturality_residual(
+        DISK, MobiusAutomorphism(0.3, 0.2 + 0.1j), 0.1 + 0.2j), float),
     "analytic dilatation": (lambda: dilatation_analytic(F, NS, 0.3 + 0.5j).analytic,
                             float),
     "theta": (lambda: dilatation_analytic(F, NS, 0.3 + 0.5j).theta, float),
@@ -112,3 +121,54 @@ def test_zero_d_results_are_python_scalars(case):
     call, kind = ZERO_D[case]
     # a numpy scalar would pass isinstance
     assert type(call()) is kind
+
+
+# -- solver refusals: each budget cut to what one input cannot meet ------------
+
+FOURIER = CircleMap.from_fourier(0.1, [0.05, 0.02], [0.03])
+
+
+def test_disk_solve_out_of_iterations_names_the_point(monkeypatch):
+    monkeypatch.setattr(douady_earle, "_MAX_ITER", 1)
+    with pytest.raises(NonConvergence, match=r"^disk solve at z=\(0\.3\+0\.2j\) "
+                       r"did not reach tol=1e-10 in 1 iterations"):
+        extend_de(FOURIER, 0.3 + 0.2j)
+
+
+def test_disk_solve_singular_jacobian_names_the_point(monkeypatch):
+    monkeypatch.setattr(douady_earle, "_de_jacobian",
+                        lambda w, fv, kernel: (np.ones_like(w), np.ones_like(w)))
+    with pytest.raises(NonConvergence, match=r"^singular Jacobian in the disk "
+                       r"solve at z=\(0\.3\+0\.2j\)"):
+        extend_de(FOURIER, 0.3 + 0.2j)
+
+
+def test_power_integral_table_out_of_passes_names_the_panel(monkeypatch):
+    xs = np.linspace(-1.03, 0.97, 12)
+    f = PowerIntegral(SampledMonotone(xs, xs + 0.1 * np.sin(3.0 * xs)), 0.5)
+    monkeypatch.setattr(PowerIntegral, "_MAX_PASSES", 1)
+    with pytest.raises(QuadratureFailure, match=r"could not reach the quadrature "
+                       r"tolerance on \[-0\.25, 0\.5\] in 1 passes"):
+        f(0.3)
+
+
+def test_adaptive_integral_out_of_depth_names_the_interval(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
+    with pytest.raises(QuadratureFailure, match=r"^depth limit 1 exceeded "
+                       r"integrating over \[0\.0, 1\.0\]") as info:
+        adaptive_integral(lambda t: np.abs(t - 0.3), 0.0, 1.0, 1e-12)
+    assert info.value.index == 0
+
+
+def test_solver_refusal_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    circle = tmp_path / "circle.json"
+    circle.write_text('{"kind": "circle-fourier", "rotation": 0.1, '
+                      '"cos": [0.05, 0.02], "sin": [0.03]}')
+    monkeypatch.setattr(douady_earle, "_MAX_ITER", 1)
+    assert main(["extend", "--map", str(circle), "--method", "de",
+                 "--x-min", "-0.3", "--x-max", "0.3", "--y-min", "0.1",
+                 "--y-max", "0.4", "--nx", "2", "--ny", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: disk solve at z=")
+    assert "did not reach tol=1e-10 in 1 iterations" in err
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -74,6 +74,16 @@ def test_adaptive_array_failure_names_the_integral(monkeypatch):
     assert info.value.index == 1
 
 
+def test_adaptive_stops_at_the_first_non_finite_panel():
+    # inf on part of the second interval: refused on the first pass, by
+    # name, instead of refining NaN error estimates to the panel budget
+    fun = lambda t: np.where((t > 0.5) & (t < 0.75), np.inf, t)
+    with pytest.raises(QuadratureFailure,
+                       match=r"^integrand is not finite on \[0\.0, 1\.0\]$") as info:
+        adaptive_integral(fun, [2.0, 0.0, 0.0], [3.0, 1.0, 0.4], 1e-10)
+    assert info.value.index == 1
+
+
 def test_adaptive_rejects_bad_tol():
     with pytest.raises(DomainError, match=r"^tol must be positive and finite, got 0\.0$"):
         adaptive_integral(np.sin, 0.0, 1.0, 0.0)

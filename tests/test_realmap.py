@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 import qcext.realmap as realmap
 from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.quadrature import panel_integrals
-from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile,
-                           IdentityPlusBump, PowerIntegral, _invert_array,
-                           bump_map, compose, identity, inverse_map,
-                           map_from_dict, power_integral_map, sampled_monotone,
-                           taper)
+from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
+                           IdentityPlusBump, InverseMap, PowerIntegral,
+                           SampledMonotone, Tapered, _invert_array, bump_map,
+                           identity, map_from_dict, power_integral_map)
 from conftest import make_bump_map
 
 
@@ -45,12 +44,12 @@ def sample_maps(rng):
         Affine(2.0, 1.0),
         g,
         IdentityPlusBump([BumpProfile(-2.0, 0.8, 0.1), BumpProfile(2.0, 1.2, -0.2)]),
-        compose(Affine(1.5, -0.5), g),
+        Composition(Affine(1.5, -0.5), g),
         power_integral_map(g, 0.7),
-        taper(compose(Affine(1.05, 0.1), bump_map(0.0, 1.0, 0.15)), 3.0),
-        inverse_map(compose(Affine(1.5, -0.5), g)),
-        sampled_monotone(np.linspace(-3, 3, 25),
-                         np.linspace(-3, 3, 25) + 0.3 * np.sin(np.linspace(-3, 3, 25))),
+        Tapered(Composition(Affine(1.05, 0.1), bump_map(0.0, 1.0, 0.15)), 3.0),
+        InverseMap(Composition(Affine(1.5, -0.5), g)),
+        SampledMonotone(np.linspace(-3, 3, 25),
+                        np.linspace(-3, 3, 25) + 0.3 * np.sin(np.linspace(-3, 3, 25))),
         make_bump_map(rng),
     ]
 
@@ -68,7 +67,7 @@ def test_eval_zero_bump_is_identity():
 
 
 def test_eval_composed_affines():
-    f = compose(Affine(2.0, 0.0), Affine(1.0, 1.0))
+    f = Composition(Affine(2.0, 0.0), Affine(1.0, 1.0))
     assert f(0.0) == 2.0
 
 
@@ -95,7 +94,7 @@ def test_deriv_bump_outside_support():
 
 
 def test_deriv_matches_centered_differences(rng):
-    f = compose(Affine(1.3, 0.2), bump_map(0.0, 1.0, 0.3))
+    f = Composition(Affine(1.3, 0.2), bump_map(0.0, 1.0, 0.3))
     h = 1e-5
     for x in rng.uniform(-2, 2, 10):
         fd = (f(x + h) - f(x - h)) / (2 * h)
@@ -130,10 +129,10 @@ def test_bounds_bump_closed_form():
 
 
 def test_bounds_compose_interval_product():
-    f = compose(Affine(2.0, 0.0), Affine(3.0, 1.0))
+    f = Composition(Affine(2.0, 0.0), Affine(3.0, 1.0))
     assert f.deriv_bounds() == (6.0, 6.0)
     g = bump_map(0.0, 1.0, 0.2)
-    h = compose(Affine(2.0, 0.0), g)
+    h = Composition(Affine(2.0, 0.0), g)
     blo, bhi = g.deriv_bounds()
     assert h.deriv_bounds() == (2.0 * blo, 2.0 * bhi)
 
@@ -161,7 +160,7 @@ def test_rejects_nonpositive_lower_bound():
     with pytest.raises(DomainError):
         Affine(0.0, 0.0)
     with pytest.raises(DomainError, match="upper bound must be finite"):
-        compose(Affine(1e300), Affine(1e300))
+        Composition(Affine(1e300), Affine(1e300))
 
 
 # -- inversion ------------------------------------------------------------------
@@ -201,8 +200,8 @@ def test_invert_roundtrip_random(rng):
 
 
 def test_inverse_map_bounds_and_values():
-    f = compose(Affine(2.0, 1.0), bump_map(0.0, 1.0, 0.2))
-    inv = inverse_map(f)
+    f = Composition(Affine(2.0, 1.0), bump_map(0.0, 1.0, 0.2))
+    inv = InverseMap(f)
     assert inv.deriv_bounds() == (1.0 / f.deriv_hi, 1.0 / f.deriv_lo)
     x = 0.7
     assert inv(f(x)) == pytest.approx(x, abs=1e-9)
@@ -213,16 +212,16 @@ def _inversion_maps():
     g = bump_map(0.3, 1.2, 0.3)
     steep = IdentityPlusBump([BumpProfile(-0.5, 0.3, 0.08),
                               BumpProfile(0.6, 0.25, -0.06)])
-    return [PowerIntegral(g, 0.6), PowerIntegral(compose(Affine(1.7, 0.4), g), 0.8),
-            PowerIntegral(g, -1.3), g, compose(Affine(1.5, -0.5), g),
-            inverse_map(g),
+    return [PowerIntegral(g, 0.6), PowerIntegral(Composition(Affine(1.7, 0.4), g), 0.8),
+            PowerIntegral(g, -1.3), g, Composition(Affine(1.5, -0.5), g),
+            InverseMap(g),
             # slopes that vary by a factor 12 to 52, where a chord step with a
             # stale slope could leave tol
             PowerIntegral(steep, 3.5), PowerIntegral(steep, -4.0),
-            taper(compose(Affine(1.05, 0.1), steep), 0.6),
+            Tapered(Composition(Affine(1.05, 0.1), steep), 0.6),
             # Newton from the slope bracket falls into a two-cycle near y = -2
             # unless steps must shrink
-            inverse_map(bump_map(-1.67, 0.49, -0.2629))]
+            InverseMap(bump_map(-1.67, 0.49, -0.2629))]
 
 
 def test_inversion_residual_within_tol_at_every_point():
@@ -238,8 +237,8 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     # y = 0 on a fresh table, on a table built only at 0, and through the
     # inverse map all give 0
     assert invert(make(), 0.0, 1e-10) == 0.0
-    assert inverse_map(make())(0.0) == 0.0
-    assert np.array_equal(inverse_map(make())(np.zeros(3)), np.zeros(3))
+    assert InverseMap(make())(0.0) == 0.0
+    assert np.array_equal(InverseMap(make())(np.zeros(3)), np.zeros(3))
     f = make()
     assert f(0.0) == 0.0
     assert invert(f, 0.0, 1e-10) == 0.0
@@ -252,7 +251,7 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     assert invert(f, 0.0, 1e-12) == 0.0
     # a preimage past the table end grows the table; the held entries stay
     y = f.deriv_hi * 40.0
-    x = inverse_map(f)(y)
+    x = InverseMap(f)(y)
     assert abs(f(x) - y) <= 1e-11
     edges2, cum2, flat2 = f._table
     assert edges2[-1] >= x
@@ -272,7 +271,7 @@ def test_inversion_table_grows_near_the_preimages():
     f = PowerIntegral(g, 2.0)
     assert f.deriv_lo < 1e-5
     for y in (3.0, -3.0, 40.0):
-        x = inverse_map(f)(y)
+        x = InverseMap(f)(y)
         assert abs(f(x) - y) <= 1e-11
     edges, _, _ = f._table
     assert -6.0 < edges[0] and edges[-1] < 60.0
@@ -284,13 +283,13 @@ def test_inversion_leaves_a_start_within_tol_on_an_affine_piece(monkeypatch):
     y = 1.9090909090909092
     f = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
     passes = counted(monkeypatch, f, "_eval")
-    x = inverse_map(f)(y)
+    x = InverseMap(f)(y)
     assert len(passes) == 1
     assert abs(f(x) - y) <= 1e-11
     g = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
     passes = counted(monkeypatch, g, "_eval")
     ys = np.linspace(-3.0, 3.0, 100)
-    xs = inverse_map(g)(ys)
+    xs = InverseMap(g)(ys)
     assert len(passes) == 4
     assert np.max(np.abs(g(xs) - ys)) <= 1e-11
 
@@ -313,7 +312,7 @@ def test_fresh_inversion_of_zero_evaluates_nothing_past_the_table_build(monkeypa
 def test_inversion_of_empty_and_zero_d_inputs():
     for f in (PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5),
               bump_map(0.0, 1.0, 0.3)):
-        inv = inverse_map(f)
+        inv = InverseMap(f)
         assert inv(np.empty(0)).shape == (0,)
         assert inv(np.empty((0, 3))).shape == (0, 3)
         assert _invert_array(f, np.empty(0), 1e-10).shape == (0,)
@@ -326,7 +325,7 @@ def test_inversion_of_empty_and_zero_d_inputs():
 def test_inversion_round_trips_match_brentq():
     from scipy.optimize import brentq
     g = bump_map(0.2, 1.1, 0.3)
-    for base in (g, compose(Affine(1.3, -0.4), g)):
+    for base in (g, Composition(Affine(1.3, -0.4), g)):
         for f in (base, PowerIntegral(base, 0.7)):
             xs = np.linspace(-3.0, 3.0, 23)
             got = _invert_array(f, f(xs), 1e-12)
@@ -350,30 +349,30 @@ def test_inversion_raises_nonconvergence(monkeypatch):
 
 def test_inversion_generic_path_inverts_an_inverse_map():
     g = bump_map(0.1, 1.0, 0.3)
-    inv = inverse_map(g)
+    inv = InverseMap(g)
     for x in (-1.7, -0.4, 0.0, 0.55, 3.0):
         assert invert(inv, x, 1e-12) == pytest.approx(g(x), abs=1e-11)
     xs = np.linspace(-2.0, 2.0, 41)
-    assert np.max(np.abs(inverse_map(inv)(xs) - g(xs))) <= 1e-10
+    assert np.max(np.abs(InverseMap(inv)(xs) - g(xs))) <= 1e-10
 
 
 def test_non_finite_values_raise_domain_error():
     f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     with pytest.raises(DomainError, match="y=nan"):
-        inverse_map(f)(math.nan)
+        InverseMap(f)(math.nan)
     with pytest.raises(DomainError, match="y=inf"):
-        inverse_map(f)(math.inf)
+        InverseMap(f)(math.inf)
     with pytest.raises(DomainError, match="y=-inf"):
-        inverse_map(bump_map(0.0, 1.0, 0.3))(-math.inf)
+        InverseMap(bump_map(0.0, 1.0, 0.3))(-math.inf)
     with pytest.raises(DomainError, match="x=nan"):
         f(math.nan)
     # the first bad value in C order is named
     with pytest.raises(DomainError, match="x=inf"):
         f(np.array([[0.5, 1.0], [math.inf, math.nan]]))
     with pytest.raises(DomainError, match="y=nan"):
-        inverse_map(f)(np.array([[0.5, math.nan], [-math.inf, 1.0]]))
+        InverseMap(f)(np.array([[0.5, math.nan], [-math.inf, 1.0]]))
     with pytest.raises(DomainError, match="x=nan"):
-        compose(f, Affine(2.0, 0.0))(np.array([1.0, math.nan]))
+        Composition(f, Affine(2.0, 0.0))(np.array([1.0, math.nan]))
 
 
 def test_power_integral_table_has_a_panel_budget():
@@ -382,11 +381,11 @@ def test_power_integral_table_has_a_panel_budget():
                        match=r"over \[-0\.25, 1e\+06\] would need more than 65536 panels"):
         f(1e6)
     with pytest.raises(QuadratureFailure, match="panels"):
-        inverse_map(f)(-1e300)
+        InverseMap(f)(-1e300)
     # the distance to the preimage overflows to inf
     for y in (1.7e308, -1.7e308):
         with pytest.raises(QuadratureFailure, match="panels"):
-            inverse_map(f)(y)
+            InverseMap(f)(y)
     assert f(3.0) == PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)(3.0)  # intact
 
 
@@ -407,7 +406,7 @@ def test_power_integral_alpha_zero_is_identity():
 
 
 def test_power_integral_alpha_one_is_fundamental_theorem():
-    f = compose(Affine(1.4, 0.8), bump_map(0.2, 1.0, 0.25))
+    f = Composition(Affine(1.4, 0.8), bump_map(0.2, 1.0, 0.25))
     g = power_integral_map(f, 1.0)
     for x in (-3.0, 0.5, 2.0):
         assert g(x) == pytest.approx(f(x) - f(0.0), rel=1e-10, abs=1e-10)
@@ -415,7 +414,7 @@ def test_power_integral_alpha_one_is_fundamental_theorem():
 
 def test_power_integral_against_scipy_oracle():
     from scipy.integrate import quad
-    f = compose(Affine(1.3, -0.4), bump_map(0.2, 1.1, 0.3))
+    f = Composition(Affine(1.3, -0.4), bump_map(0.2, 1.1, 0.3))
     for alpha in (0.37, -0.8, 1.6):
         g = power_integral_map(f, alpha)
         for x in (-2.3, 0.7, 3.1):
@@ -427,14 +426,14 @@ def test_power_integral_against_scipy_oracle():
 def test_power_integral_values_do_not_depend_on_history():
     make = lambda: PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     f = make()
-    inv = inverse_map(f)
+    inv = InverseMap(f)
     before = (f(0.3), inv(0.3))
     f(50.0)
     assert (f(0.3), inv(0.3)) == before
     g = make()  # built far out first, then asked near 0
     g(-70.0)
     g(50.0)
-    assert (g(0.3), inverse_map(g)(0.3)) == before
+    assert (g(0.3), InverseMap(g)(0.3)) == before
     # a point's value does not depend on the other points of the call
     xs = np.linspace(-6.0, 6.0, 97)
     assert np.array_equal(make()(xs), np.array([f(float(x)) for x in xs]))
@@ -454,7 +453,7 @@ def test_power_integral_refusals_do_not_depend_on_history():
     h = make()
     h(13000.0)
     h(13100.0)
-    assert inverse_map(h)(-9000.0) == inverse_map(make())(-9000.0)
+    assert InverseMap(h)(-9000.0) == InverseMap(make())(-9000.0)
     # a call refused on a fresh map is refused, with the same message, after
     # any history
     with pytest.raises(QuadratureFailure) as fresh:
@@ -470,7 +469,7 @@ def test_second_derivatives_of_power_integrals_and_inverses():
     g = bump_map(0.3, 1.2, 0.3)
     p, q = PowerIntegral(g, 0.6), PowerIntegral(g, 0.25)
     xs, h = np.linspace(-2.0, 2.0, 17) + 0.03, 1e-4
-    for f in (p, inverse_map(q), compose(p, inverse_map(q))):
+    for f in (p, InverseMap(q), Composition(p, InverseMap(q))):
         fd = (f.deriv(xs + h) - f.deriv(xs - h)) / (2.0 * h)
         assert np.max(np.abs(f.second_deriv(xs) - fd)) <= 1e-6
         for x, d in zip(xs.tolist(), fd.tolist()):
@@ -479,13 +478,13 @@ def test_second_derivatives_of_power_integrals_and_inverses():
 
 def test_has_second_deriv_follows_the_parts():
     g = bump_map(0.3, 1.2, 0.3)
-    t = taper(g, 2.0)
-    s = sampled_monotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1])
+    t = Tapered(g, 2.0)
+    s = SampledMonotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1])
     for f, c2 in ((g, True), (Affine(2.0, 1.0), True), (PowerIntegral(g, 0.5), True),
-                  (inverse_map(g), True), (compose(g, inverse_map(g)), True),
+                  (InverseMap(g), True), (Composition(g, InverseMap(g)), True),
                   (t, False), (s, False), (PowerIntegral(t, 0.5), False),
-                  (inverse_map(s), False), (compose(g, t), False),
-                  (compose(t, g), False)):
+                  (InverseMap(s), False), (Composition(g, t), False),
+                  (Composition(t, g), False)):
         assert f.has_second_deriv is c2, f
         if not c2:
             with pytest.raises(DomainError, match="second derivative"):
@@ -494,27 +493,27 @@ def test_has_second_deriv_follows_the_parts():
 
 def _kinked_bases():
     g = bump_map(0.3, 1.2, 0.3)
-    return [g, compose(Affine(1.4, -0.3), g),
-            taper(compose(Affine(1.05, 0.1), bump_map(0.0, 1.0, 0.15)), 1.5)]
+    return [g, Composition(Affine(1.4, -0.3), g),
+            Tapered(Composition(Affine(1.05, 0.1), bump_map(0.0, 1.0, 0.15)), 1.5)]
 
 
 def test_breakpoints_list_the_kinks():
     g = bump_map(0.3, 1.2, 0.3)
     assert np.allclose(g.breakpoints(), [-0.9, 1.5])
-    assert np.array_equal(compose(Affine(2.0, 1.0), g).breakpoints(), g.breakpoints())
-    assert np.allclose(compose(g, Affine(2.0, 1.0)).breakpoints(), [-0.95, 0.25])
-    assert np.allclose(taper(g, 3.0).breakpoints(), [-0.9, 1.5, -6, -3, 3, 6])
+    assert np.array_equal(Composition(Affine(2.0, 1.0), g).breakpoints(), g.breakpoints())
+    assert np.allclose(Composition(g, Affine(2.0, 1.0)).breakpoints(), [-0.95, 0.25])
+    assert np.allclose(Tapered(g, 3.0).breakpoints(), [-0.9, 1.5, -6, -3, 3, 6])
     assert np.array_equal(PowerIntegral(g, 0.5).breakpoints(), g.breakpoints())
-    assert np.array_equal(inverse_map(g).breakpoints(), g(g.breakpoints()))
+    assert np.array_equal(InverseMap(g).breakpoints(), g(g.breakpoints()))
     assert Affine(2.0, 1.0).breakpoints().size == 0
-    assert sampled_monotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1]).breakpoints().size == 0
+    assert SampledMonotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1]).breakpoints().size == 0
 
 
 def test_power_integral_within_quad_tol_of_scipy_at_the_kinks():
     from scipy.integrate import quad
     xs = sampled = np.linspace(-3.0, 3.0, 25)
     bases = _kinked_bases() + [
-        sampled_monotone(sampled, sampled + 0.3 * np.sin(sampled))]
+        SampledMonotone(sampled, sampled + 0.3 * np.sin(sampled))]
     for base in bases:
         kinks = base.breakpoints() if base.breakpoints().size else sampled
         for alpha in (0.45, -0.9):
@@ -549,7 +548,7 @@ def test_breakpoint_hints_save_panel_calls(monkeypatch):
 
 def test_power_integral_needs_no_base_slope_at_edges_and_on_flat_panels(monkeypatch):
     for base in (bump_map(0.2, 1.1, 0.3),
-                 compose(Affine(1.4, -0.3), bump_map(0.3, 1.2, -0.2))):
+                 Composition(Affine(1.4, -0.3), bump_map(0.3, 1.2, -0.2))):
         f = PowerIntegral(base, 0.5)
         f(np.array([-6.0, 6.0]))
         edges, cum, flat = f._table
@@ -582,14 +581,14 @@ def test_power_integral_bounds():
 # -- taper -----------------------------------------------------------------------
 
 def test_taper_identity_is_identity():
-    t = taper(identity(), 1.0)
+    t = Tapered(identity(), 1.0)
     xs = np.linspace(-5, 5, 41)
     assert np.max(np.abs(t(xs) - xs)) == 0.0
 
 
 def test_taper_agrees_on_plateau_and_tail():
-    f = compose(Affine(1.2, 0.1), bump_map(0.0, 1.0, 0.2))
-    t = taper(f, 2.0)
+    f = Composition(Affine(1.2, 0.1), bump_map(0.0, 1.0, 0.2))
+    t = Tapered(f, 2.0)
     for x in np.linspace(-2, 2, 9):
         assert t(float(x)) == pytest.approx(f(float(x)), abs=1e-15)
     for x in (4.0, -4.0, 17.0):
@@ -599,7 +598,7 @@ def test_taper_agrees_on_plateau_and_tail():
 def test_taper_rejects_untamable_map():
     # slope-5 affine displaced far from the identity cannot be tapered at T=1
     with pytest.raises(DomainError):
-        taper(Affine(5.0, 40.0), 1.0)
+        Tapered(Affine(5.0, 40.0), 1.0)
 
 
 # -- sampled monotone --------------------------------------------------------------
@@ -607,7 +606,7 @@ def test_taper_rejects_untamable_map():
 def test_sampled_monotone_interpolates_and_extends():
     xs = np.linspace(-2, 2, 17)
     ys = xs + 0.2 * np.tanh(xs)
-    f = sampled_monotone(xs, ys)
+    f = SampledMonotone(xs, ys)
     for xi, yi in zip(xs, ys):
         assert f(float(xi)) == pytest.approx(yi, abs=1e-14)
     # affine continuation outside the window
@@ -631,7 +630,7 @@ def test_sampled_monotone_matches_scipy_pchip_bit_for_bit():
         pp = PchipInterpolator(xs, ys, extrapolate=False)
         bounds = realmap.SampledMonotone._deriv_extrema(pp.c, np.diff(xs))
         try:
-            f = sampled_monotone(xs, ys)
+            f = SampledMonotone(xs, ys)
         except DomainError:
             assert not bounds[0] > 0  # rejected there too
             continue
@@ -656,9 +655,9 @@ def test_sampled_monotone_matches_scipy_pchip_bit_for_bit():
 
 def test_sampled_monotone_rejects_bad_data():
     with pytest.raises(DomainError):
-        sampled_monotone([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+        SampledMonotone([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(DomainError):
-        sampled_monotone([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
+        SampledMonotone([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
 
 
 def test_power_integral_cache_is_thread_safe():
@@ -681,9 +680,9 @@ def test_power_integral_cache_is_thread_safe():
 # -- serialization -----------------------------------------------------------------
 
 def test_description_roundtrip(rng):
-    from qcext.analysis import cubic_map, quadratic_window_map
+    from qcext.analysis import CubicMap, QuadraticWindowMap
     xs = np.linspace(-4, 4, 33)
-    maps = sample_maps(rng) + [cubic_map(), quadratic_window_map(0.5, 3.0, 0.5)]
+    maps = sample_maps(rng) + [CubicMap(), QuadraticWindowMap(0.5, 3.0, 0.5)]
     registered = {k for k, (family, _, _) in realmap.KINDS.items() if family == "map"}
     assert {f.kind for f in maps} == registered
     for f in maps:
@@ -695,8 +694,8 @@ def test_description_roundtrip(rng):
 
 
 def test_same_map_agrees_with_description_equality(rng):
-    from qcext.analysis import cubic_map, quadratic_window_map
-    maps = sample_maps(rng) + [cubic_map(), quadratic_window_map(0.5, 3.0, 0.5)]
+    from qcext.analysis import CubicMap, QuadraticWindowMap
+    maps = sample_maps(rng) + [CubicMap(), QuadraticWindowMap(0.5, 3.0, 0.5)]
     copies = [map_from_dict(f.to_dict()) for f in maps]
     for f in maps:
         for g in maps + copies:
@@ -741,7 +740,7 @@ def test_description_rejects_unknown_kind():
 def test_description_children_follow_the_fields():
     g = bump_map(0.0, 1.0, 0.3)
     p = power_integral_map(g, 0.5)
-    c = compose(Affine(2.0, 0.0), compose(g, Affine(1.0, 1.0)))
+    c = Composition(Affine(2.0, 0.0), Composition(g, Affine(1.0, 1.0)))
     assert p.children() == (g,) and g.children() == ()
     assert c.children() == (c.outer, c.inner)
     assert [m["kind"] for m in c.to_dict()["maps"]] == ["affine", "identity-plus-bump",
@@ -788,16 +787,16 @@ def test_power_integral_bounds_past_the_float_range():
 @given(slope=st.floats(0.1, 10.0), intercept=st.floats(-5.0, 5.0),
        amp=st.floats(-0.5, 0.5), x=st.floats(-20.0, 20.0), dx=st.floats(1e-6, 5.0))
 def test_property_strictly_increasing(slope, intercept, amp, x, dx):
-    f = compose(Affine(slope, intercept), bump_map(0.0, 1.0, amp))
+    f = Composition(Affine(slope, intercept), bump_map(0.0, 1.0, amp))
     assert f(x) < f(x + dx)
 
 
 @settings(max_examples=40, deadline=None)
 @given(a1=st.floats(0.2, 5.0), a2=st.floats(0.2, 5.0), amp=st.floats(-0.4, 0.4))
 def test_property_compose_bounds_contain_product(a1, a2, amp):
-    f = compose(Affine(a1, 0.0), bump_map(0.0, 1.0, amp))
+    f = Composition(Affine(a1, 0.0), bump_map(0.0, 1.0, amp))
     g = Affine(a2, 1.0)
-    c = compose(f, g)
+    c = Composition(f, g)
     assert c.deriv_lo >= f.deriv_lo * g.deriv_lo - 1e-12
     assert c.deriv_hi <= f.deriv_hi * g.deriv_hi + 1e-12
 
@@ -811,9 +810,9 @@ def test_property_power_integral_is_the_rule_from_the_edge_below(seed, kind, exp
     # order-16 rule from the nearest edge at or below, bit for bit
     rng = np.random.default_rng(seed)
     if kind == "taper":
-        base = taper(compose(Affine(1.05, 0.1),
-                             make_bump_map(rng, affine_prob=0.0, slope_budget=0.3)),
-                     float(rng.uniform(1.5, 4.0)))
+        base = Tapered(Composition(Affine(1.05, 0.1),
+                                   make_bump_map(rng, affine_prob=0.0, slope_budget=0.3)),
+                       float(rng.uniform(1.5, 4.0)))
     else:
         base = make_bump_map(rng, affine_prob=float(kind == "affine"))
     f = PowerIntegral(base, exponent)
