@@ -20,7 +20,9 @@ one whose hash differs.  The records:
   ``power-integral``, ``inverse`` and ``composition`` (the ``DomainError``
   line where a map cannot be built or has no second derivative);
 - ``check/...``: the full bits of the dilatation, PDE and boundary checks
-  on C^2 maps of that corpus, which ``verify`` prints to six digits only.
+  on C^2 maps of that corpus, which ``verify`` prints to six digits only;
+  and ``check/de-damping/...``: ``extend_de`` on circle maps and points
+  where a Newton step leaves the disk and is halved back into it.
 
 The temporary directory the records run in is replaced by ``<tmp>`` before
 hashing.  A change that moves an output on purpose regenerates the file and
@@ -45,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from qcext import analysis, cli
+from qcext.douady_earle import circle_map_from_dict, extend_de
 from qcext.errors import QCExtError
 from qcext.extensions import ExtParams
 from qcext.realmap import map_from_dict
@@ -95,6 +98,18 @@ CHECK_MAPS = ("affine", "identity-plus-bump", "quadratic-window",
               "power-integral(identity-plus-bump)")
 CHECK_PARAMS = ((1.0, 2.0), (0.5, 1.5), (-0.3, 0.7))
 CHECK_Z = np.array([-0.8, 0.1, 1.3]) + 1j * np.array([[0.3], [1.1]])
+# circle map, point: a full Newton step from the iterate leaves the disk
+DAMPING = [
+    ({"kind": "circle-fourier", "cos": [-0.07], "sin": [-0.041]},
+     0.9592821261969487 - 0.26155361278151246j),
+    ({"kind": "circle-mobius", "angle": 2.064308121820581,
+      "center": [-0.04673247670782434, -0.25384840190003743]},
+     -0.5148399107985199 - 0.8503967757752684j),
+    ({"kind": "circle-fourier", "cos": [0.024, -0.022], "sin": [-0.007, -0.018]},
+     -0.6649703736979079 - 0.7394894536800811j),
+    ({"kind": "circle-fourier", "cos": [-0.018], "sin": [0.089]},
+     -0.7962065996074982 - 0.5945542370057294j),
+]
 
 
 def _load(name: str):
@@ -210,7 +225,8 @@ def map_records() -> dict:
 def check_records() -> dict:
     """The full bits of the checks that ``verify`` prints to six digits:
     closed-form and centered-difference dilatation, the PDE residual and the
-    boundary residual, on C^2 maps of the corpus."""
+    boundary residual, on C^2 maps of the corpus; and of the damped disk
+    solves of DAMPING."""
     corpus, records = _corpus(), {}
     for label, (a, alpha) in itertools.product(CHECK_MAPS, CHECK_PARAMS):
         f, p = map_from_dict(corpus[label]), ExtParams(a, alpha)
@@ -220,6 +236,10 @@ def check_records() -> dict:
         parts += [_bits(analysis.pde_residual(f, p, CHECK_Z)),
                   _bits(analysis.boundary_residual(p, f, (-1.0, 1.0), (0.1, 0.01)))]
         records[f"check/{label}/a={a!r} alpha={alpha!r}"] = _digest(parts)
+    for desc, z in DAMPING:
+        f = circle_map_from_dict(desc)
+        records[f"check/de-damping/{json.dumps(desc)} z={z!r}"] = _digest(
+            [_outcome(extend_de, f, z)])
     return records
 
 
