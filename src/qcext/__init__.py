@@ -7,8 +7,7 @@ factorization of bi-Lipschitz line maps into certified near-identity pieces.
 """
 
 from .errors import (DomainError, NonConvergence, NonTermination,
-                     QCExtError, QuadratureFailure, StepOutOfDisk,
-                     ToleranceFailure)
+                     QCExtError, QuadratureFailure, ToleranceFailure)
 from .realmap import (Affine, BumpProfile, BUMP_SLOPE_MAX, Composition,
                       IdentityPlusBump, InverseMap, PowerIntegral, RealMap,
                       SampledMonotone, Tapered, bump_map, identity,

@@ -41,7 +41,7 @@ def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
     one past the float range.  A ``quad_tol`` or ``im_scale`` that is not
     positive and finite raises DomainError before any point is checked.
     An integrand value that is not finite raises QuadratureFailure naming
-    the point.
+    the point; a result that overflows raises DomainError naming it.
     """
     for name, value in (("quad_tol", quad_tol), ("im_scale", im_scale)):
         raise_at_first(not 0 < value < math.inf, value,
@@ -66,8 +66,11 @@ def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
         at = complex(z.flat[exc.index % z.size])
         raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
                                 index=exc.index) from exc
-    return scalar_or_array(0.5 * (i_plus + i_minus)
-                           + 0.5j * im_scale * (i_plus - i_minus))
+    with np.errstate(over="ignore"):  # an overflowed value is refused below
+        out = 0.5 * (i_plus + i_minus) + 0.5j * im_scale * (i_plus - i_minus)
+    raise_at_first(~np.isfinite(out), z,
+                   "averaged extension at z={} overflows in floating point")
+    return scalar_or_array(out)
 
 
 def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,

@@ -22,11 +22,19 @@ import math
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergence, StepOutOfDisk, raise_at_first,
-                     scalar_or_array)
+from .errors import DomainError, NonConvergence, raise_at_first, scalar_or_array
 from .realmap import NUMBER, NUMBERS, PAIR, map_from_dict, register
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _principal(angle: float) -> float:
+    """``angle`` when |angle| <= 2 pi or it is not finite, else the angle in
+    (-pi, pi] with its sine and cosine, which libm reduces exactly: added to
+    t, a larger angle would round t away."""
+    if abs(angle) <= _TWO_PI or not math.isfinite(angle):
+        return angle
+    return math.atan2(math.sin(angle), math.cos(angle))
 
 
 class CircleMap:
@@ -68,11 +76,13 @@ class CircleMap:
 
     @classmethod
     def rotation(cls, angle: float) -> "CircleMap":
-        return cls(lambda t: t + angle, f"rotation({angle:g})", check=False)
+        turn = _principal(angle)
+        return cls(lambda t: t + turn, f"rotation({angle:g})", check=False)
 
     @classmethod
     def from_fourier(cls, rotation: float = 0.0, cos_amps=(), sin_amps=()) -> "CircleMap":
         """L(t) = t + rotation + sum_k a_k cos(k t) + b_k sin(k t)."""
+        rotation = _principal(rotation)
         ca = np.asarray(cos_amps, dtype=float)
         sa = np.asarray(sin_amps, dtype=float)
         kc = np.arange(1, ca.size + 1)
@@ -129,7 +139,7 @@ class MobiusAutomorphism:
         the argument stays in (-pi/2, pi/2) because Re(1 - conj(c) e^{it}) > 0,
         so the principal branch gives a continuous monotone lift.
         """
-        phi, cbar = self.phi, np.conj(self.c)
+        phi, cbar = _principal(self.phi), np.conj(self.c)
 
         def lift(t):
             t = np.asarray(t, dtype=float)
@@ -167,7 +177,7 @@ def _check_nodes(n_nodes: int):
 def _samples(f: CircleMap, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid nodes zeta_k = e^{2 pi i k / n} and the values f(zeta_k)."""
     theta = np.arange(n_nodes) * (_TWO_PI / n_nodes)
-    return np.exp(1j * theta), np.exp(1j * np.asarray(f.lift(theta), dtype=float))
+    return np.exp(1j * theta), f.values(theta)
 
 
 def _kernel(zeta: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -258,11 +268,15 @@ def _solve_block(fv, kernel, z, tol):
     degenerate = r >= 1.0 - 1e-9  # seed on the circle: retreat toward 0
     w[degenerate] *= (1.0 - 1e-6) / r[degenerate]
     g = _defect(w, fv, kernel)
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER + 1):
         act = np.flatnonzero(~(np.abs(g) <= tol))
         if act.size == 0:
             return w
         wa, za, ka, ga = w[act], z[act], kernel[act], g[act]
+        if it == _MAX_ITER:
+            raise NonConvergence(
+                f"disk solve at z={complex(za[0])} did not reach tol={tol:g} in "
+                f"{_MAX_ITER} iterations (final defect {abs(ga[0]):.3g})")
         d_w, d_wbar = _de_jacobian(wa, fv, ka)
         # g + d_w s + d_wbar conj(s) = 0, solved with its conjugate equation
         det = np.abs(d_w) ** 2 - np.abs(d_wbar) ** 2
@@ -273,17 +287,9 @@ def _solve_block(fv, kernel, z, tol):
                 f"singular Jacobian in the disk solve at z={complex(za[i])} "
                 f"(defect {abs(ga[i]):.3g})")
         step = (d_wbar * np.conj(ga) - np.conj(d_w) * ga) / det
+        # backtracking: halve each step until the trial is inside the disk and
+        # lowers |g|; a trial outside is not evaluated (g = nan is never lower)
         lam = np.ones(act.size)
-        while True:
-            out = np.abs(wa + lam * step) >= 1.0 - 1e-12
-            if not out.any():
-                break
-            lam[out] *= 0.5
-            if (lam < 1e-18).any():
-                i = int(np.argmax(lam < 1e-18))
-                raise StepOutOfDisk(
-                    f"damping cannot keep the iterate inside the unit disk "
-                    f"at z={complex(za[i])} (defect {abs(ga[i]):.3g})")
         todo = np.arange(act.size)
         while todo.size:
             stalled = lam[todo] < 1e-12
@@ -293,20 +299,15 @@ def _solve_block(fv, kernel, z, tol):
                     f"damped Newton stalled at z={complex(za[i])} with defect "
                     f"{abs(ga[i]):.3g} (tol {tol:g})")
             w_try = wa[todo] + lam[todo] * step[todo]
-            g_try = _defect(w_try, fv, ka[todo])
+            inside = np.abs(w_try) < 1.0 - 1e-12
+            g_try = np.full(todo.size, np.nan, dtype=complex)
+            g_try[inside] = _defect(w_try[inside], fv, ka[todo[inside]])
             better = np.abs(g_try) < np.abs(ga[todo])
             done = todo[better]
             w[act[done]] = w_try[better]
             g[act[done]] = g_try[better]
             todo = todo[~better]
             lam[todo] *= 0.5
-    bad = ~(np.abs(g) <= tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonConvergence(
-            f"disk solve at z={complex(z[i])} did not reach tol={tol:g} in "
-            f"{_MAX_ITER} iterations (final defect {abs(g[i]):.3g})")
-    return w
 
 
 def de_naturality_residual(f: CircleMap, m: MobiusAutomorphism, z,

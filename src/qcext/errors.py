@@ -31,10 +31,6 @@ class NonConvergence(QCExtError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class StepOutOfDisk(NonConvergence):
-    """Damping could not keep a disk solve strictly inside the unit disk."""
-
-
 class ToleranceFailure(QCExtError, RuntimeError):
     """A certified error budget could not be met."""
 

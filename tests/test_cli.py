@@ -207,6 +207,17 @@ def test_extend_ba_non_finite_integrand_exits_3_with_one_line(tmp_path, capsys):
         "integrand is not finite on [9999999999.99, 10000000000.0]\n")
 
 
+def test_extend_ba_overflowing_value_exits_2_with_one_line(tmp_path, capsys):
+    # every integral is finite, but im_scale times the difference of the
+    # half-window means is not: refused, with no numpy warning and no rows
+    map_file = write_json(tmp_path / "bump.json", BUMP)
+    assert main(["extend", "--method", "ba", "--map", map_file, "--nx", "2",
+                 "--ny", "2", "--x-max", "5", "--y-max", "200",
+                 "--im-scale", "1e308"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: averaged extension at z=(-2+200j) overflows in floating point\n")
+
+
 def test_extend_json_format(tmp_path):
     map_file = write_json(tmp_path / "bump.json", BUMP)
     out = tmp_path / "out.json"
@@ -543,7 +554,7 @@ def test_numerical_failure_exits_3(tmp_path):
     # an unreachable recomposition tolerance is a numerical failure, not usage
     map_file = write_json(tmp_path / "bump.json", BUMP)
     assert main(["decompose", "--map", map_file, "--eps0", "0.2",
-                 "--tol", "1e-18"]) == 3
+                 "--tol", "1e-20"]) == 3
     # a table failure inside the averaged extension is reported as it is
     table_file = write_json(tmp_path / "pi.json", {"kind": "power-integral",
                                                    "base": BUMP, "exponent": 0.5})

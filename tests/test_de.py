@@ -1,7 +1,9 @@
 """Tests for the barycentric disk extension."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +80,31 @@ def test_fourier_build_evaluates_the_lift_once(monkeypatch):
     calls.clear()
     CircleMap(lambda t: t + 0.05 * np.sin(t))
     assert calls == [2048, 2048]
+
+
+def _reduced_angle(angle):
+    """angle mod 2 pi into [-pi, pi], by mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        a, two_pi = mpmath.mpf(angle), 2 * mpmath.pi
+        return float(a - two_pi * mpmath.nint(a / two_pi))
+
+
+def test_angles_past_two_pi_are_reduced_exactly():
+    # the lift at t = 0 is the angle a circle map adds; past 2 pi it is the
+    # exactly reduced angle, to 1 ulp, and up to 2 pi the angle itself
+    for angle in (1e12, 1e6, 12345.678, 7.0, -1e15, 2.0 ** 60):
+        want = _reduced_angle(angle)
+        for f in (CircleMap.rotation(angle), CircleMap.from_fourier(angle),
+                  MobiusAutomorphism(angle, 0.0).boundary()):
+            assert abs(f(0.0) - want) <= math.ulp(want)
+    t = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    for angle in (2 * math.pi, -2 * math.pi, 3.0):
+        assert np.array_equal(CircleMap.rotation(angle)(t), t + angle)
+        assert np.array_equal(CircleMap.from_fourier(angle)(t), t + angle)
+    # a rotation of 1e12 kept unreduced moved this value by 1.07e-6
+    big = CircleMap.from_fourier(1e12, [0.05], [0.02])
+    exact = CircleMap.from_fourier(_reduced_angle(1e12), [0.05], [0.02])
+    assert abs(extend_de(big, 0.3 + 0.2j) - extend_de(exact, 0.3 + 0.2j)) <= 1e-15
 
 
 def test_mobius_boundary_matches_direct_values(rng):
@@ -249,6 +276,27 @@ def test_array_solve_unreachable_tol_names_the_point(rng):
     f = CircleMap.from_fourier(0.2, cos_amps=[0.05], sin_amps=[0.03])
     with pytest.raises(NonConvergence, match=r"z=\(.*j\).*defect"):
         extend_de(f, disk_grid(0.5, 4), tol=1e-30)
+
+
+def test_disk_solve_evaluates_the_defect_only_inside_the_safety_radius(monkeypatch):
+    # Newton pushes this point's iterate out to the safety radius 1 - 1e-12,
+    # where halved steps round onto or past it: each such trial is halved
+    # again without being evaluated, and the solve stalls just inside
+    from qcext import douady_earle
+    f = CircleMap.from_fourier(
+        0.0, cos_amps=[0.013486267884789398, 0.00591014119717986, 0.007279222394214205,
+                       -0.0036657240775386565, 0.012759556460324901],
+        sin_amps=[0.01205304749872749, 0.007690405316462288, -0.009710580667320771,
+                  -0.01183633182984813, 0.008971383237282363])
+    defect, radii = douady_earle._defect, []
+    monkeypatch.setattr(douady_earle, "_defect",
+                        lambda w, *args: radii.extend(np.abs(w).ravel()) or defect(w, *args))
+    z = 0.24726680138421497 - 0.9676397733084688j
+    for points in (z, np.array([z])):
+        with pytest.raises(NonConvergence, match=re.escape(
+                f"damped Newton stalled at z={z} with defect 178 (tol 1e-10)")):
+            extend_de(f, points)
+    assert radii and max(radii) < 1.0 - 1e-12
 
 
 def test_array_solve_rejects_bad_points_before_solving():
