@@ -6,14 +6,13 @@ operators, closed-form and finite-difference dilatation analysis, and the
 factorization of bi-Lipschitz line maps into certified near-identity pieces.
 """
 
-from .errors import (DomainError, NonConvergence, NonTermination,
-                     QCExtError, QuadratureFailure, ToleranceFailure)
+from .errors import (DomainError, NonConvergence, QCExtError,
+                     QuadratureFailure, ToleranceFailure)
 from .realmap import (Affine, BumpProfile, BUMP_SLOPE_MAX, Composition,
                       IdentityPlusBump, InverseMap, PowerIntegral, RealMap,
-                      SampledMonotone, Tapered, bump_map, identity,
-                      map_from_dict, map_from_file, power_integral_map)
-from .extensions import (ExtParams, act, extend_family, extend_ns,
-                         family_extension, group_identity, group_inv,
+                      SampledMonotone, Tapered, bump_map, map_from_dict,
+                      map_from_file)
+from .extensions import (ExtParams, act, extend_family, extend_ns, group_inv,
                          group_mul, shear)
 from .beurling_ahlfors import ba_affine_naturality_residual, extend_ba
 from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,

@@ -115,26 +115,30 @@ def _over(c: np.ndarray, d):
 def dilatation_values(f: RealMap, p: ExtParams, z):
     """Vectorized closed-form dilatation over points z (alpha >= 0), with
     theta.  A point where the closed form is undefined, because f' is not
-    positive there, gets NaN rather than failing the whole call."""
+    positive there, gets NaN rather than failing the whole call; the first
+    point, in C order, where it is defined but overflows raises DomainError."""
     require_upper_half(z)
     x, y = np.real(z), np.imag(z)
     a, al = p.a, p.alpha
-    if al > 0:
-        d1 = f.deriv(x + a * y)
-        d2 = f.deriv(x - (al - a) * y)
-        ok = (d1 > 0) & (d2 >= 0)
-        theta = d2 / np.where(ok, d1, 1.0)
-        sig = sigma_factor(p)
-        val = np.abs(1.0 - theta) / np.abs(1.0 - sig * theta)
-    else:
-        u = x + a * y
-        d1 = f.deriv(u)
-        ok = d1 > 0
-        d2 = f.second_deriv(u)
-        scale = 1.0 + a * a
-        val = (scale * np.abs(y * d2)
-               / np.abs(2.0 * np.where(ok, d1, 1.0) + 1j * scale * y * d2))
-        theta = np.ones_like(val)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if al > 0:
+            d1 = f.deriv(x + a * y)
+            d2 = f.deriv(x - (al - a) * y)
+            ok = (d1 > 0) & (d2 >= 0)
+            theta = d2 / np.where(ok, d1, 1.0)
+            sig = sigma_factor(p)
+            val = np.abs(1.0 - theta) / np.abs(1.0 - sig * theta)
+        else:
+            u = x + a * y
+            d1 = f.deriv(u)
+            ok = d1 > 0
+            d2 = f.second_deriv(u)
+            scale = 1.0 + a * a
+            val = (scale * np.abs(y * d2)
+                   / np.abs(2.0 * np.where(ok, d1, 1.0) + 1j * scale * y * d2))
+            theta = np.ones_like(val)
+    raise_at_first(ok & ~np.isfinite(val), np.asarray(z, dtype=complex),
+                   "dilatation at z={} overflows in floating point")
     return np.where(ok, val, np.nan), theta
 
 

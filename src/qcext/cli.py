@@ -18,6 +18,7 @@ and flags; randomized suites draw from a seeded generator (--seed, default 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,10 +28,10 @@ import numpy as np
 from . import analysis, decompose as dc
 from .beurling_ahlfors import (IM_SCALE, QUAD_TOL, ba_affine_naturality_residual,
                                extend_ba)
-from .douady_earle import (CircleMap, MobiusAutomorphism, circle_map_from_dict,
-                           de_naturality_residual, extend_de)
+from .douady_earle import (N_NODES, TOL, CircleMap, MobiusAutomorphism,
+                           circle_map_from_dict, de_naturality_residual, extend_de)
 from .errors import DomainError, QCExtError
-from .extensions import ExtParams, act, extend_family, extend_ns, family_extension
+from .extensions import ExtParams, act, extend_family, extend_ns
 from .realmap import (Affine, BUMP_SLOPE_MAX, MAP, NUMBER, REQUIRED, BumpProfile,
                       Composition, Field, IdentityPlusBump, RealMap, _checked,
                       description_from_file, map_from_file)
@@ -69,19 +70,16 @@ def random_group_params(rng: np.random.Generator,
 
 # -- extend ------------------------------------------------------------------
 
-# How a row format spells the reprs of non-finite floats: values, then the
-# dilatation column, whose NaN is an empty cell.
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SPELLING = {"csv": ({}, {"nan": ""}),
-             "json": (_JSON_FLOATS, {**_JSON_FLOATS, "nan": "null"})}
+# How a row format spells an undefined (NaN) dilatation cell.  Every other
+# cell is finite: the extensions refuse a value that overflows.
+_NAN = {"csv": "", "json": "null"}
 
 
-def _cell_texts(v: np.ndarray, spelling: dict) -> list:
-    """The repr of each float of v, with the reprs of non-finite values
-    replaced as ``spelling`` says."""
+def _cell_texts(v: np.ndarray, nan: str | None = None) -> list:
+    """The repr of each float of v, with ``nan``, when given, for a NaN."""
     texts = list(map(repr, v.tolist()))
-    if spelling and not np.isfinite(v).all():
-        texts = [spelling.get(t, t) for t in texts]
+    if nan is not None and np.isnan(v).any():
+        texts = [nan if t == "nan" else t for t in texts]
     return texts
 
 
@@ -91,7 +89,7 @@ def _coordinate_texts(v: np.ndarray) -> list:
     keeps its sign)."""
     bits, where = np.unique(np.ascontiguousarray(v).view(np.int64),
                             return_inverse=True)
-    texts = np.array(_cell_texts(bits.view(np.float64), {}), dtype=object)
+    texts = np.array(_cell_texts(bits.view(np.float64)), dtype=object)
     return texts[where].tolist()
 
 
@@ -101,10 +99,9 @@ def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
     out_path, or to stdout if it is None, as the bytes csv.writer over repr
     cells (fmt "csv") or json.dumps(rows, indent=1) and a newline (fmt
     "json") would write, one f-string per row."""
-    values, dilatation = _SPELLING[fmt]
     rows = zip(_coordinate_texts(zs.real), _coordinate_texts(zs.imag),
-               _cell_texts(vals.real, values), _cell_texts(vals.imag, values),
-               _cell_texts(dil, dilatation))
+               _cell_texts(vals.real), _cell_texts(vals.imag),
+               _cell_texts(dil, _NAN[fmt]))
     if fmt == "csv":
         text = "x,y,re,im,dilatation\r\n" + "".join(
             [f"{x},{y},{re},{im},{d}\r\n" for x, y, re, im, d in rows])
@@ -238,7 +235,7 @@ def _suite_pde(cfg, rng):
 
 def _suite_group_action(cfg, rng):
     grid = analysis.half_plane_grid()
-    e01 = family_extension(ExtParams(0.0, 1.0))
+    e01 = functools.partial(extend_family, ExtParams(0.0, 1.0))
     for i in range(cfg["trials"]):
         f = random_bump_map(rng)
         p = random_group_params(rng, a_range=(-2.0, 2.0), alpha_range=(0.2, 5.0))
@@ -422,8 +419,8 @@ def _extend_options(p: argparse.ArgumentParser):
     p.add_argument("--ny", type=int, default=20)
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
     p.add_argument("--im-scale", type=float, default=IM_SCALE)
-    p.add_argument("--n-nodes", type=int, default=512)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--n-nodes", type=int, default=N_NODES)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_extend)

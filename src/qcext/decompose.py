@@ -40,9 +40,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (DomainError, NonTermination, ToleranceFailure,
-                     raise_at_first)
-from .realmap import Affine, Composition, InverseMap, RealMap, power_integral_map
+from .errors import DomainError, ToleranceFailure, raise_at_first
+from .realmap import Affine, Composition, InverseMap, PowerIntegral, RealMap
 
 
 @dataclass
@@ -118,20 +117,19 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization
         raise DomainError(f"eps0 {eps0:g} needs about {needed} rounds for a map with "
                           f"bi-Lipschitz constant {L:.6g}, more than "
                           f"MAX_ROUNDS = {MAX_ROUNDS}")
-    guard = 10 * needed
     gamma = 0.0
     pi_prev = None
     inner_factors = []
     L_k = L
-    rounds = 0
-    while L_k >= 1.0 + eps0:
-        rounds += 1
-        if rounds > guard:
-            raise NonTermination(
-                f"factorization did not terminate within {guard} rounds")
+    # each round lowers log L_k by log(1 + eps) < log(1 + eps0), so fewer
+    # than `needed` rounds end below 1 + eps0 (were one short, the terminal
+    # factor would fail its certificate)
+    for _ in range(needed):
+        if L_k < 1.0 + eps0:
+            break
         alpha_k = math.log(1.0 + eps) / math.log(L_k)
         gamma_next = gamma + (1.0 - gamma) * alpha_k
-        pi_gamma = power_integral_map(core, gamma_next)
+        pi_gamma = PowerIntegral(core, gamma_next)
         if pi_prev is None:
             f_k = pi_gamma
         else:

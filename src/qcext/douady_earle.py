@@ -41,13 +41,12 @@ class CircleMap:
     """Orientation-preserving circle homeomorphism given by an increasing
     lift L with L(t + 2 pi) = L(t) + 2 pi.
 
-    ``lift`` must be vectorized over ndarrays.  Monotonicity and periodicity
-    are checked on a dense sample at construction.
+    ``lift`` must be vectorized over 1-d ndarrays.  Monotonicity and
+    periodicity are checked on a dense sample at construction.
     """
 
-    def __init__(self, lift, label: str = "circle-map", check: bool = True):
+    def __init__(self, lift, check: bool = True):
         self.lift = lift
-        self.label = label
         if check:
             self._validate()
 
@@ -57,27 +56,28 @@ class CircleMap:
         t = np.linspace(0.0, _TWO_PI, 2048, endpoint=False)
         lt = np.asarray(self.lift(t), dtype=float)
         if not (np.diff(lt) > 0).all():
-            raise DomainError(f"{self.label}: lift is not strictly increasing")
+            raise DomainError("circle map lift is not strictly increasing")
         if not periodic:
             per = np.asarray(self.lift(t + _TWO_PI), dtype=float) - lt
             if np.max(np.abs(per - _TWO_PI)) > 1e-12:
-                raise DomainError(f"{self.label}: lift is not 2*pi-periodic")
+                raise DomainError("circle map lift is not 2*pi-periodic")
+
+    def _lifted(self, theta):
+        """The shape of ``theta`` and the lift at its points, flattened: a
+        scalar is lifted as a 1-element array, so it gets the array bits."""
+        t = np.asarray(theta, dtype=float)
+        return t.shape, np.asarray(self.lift(t.ravel()), dtype=float)
 
     def __call__(self, theta):
-        return self.lift(np.asarray(theta, dtype=float))
+        """The lift L(theta); a float for a scalar ``theta``."""
+        shape, lt = self._lifted(theta)
+        return scalar_or_array(lt.reshape(shape))
 
     def values(self, theta):
-        """Boundary values f(e^{i theta}) = e^{i L(theta)}."""
-        return np.exp(1j * self(theta))
-
-    @classmethod
-    def identity(cls) -> "CircleMap":
-        return cls(lambda t: t, "identity", check=False)
-
-    @classmethod
-    def rotation(cls, angle: float) -> "CircleMap":
-        turn = _principal(angle)
-        return cls(lambda t: t + turn, f"rotation({angle:g})", check=False)
+        """Boundary values f(e^{i theta}) = e^{i L(theta)}; a complex for a
+        scalar ``theta``."""
+        shape, lt = self._lifted(theta)
+        return scalar_or_array(np.exp(1j * lt).reshape(shape))
 
     @classmethod
     def from_fourier(cls, rotation: float = 0.0, cos_amps=(), sin_amps=()) -> "CircleMap":
@@ -97,15 +97,14 @@ class CircleMap:
                 out = out + np.sin(np.multiply.outer(t, ks)) @ sa
             return out
 
-        fourier = cls(lift, "fourier", check=False)
+        fourier = cls(lift, check=False)
         fourier._validate(periodic=True)
         return fourier
 
 
 def compose_circle(outer: CircleMap, inner: CircleMap) -> CircleMap:
     """Circle map with lift L_outer o L_inner (i.e. outer(inner(zeta)))."""
-    return CircleMap(lambda t: outer.lift(inner.lift(t)),
-                     f"{outer.label}*{inner.label}", check=False)
+    return CircleMap(lambda t: outer.lift(inner.lift(t)), check=False)
 
 
 class MobiusAutomorphism:
@@ -145,7 +144,7 @@ class MobiusAutomorphism:
             t = np.asarray(t, dtype=float)
             return phi + t - 2.0 * np.angle(1.0 - cbar * np.exp(1j * t))
 
-        return CircleMap(lift, "mobius-boundary", check=False)
+        return CircleMap(lift, check=False)
 
     def __repr__(self):
         return f"MobiusAutomorphism(phi={self.phi:.6g}, c={self.c:.6g})"
@@ -162,6 +161,8 @@ def _disk_points(w, name: str) -> np.ndarray:
     return w
 
 
+N_NODES = 512  # default trapezoid nodes per point
+TOL = 1e-10    # default bound on the defect at the returned point
 # The most trapezoid nodes a solve may use per point (1 MiB of samples a row).
 MAX_NODES = 1 << 16
 
@@ -195,7 +196,7 @@ def _defect(w: np.ndarray, fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return integrand.sum(axis=-1) * (_TWO_PI / fv.shape[-1])
 
 
-def de_defect(f: CircleMap, w, z, n_nodes: int = 512):
+def de_defect(f: CircleMap, w, z, n_nodes: int = N_NODES):
     """Trapezoidal discretization of the barycenter defect integral at each
     pair of broadcast points ``w``, ``z``; a complex for scalar inputs.
 
@@ -235,7 +236,7 @@ _BLOCK_SIZE = 8192
 _MAX_ITER = 50  # Newton steps of one point's solve
 
 
-def extend_de(f: CircleMap, z, tol: float = 1e-10, n_nodes: int = 512):
+def extend_de(f: CircleMap, z, tol: float = TOL, n_nodes: int = N_NODES):
     """Solve the defect equation for w at each point of ``z``; a complex for
     a scalar ``z``, else an array of its shape.
 
@@ -336,8 +337,9 @@ def circle_map_from_dict(d: dict) -> CircleMap:
     return map_from_dict(d, "circle-map")
 
 
-register("circle-map", "circle-identity", CircleMap.identity)
-register("circle-map", "circle-rotation", CircleMap.rotation, angle=NUMBER)
+register("circle-map", "circle-identity", CircleMap.from_fourier)
+register("circle-map", "circle-rotation", lambda angle: CircleMap.from_fourier(angle),
+         angle=NUMBER)
 register("circle-map", "circle-fourier",
          lambda rotation, cos, sin: CircleMap.from_fourier(rotation, cos, sin),
          rotation=(NUMBER, 0.0), cos=(NUMBERS, ()), sin=(NUMBERS, ()))

@@ -35,10 +35,6 @@ class ToleranceFailure(QCExtError, RuntimeError):
     """A certified error budget could not be met."""
 
 
-class NonTermination(QCExtError, RuntimeError):
-    """A guarded recursion exceeded its round limit."""
-
-
 def raise_at_first(bad, values, message: str, nonfinite: str | None = None):
     """Raise DomainError if the mask ``bad`` holds anywhere, with the first
     such entry of ``values`` (same shape), in C order, formatted into

@@ -15,7 +15,6 @@ computed, with no clamping, so verification code can see violations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,10 +71,6 @@ def _shear_value(a: float, alpha: float, w):
     return x + a * y + 1j * alpha * y
 
 
-def group_identity() -> ExtParams:
-    return ExtParams(0.0, 1.0)
-
-
 def group_mul(g1: ExtParams, g2: ExtParams) -> ExtParams:
     g1.require_group()
     g2.require_group()
@@ -97,19 +92,29 @@ def extend_family(p: ExtParams, f: RealMap, z):
         f(x + a y) - a y f'(x + a y) + i y f'(x + a y)
 
     The imaginary part is divided by alpha in real arithmetic, so a scalar
-    call and the matching element of an array call agree bit for bit.
+    call and the matching element of an array call agree bit for bit.  The
+    first point, in C order, whose value overflows raises DomainError.
     """
     require_upper_half(z)
     x, y = np.real(z), np.imag(z)
     a, alpha = p.a, p.alpha
-    if alpha > 0:
-        fu1 = f(x + a * y)
-        fu2 = f(x - (alpha - a) * y)
-        re = (1.0 - a / alpha) * fu1 + (a / alpha) * fu2
-        return re + 1j * ((fu1 - fu2) / alpha)
-    u = x + a * y
-    d = f.deriv(u)
-    return f(u) - a * y * d + 1j * y * d
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if alpha > 0:
+            fu1 = f(x + a * y)
+            fu2 = f(x - (alpha - a) * y)
+            re = (1.0 - a / alpha) * fu1 + (a / alpha) * fu2
+            out = re + 1j * ((fu1 - fu2) / alpha)
+        else:
+            u = x + a * y
+            d = f.deriv(u)
+            out = f(u) - a * y * d + 1j * y * d
+    _require_finite(out, z)
+    return out
+
+
+def _require_finite(out, z):
+    raise_at_first(~np.isfinite(out), np.asarray(z, dtype=complex),
+                   "extension at z={} overflows in floating point")
 
 
 def extend_ns(f: RealMap, z):
@@ -124,15 +129,16 @@ def act(g: ExtParams, base_extension, f: RealMap, z):
 
     ``base_extension`` is any callable (f, z) -> complex taking values in the
     closed upper half-plane; a DomainError is raised if the intermediate
-    value escapes it.
+    value escapes it, and for the first point, in C order, whose shear or
+    value overflows.
     """
     g.require_group()
-    w = base_extension(f, shear(g.a, g.alpha, z))
-    if np.any(np.imag(w) < 0):
-        raise DomainError("base extension left the closed upper half-plane")
-    return _shear_value(-g.a / g.alpha, 1.0 / g.alpha, w)
-
-
-def family_extension(p: ExtParams):
-    """The (f, z) -> complex callable for the family member p (for act)."""
-    return functools.partial(extend_family, p)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        sheared = shear(g.a, g.alpha, z)
+        _require_finite(sheared, z)
+        w = base_extension(f, sheared)
+        if np.any(np.imag(w) < 0):
+            raise DomainError("base extension left the closed upper half-plane")
+        out = _shear_value(-g.a / g.alpha, 1.0 / g.alpha, w)
+    _require_finite(out, z)
+    return out

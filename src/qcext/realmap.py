@@ -177,10 +177,6 @@ class Affine(RealMap):
         return np.zeros_like(x)
 
 
-def identity() -> Affine:
-    return Affine(1.0, 0.0)
-
-
 class BumpProfile:
     """amplitude * p((x - center)/halfwidth) with p(t) = (1 - t^2)^3 on [-1, 1].
 
@@ -471,13 +467,6 @@ class PowerIntegral(RealMap):
     def _second(self, x):
         d = self.base.deriv(x)
         return self.exponent * d ** (self.exponent - 1.0) * self.base.second_deriv(x)
-
-
-def power_integral_map(f: RealMap, alpha: float) -> RealMap:
-    """The map x -> integral_0^x f'(t)**alpha dt with certified power bounds."""
-    if alpha == 0.0:
-        return identity()
-    return PowerIntegral(f, alpha)
 
 
 class InverseMap(RealMap):

@@ -13,21 +13,21 @@ from qcext.analysis import (CubicMap, QuadraticWindowMap, boundary_residual,
                             pde_residual, sigma_factor, sup_dilatation)
 from qcext.errors import DomainError
 from qcext.extensions import ExtParams, extend_family
-from qcext.realmap import (Affine, InverseMap, SampledMonotone, Tapered,
-                           bump_map, identity, power_integral_map)
+from qcext.realmap import (Affine, InverseMap, PowerIntegral, SampledMonotone,
+                           Tapered, bump_map)
 from conftest import make_bump_map, make_params
 
 
 # -- quasisymmetry ratios -----------------------------------------------------
 
 def test_m_ratio_identity_and_affine():
-    assert m_ratio(identity(), 0.3, 1.7) == 1.0
+    assert m_ratio(Affine(1.0), 0.3, 1.7) == 1.0
     assert m_ratio(Affine(3.0, -2.0), -1.0, 0.5) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_m_ratio_rejects_nonpositive_t():
     with pytest.raises(DomainError):
-        m_ratio(identity(), 0.0, 0.0)
+        m_ratio(Affine(1.0), 0.0, 0.0)
 
 
 def test_estimate_m_matches_brute_force():
@@ -48,7 +48,7 @@ def test_estimate_m_bounded_by_slope_ratio(rng):
         f = make_bump_map(rng)
         b, B = f.deriv_bounds()
         assert estimate_m(f) <= B / b + 1e-9
-    assert estimate_m(identity()) == pytest.approx(1.0, abs=1e-12)
+    assert estimate_m(Affine(1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- sigma factor ----------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_numeric_matches_analytic_second_order(rng):
 
 
 def test_numeric_dilatation_validates(rng):
-    F = lambda z: extend_family(ExtParams(1.0, 2.0), identity(), z)
+    F = lambda z: extend_family(ExtParams(1.0, 2.0), Affine(1.0), z)
     with pytest.raises(DomainError):
         dilatation_numeric(F, 0.5 + 0.001j, 1e-3)
     with pytest.raises(DomainError):
@@ -175,7 +175,7 @@ def test_alpha_zero_affine_is_conformal():
 def test_cubic_is_gated_from_bilipschitz_machinery():
     cub = CubicMap()
     with pytest.raises(DomainError):
-        power_integral_map(cub, 0.5)
+        PowerIntegral(cub, 0.5)
     with pytest.raises(DomainError):
         InverseMap(cub)(1.0)
     with pytest.raises(DomainError):
@@ -188,13 +188,13 @@ def test_homomorphism_residual_identity_cases(rng):
     grid = half_plane_grid()
     f = make_bump_map(rng)
     p = make_params(rng)
-    assert homomorphism_residual(p, f, identity(), grid) <= 1e-13
+    assert homomorphism_residual(p, f, Affine(1.0), grid) <= 1e-13
     assert homomorphism_residual(p, Affine(2.0, 1.0), Affine(0.5, -1.0), grid) <= 1e-13
 
 
 def test_homomorphism_residual_requires_group():
     with pytest.raises(DomainError):
-        homomorphism_residual(ExtParams(1.0, 0.0), identity(), identity(),
+        homomorphism_residual(ExtParams(1.0, 0.0), Affine(1.0), Affine(1.0),
                               half_plane_grid())
 
 
@@ -203,7 +203,7 @@ def test_boundary_residual_identity_and_affine():
     # height a*y itself, to float precision at every y
     p = ExtParams(1.3, 2.7)
     for y in (1e-1, 1e-2, 1e-3):
-        assert abs(boundary_residual(p, identity(), (-1, 1), y) - y) <= 1e-14
+        assert abs(boundary_residual(p, Affine(1.0), (-1, 1), y) - y) <= 1e-14
         assert abs(boundary_residual(p, Affine(2.0, 0.5), (-1, 1), y) - 2 * y) <= 1e-13
 
 
@@ -312,6 +312,20 @@ def test_grid_validation():
                    {"x_min": 1.0, "x_max": 1.0}):
         with pytest.raises(DomainError, match="increasing"):
             half_plane_grid(**bounds)
+
+
+def test_dilatation_values_refuse_a_defined_value_that_overflows():
+    cub, p0 = CubicMap(), ExtParams(0.0, 0.0)
+    # undefined at 1j (f'(0) = 0): NaN, not an error
+    vals, _ = dilatation_values(cub, p0, np.array([1j, 1 + 1j]))
+    assert np.isnan(vals).tolist() == [True, False]
+    # y f''(x) = 6e308 at 1 + 1e308j
+    with pytest.raises(DomainError, match=r"^dilatation at z=\(1\+1e\+308j\) "
+                                          "overflows in floating point$"):
+        dilatation_values(cub, p0, np.array([1j, 1 + 1e308j]))
+    # the phase sigma overflows for a = 1e300, at every point
+    with pytest.raises(DomainError, match=r"z=\(-2\+0\.01j\) overflows"):
+        dilatation_values(Affine(2.0), ExtParams(1e300, 1.0), np.array([-2 + 0.01j, 1j]))
 
 
 def test_dilatation_values_mark_undefined_points_nan():

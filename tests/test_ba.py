@@ -8,7 +8,7 @@ import pytest
 from qcext.beurling_ahlfors import (QUAD_TOL, ba_affine_naturality_residual,
                                     extend_ba)
 from qcext.errors import DomainError, QuadratureFailure
-from qcext.realmap import Affine, Composition, SampledMonotone, bump_map, identity
+from qcext.realmap import Affine, Composition, SampledMonotone, bump_map
 from conftest import make_bump_map
 
 PRINTED = dict(im_scale=1.0)
@@ -19,13 +19,13 @@ QTOL = QUAD_TOL
 def test_identity_at_printed_scale_halves_the_height():
     # symbolic integration of the printed formula gives x + i y/2
     for z in (0.5 + 1.0j, -1.0 + 0.25j, 2.0 + 3.0j):
-        v = extend_ba(identity(), z, **PRINTED)
+        v = extend_ba(Affine(1.0), z, **PRINTED)
         assert abs(v - (z.real + 0.5j * z.imag)) <= QTOL
 
 
 def test_identity_fixed_at_natural_scale():
     for z in (0.5 + 1.0j, -1.0 + 0.25j, 2.0 + 3.0j):
-        assert abs(extend_ba(identity(), z, **NATURAL) - z) <= 2 * QTOL
+        assert abs(extend_ba(Affine(1.0), z, **NATURAL) - z) <= 2 * QTOL
 
 
 def test_affine_fixed_at_natural_scale(rng):
@@ -43,12 +43,12 @@ def test_naturality_with_identity_precomposition():
     # the residual is visibly nonzero even for g = Id
     f = bump_map(0.0, 1.0, 0.3)
     z = 0.4 + 0.8j
-    assert ba_affine_naturality_residual(f, identity(), z, **NATURAL) <= 2 * QTOL
-    assert ba_affine_naturality_residual(f, identity(), z, **PRINTED) > 1e-3
+    assert ba_affine_naturality_residual(f, Affine(1.0), z, **NATURAL) <= 2 * QTOL
+    assert ba_affine_naturality_residual(f, Affine(1.0), z, **PRINTED) > 1e-3
 
 
 def test_naturality_residual_small_at_natural_scale(rng):
-    g = Composition(Affine(2.0, 1.0), identity())  # 2x + 1 as an affine kind
+    g = Composition(Affine(2.0, 1.0), Affine(1.0))  # 2x + 1 as an affine kind
     assert g.kind == "composition"
     g = Affine(2.0, 1.0)
     for _ in range(15):
@@ -119,18 +119,18 @@ def test_real_part_increasing_in_x():
 
 def test_rejects_boundary_point_and_bad_config():
     with pytest.raises(DomainError):
-        extend_ba(identity(), 1.0 + 0.0j)
+        extend_ba(Affine(1.0), 1.0 + 0.0j)
     with pytest.raises(DomainError):
-        extend_ba(identity(), 1j, quad_tol=0.0)
+        extend_ba(Affine(1.0), 1j, quad_tol=0.0)
     with pytest.raises(DomainError):
-        extend_ba(identity(), 1j, im_scale=-1.0)
+        extend_ba(Affine(1.0), 1j, im_scale=-1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
-            extend_ba(identity(), 1j, quad_tol=bad)
+            extend_ba(Affine(1.0), 1j, quad_tol=bad)
         with pytest.raises(DomainError):
-            extend_ba(identity(), 1j, im_scale=bad)
+            extend_ba(Affine(1.0), 1j, im_scale=bad)
     with pytest.raises(DomainError):
-        ba_affine_naturality_residual(identity(), bump_map(0, 1, 0.1), 1j)
+        ba_affine_naturality_residual(Affine(1.0), bump_map(0, 1, 0.1), 1j)
 
 
 def test_array_call_agrees_with_scalar_calls(rng):
@@ -149,15 +149,15 @@ def test_array_call_agrees_with_scalar_calls(rng):
 def test_rejects_non_finite_points_before_integrating():
     zs = np.array([0.1 + 1.0j, complex(math.nan, 1.0), 0.2 + 0.5j])
     with pytest.raises(DomainError, match="finite"):
-        extend_ba(identity(), zs)
+        extend_ba(Affine(1.0), zs)
     with pytest.raises(DomainError, match="finite"):
-        extend_ba(identity(), complex(0.0, math.inf))
+        extend_ba(Affine(1.0), complex(0.0, math.inf))
     # the first offending point in order is named
     with pytest.raises(DomainError, match=r"z=\(2-1j\)"):
-        extend_ba(identity(), np.array([1j, 2 - 1j, 3 - 2j]))
+        extend_ba(Affine(1.0), np.array([1j, 2 - 1j, 3 - 2j]))
     # x +- y rounds to x: the half-windows would be empty
     with pytest.raises(DomainError, match="window"):
-        extend_ba(identity(), 1e20 + 1j)
+        extend_ba(Affine(1.0), 1e20 + 1j)
 
 
 def test_quadrature_failure_names_the_point():

@@ -218,6 +218,20 @@ def test_extend_ba_overflowing_value_exits_2_with_one_line(tmp_path, capsys):
         "", "error: averaged extension at z=(-2+200j) overflows in floating point\n")
 
 
+@pytest.mark.parametrize("method, desc, options, first", [
+    ("family", BUMP, ["--a", "1e300", "--alpha", "1"], "(-2+0.01j)"),
+    ("ns", {"kind": "affine", "slope": 2}, ["--x-max", "1e308", "--nx", "2", "--ny", "2"],
+     "(1e+308+0.01j)"),
+])
+def test_extend_shear_overflowing_value_exits_2_with_one_line(tmp_path, capsys, method,
+                                                              desc, options, first):
+    # a value past the float range is refused by name: no numpy warning, no rows
+    map_file = write_json(tmp_path / "map.json", desc)
+    assert main(["extend", "--method", method, "--map", map_file, *options]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: extension at z={first} overflows in floating point\n")
+
+
 def test_extend_json_format(tmp_path):
     map_file = write_json(tmp_path / "bump.json", BUMP)
     out = tmp_path / "out.json"

@@ -48,7 +48,7 @@ def test_circle_map_periodicity_and_monotonicity(rng):
 
 
 def test_circle_map_rejects_non_monotone():
-    with pytest.raises(DomainError, match="fourier: lift is not strictly increasing"):
+    with pytest.raises(DomainError, match="circle map lift is not strictly increasing"):
         CircleMap.from_fourier(0.0, cos_amps=[0.0], sin_amps=[1.5])
     with pytest.raises(DomainError, match="not strictly increasing"):
         CircleMap(lambda t: t + 1.5 * np.sin(t))
@@ -94,12 +94,14 @@ def test_angles_past_two_pi_are_reduced_exactly():
     # exactly reduced angle, to 1 ulp, and up to 2 pi the angle itself
     for angle in (1e12, 1e6, 12345.678, 7.0, -1e15, 2.0 ** 60):
         want = _reduced_angle(angle)
-        for f in (CircleMap.rotation(angle), CircleMap.from_fourier(angle),
+        for f in (circle_map_from_dict({"kind": "circle-rotation", "angle": angle}),
+                  CircleMap.from_fourier(angle),
                   MobiusAutomorphism(angle, 0.0).boundary()):
             assert abs(f(0.0) - want) <= math.ulp(want)
     t = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
     for angle in (2 * math.pi, -2 * math.pi, 3.0):
-        assert np.array_equal(CircleMap.rotation(angle)(t), t + angle)
+        rotation = circle_map_from_dict({"kind": "circle-rotation", "angle": angle})
+        assert np.array_equal(rotation(t), t + angle)
         assert np.array_equal(CircleMap.from_fourier(angle)(t), t + angle)
     # a rotation of 1e12 kept unreduced moved this value by 1.07e-6
     big = CircleMap.from_fourier(1e12, [0.05], [0.02])
@@ -132,15 +134,15 @@ def test_mobius_requires_center_in_disk():
 # -- the defect ----------------------------------------------------------------
 
 def test_defect_identity_origin_is_zero():
-    assert abs(de_defect(CircleMap.identity(), 0.0, 0.0)) <= 1e-14
+    assert abs(de_defect(CircleMap.from_fourier(), 0.0, 0.0)) <= 1e-14
 
 
 def test_defect_rotation_origin_is_zero():
-    assert abs(de_defect(CircleMap.rotation(1.1), 0.0, 0.0)) <= 1e-13
+    assert abs(de_defect(CircleMap.from_fourier(1.1), 0.0, 0.0)) <= 1e-13
 
 
 def test_defect_identity_fixed_points():
-    ident = CircleMap.identity()
+    ident = CircleMap.from_fourier()
     for z in (0.3, -0.2 + 0.4j, 0.6j):
         assert abs(de_defect(ident, z, z, 512)) <= 1e-10
 
@@ -165,7 +167,7 @@ def test_defect_against_scipy_oracle(rng):
 
 
 def test_defect_validates_inputs():
-    ident = CircleMap.identity()
+    ident = CircleMap.from_fourier()
     with pytest.raises(DomainError):
         de_defect(ident, 1.2, 0.0)
     with pytest.raises(DomainError):
@@ -202,7 +204,7 @@ def test_closed_form_jacobian_matches_central_difference(rng):
 # -- the solve -------------------------------------------------------------------
 
 def test_extension_fixes_identity():
-    ident = CircleMap.identity()
+    ident = CircleMap.from_fourier()
     for z in Z_SET:
         assert abs(extend_de(ident, z) - z) <= 1e-10
 
@@ -251,7 +253,7 @@ def test_array_solve_equals_scalar_solves_bit_for_bit(rng):
         few = zs[::12]
         assert np.array_equal(extend_de(f, few, n_nodes=8192),
                               [extend_de(f, complex(z), n_nodes=8192) for z in few])
-    assert isinstance(extend_de(CircleMap.identity(), 0.2), complex)
+    assert isinstance(extend_de(CircleMap.from_fourier(), 0.2), complex)
 
 
 def test_solve_samples_the_boundary_once_per_call():
@@ -300,7 +302,7 @@ def test_disk_solve_evaluates_the_defect_only_inside_the_safety_radius(monkeypat
 
 
 def test_array_solve_rejects_bad_points_before_solving():
-    ident = CircleMap.identity()
+    ident = CircleMap.from_fourier()
     with pytest.raises(DomainError, match="finite"):
         extend_de(ident, np.array([0.1, complex(math.nan, 0.2), 0.3j]))
     with pytest.raises(DomainError, match="finite"):
@@ -337,7 +339,7 @@ def test_naturality_identity_circle_map(rng):
     m = random_mobius(rng)
     for z in (0.0, 0.4, -0.2 + 0.3j):
         for mode in ("pre", "post"):
-            r = de_naturality_residual(CircleMap.identity(), m, z, mode=mode)
+            r = de_naturality_residual(CircleMap.from_fourier(), m, z, mode=mode)
             assert r <= 1e-6
 
 
@@ -383,13 +385,43 @@ def test_compose_circle_lift_order(rng):
     assert np.max(np.abs(mf.values(t) - m(f.values(t)))) <= 1e-12
 
 
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_circle_map_scalars_are_python_numbers_with_the_array_bits():
+    t = np.linspace(-7.0, 7.0, 37)
+    mobius = MobiusAutomorphism(0.4, 0.2 + 0.1j).boundary()
+    # one term per sum: every lift here is computed point by point
+    fourier = CircleMap.from_fourier(0.1, [0.05], [0.03])
+    for f in (fourier, mobius, compose_circle(mobius, fourier),
+              compose_circle(fourier, mobius)):
+        lifts, values = f(t), f.values(t)
+        scalar_lifts = [f(x) for x in t.tolist()]
+        scalar_values = [f.values(x) for x in t.tolist()]
+        assert {type(v) for v in scalar_lifts} == {float}
+        assert {type(v) for v in scalar_values} == {complex}
+        assert _bits(scalar_lifts) == _bits(lifts)
+        assert _bits(scalar_values) == _bits(values)
+        assert _bits(f(t.reshape(37, 1))) == _bits(lifts)
+        assert type(f(np.float64(0.5))) is float
+    # several terms are summed by a BLAS product, whose rows may round by
+    # the batch: a scalar gets the bits of a 1-element array
+    several = CircleMap.from_fourier(0.1, [0.05, 0.02], [0.03, 0.01])
+    for f in (several, compose_circle(mobius, several)):
+        for x in t.tolist():
+            assert _bits(f(x)) == _bits(f(np.array([x])))
+            assert _bits(f.values(x)) == _bits(f.values(np.array([x])))
+
+
 def test_circle_map_descriptions():
     cases = [
-        ({"kind": "circle-identity"}, CircleMap.identity()),
-        ({"kind": "circle-rotation", "angle": 0.7}, CircleMap.rotation(0.7)),
+        # the identity and a rotation written out as plain lifts
+        ({"kind": "circle-identity"}, CircleMap(lambda t: t)),
+        ({"kind": "circle-rotation", "angle": 0.7}, CircleMap(lambda t: t + 0.7)),
         ({"kind": "circle-fourier", "rotation": 0.1, "cos": [0.05], "sin": [0.03]},
          CircleMap.from_fourier(0.1, cos_amps=[0.05], sin_amps=[0.03])),
-        ({"kind": "circle-fourier"}, CircleMap.identity()),
+        ({"kind": "circle-fourier"}, CircleMap(lambda t: t)),
         ({"kind": "circle-mobius", "angle": 0.3, "center": [0.2, -0.1]},
          MobiusAutomorphism(0.3, 0.2 - 0.1j).boundary()),
         ({"kind": "circle-mobius", "center": [0.2, -0.1]},

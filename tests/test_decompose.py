@@ -93,6 +93,22 @@ def test_factor_count_bound(rng):
             assert len(fac) <= n_max
 
 
+def test_rounds_stay_below_the_bound_that_sizes_the_loop():
+    # decompose_bilip runs at most ceil(log L / log(1 + eps)) rounds; each
+    # lowers log L_k by log(1 + eps) and eps0 > eps, so one fewer always ends
+    for s in (0.08, 0.7, 1.6, 12.0):
+        for f in (Affine(s), Composition(Affine(s, 0.4), bump_map(0.3, 1.2, 0.2))):
+            b, B = f.deriv_bounds()
+            L = max(B, 1.0 / b)
+            for eps0 in (0.05, 0.12, 0.3, 0.6):
+                if max(B - 1.0, 1.0 - b) < eps0:
+                    continue  # a single factor, no rounds
+                fac = decompose_bilip(f, eps0)
+                needed = math.ceil(math.log(L) / math.log(1.0 + fac.eps))
+                rounds = len(fac) - 1 - (f(0.0) != 0.0)
+                assert 1 <= rounds < needed, (s, f.kind, eps0)
+
+
 def _bench_like_maps():
     """Overlapping bumps of halfwidth 2 near the origin, some translated."""
     out = []

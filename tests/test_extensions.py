@@ -1,5 +1,6 @@
 """Tests for the shear-extension family and its group action."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 from qcext.analysis import boundary_constant, half_plane_grid
 from qcext.errors import DomainError
 from qcext.extensions import (ExtParams, act, extend_family, extend_ns,
-                              family_extension, group_identity, group_inv,
-                              group_mul, shear)
-from qcext.realmap import Affine, bump_map, identity
+                              group_inv, group_mul, shear)
+from qcext.realmap import Affine, bump_map
 from conftest import make_bump_map, make_params
 
 
@@ -46,14 +46,14 @@ def test_shear_rejects_bad_alpha():
     with pytest.raises(DomainError, match="finite"):
         shear(1.0, 1.0, complex(math.nan, 0.5))
     with pytest.raises(DomainError, match="finite"):
-        act(ExtParams(1.0, 2.0), extend_ns, identity(), complex(0.0, math.inf))
+        act(ExtParams(1.0, 2.0), extend_ns, Affine(1.0), complex(0.0, math.inf))
 
 
 # -- group ----------------------------------------------------------------------
 
 def test_group_neutral_element():
     g = ExtParams(0.7, 1.9)
-    e = group_identity()
+    e = ExtParams(0.0, 1.0)
     assert group_mul(e, g) == g
     assert group_mul(g, e) == g
 
@@ -88,7 +88,7 @@ def test_group_rejects_alpha_zero():
     with pytest.raises(DomainError):
         group_inv(flat)
     with pytest.raises(DomainError):
-        group_mul(flat, group_identity())
+        group_mul(flat, ExtParams(0.0, 1.0))
     with pytest.raises(DomainError):
         ExtParams(0.0, -1.0)
 
@@ -131,7 +131,7 @@ def test_known_members():
 def test_ns_equals_family_member():
     f = bump_map(0.3, 1.2, 0.25)
     p = ExtParams(1.0, 2.0)
-    assert extend_ns(identity(), 0.5 + 1.5j) == 0.5 + 1.5j
+    assert extend_ns(Affine(1.0), 0.5 + 1.5j) == 0.5 + 1.5j
     assert extend_ns(Affine(2.0, 0.0), 0.5 + 1.5j) == 1.0 + 3.0j
     for z in half_plane_grid(nx=5, ny=5):
         assert abs(extend_ns(f, complex(z)) - extend_family(p, f, complex(z))) <= 1e-15
@@ -147,8 +147,8 @@ def test_family_preserves_upper_half_plane(rng):
 
 def test_family_rejects_boundary_points():
     f = bump_map(0.0, 1.0, 0.3)
-    for extension in (family_extension(ExtParams(1.0, 2.0)),
-                      family_extension(ExtParams(0.4, 0.0)), extend_ns):
+    for extension in (functools.partial(extend_family, ExtParams(1.0, 2.0)),
+                      functools.partial(extend_family, ExtParams(0.4, 0.0)), extend_ns):
         with pytest.raises(DomainError, match="upper half-plane"):
             extension(f, 1.0 + 0.0j)
         for z in (complex(math.nan, 1.0), complex(0.0, math.inf),
@@ -158,6 +158,21 @@ def test_family_rejects_boundary_points():
         # the first offending point in C order is named
         with pytest.raises(DomainError, match=r"z=\(2-1j\)"):
             extension(f, np.array([[1j, 2 - 1j], [complex(math.nan, 1.0), 3j]]))
+
+
+def test_family_refuses_a_value_that_overflows():
+    # finite points whose value leaves the float range: a DomainError naming
+    # the first, in C order, and no numpy warning (warnings are errors here)
+    doubling = Affine(2.0)
+    zs = np.array([[1 + 1j, 1e308 + 1j], [-1e308 + 2j, 3j]])
+    for extension in (extend_ns, functools.partial(extend_family, ExtParams(0.5, 1.0))):
+        with pytest.raises(DomainError, match=r"^extension at z=\(1e\+308\+1j\) "
+                                              "overflows in floating point$"):
+            extension(doubling, zs)
+    with pytest.raises(DomainError, match=r"z=\(1\+1e\+308j\) overflows"):
+        extend_family(ExtParams(0.0, 0.0), doubling, 1 + 1e308j)
+    with pytest.raises(DomainError, match=r"z=\(-2\+0\.01j\) overflows"):
+        extend_family(ExtParams(1e300, 1.0), bump_map(0.0, 1.0, 0.3), -2 + 0.01j)
 
 
 def test_scalar_calls_equal_array_call_bit_for_bit(rng):
@@ -180,7 +195,7 @@ def test_scalar_calls_equal_array_call_bit_for_bit(rng):
 
 def test_orbit_identity_on_grid(rng):
     grid = half_plane_grid()
-    e01 = family_extension(ExtParams(0.0, 1.0))
+    e01 = functools.partial(extend_family, ExtParams(0.0, 1.0))
     for _ in range(15):
         f = make_bump_map(rng)
         p = make_params(rng, alpha_range=(0.2, 5.0))
@@ -191,9 +206,9 @@ def test_orbit_identity_on_grid(rng):
 
 def test_action_neutral_element(rng):
     f = make_bump_map(rng)
-    base = family_extension(ExtParams(0.6, 1.4))
+    base = functools.partial(extend_family, ExtParams(0.6, 1.4))
     z = -0.3 + 0.8j
-    assert abs(act(group_identity(), base, f, z) - base(f, z)) <= 1e-14
+    assert abs(act(ExtParams(0.0, 1.0), base, f, z) - base(f, z)) <= 1e-14
 
 
 def test_action_rejects_lower_half_plane_values():
@@ -201,12 +216,24 @@ def test_action_rejects_lower_half_plane_values():
         return np.conj(z)  # lands below the axis
 
     with pytest.raises(DomainError):
-        act(ExtParams(1.0, 2.0), bad_extension, identity(), 0.2 + 0.5j)
+        act(ExtParams(1.0, 2.0), bad_extension, Affine(1.0), 0.2 + 0.5j)
+
+
+def test_action_refuses_a_value_that_overflows():
+    def huge_extension(f, z):
+        return 1e308 * z  # finite, in the upper half-plane
+
+    # the outer shear doubles Im w = 1e308 at z = 1 + 1j
+    with pytest.raises(DomainError, match=r"^extension at z=\(1\+1j\) overflows"):
+        act(ExtParams(1.0, 0.5), huge_extension, Affine(1.0), np.array([0.5j, 1 + 1j]))
+    # the inner shear x + 1e300 y overflows: named by the point given
+    with pytest.raises(DomainError, match=r"^extension at z=\(1\+10000000000j\) overflows"):
+        act(ExtParams(1e300, 1.0), extend_ns, Affine(1.0), 1 + 1e10j)
 
 
 def test_action_is_compatible_with_group_law(rng):
     # g1 (g2 E) = (g1 g2) E pointwise
-    base = family_extension(ExtParams(0.0, 1.0))
+    base = functools.partial(extend_family, ExtParams(0.0, 1.0))
     for _ in range(10):
         f = make_bump_map(rng)
         g1 = make_params(rng, alpha_range=(0.3, 3.0))

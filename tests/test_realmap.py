@@ -14,7 +14,7 @@ from qcext.quadrature import panel_integrals
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
                            IdentityPlusBump, InverseMap, PowerIntegral,
                            SampledMonotone, Tapered, _invert_array, bump_map,
-                           identity, map_from_dict, power_integral_map)
+                           map_from_dict)
 from conftest import make_bump_map
 
 
@@ -45,7 +45,7 @@ def sample_maps(rng):
         g,
         IdentityPlusBump([BumpProfile(-2.0, 0.8, 0.1), BumpProfile(2.0, 1.2, -0.2)]),
         Composition(Affine(1.5, -0.5), g),
-        power_integral_map(g, 0.7),
+        PowerIntegral(g, 0.7),
         Tapered(Composition(Affine(1.05, 0.1), bump_map(0.0, 1.0, 0.15)), 3.0),
         InverseMap(Composition(Affine(1.5, -0.5), g)),
         SampledMonotone(np.linspace(-3, 3, 25),
@@ -170,7 +170,7 @@ def test_invert_affine():
 
 
 def test_invert_identity():
-    assert invert(identity(), math.pi, 1e-12) == pytest.approx(math.pi, abs=1e-12)
+    assert invert(Affine(1.0), math.pi, 1e-12) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_invert_against_bisection_oracle():
@@ -394,20 +394,14 @@ def test_power_integral_table_has_a_panel_budget():
 def test_power_integral_scaling():
     f = Affine(3.0, 0.0)
     for alpha in (-1.0, 0.5, 2.0):
-        g = power_integral_map(f, alpha)
+        g = PowerIntegral(f, alpha)
         for x in (-2.0, 0.0, 1.7):
             assert g(x) == pytest.approx(3.0 ** alpha * x, rel=1e-12, abs=1e-12)
 
 
-def test_power_integral_alpha_zero_is_identity():
-    g = power_integral_map(bump_map(0.0, 1.0, 0.3), 0.0)
-    assert g.kind == "affine"
-    assert g(1.23) == 1.23
-
-
 def test_power_integral_alpha_one_is_fundamental_theorem():
     f = Composition(Affine(1.4, 0.8), bump_map(0.2, 1.0, 0.25))
-    g = power_integral_map(f, 1.0)
+    g = PowerIntegral(f, 1.0)
     for x in (-3.0, 0.5, 2.0):
         assert g(x) == pytest.approx(f(x) - f(0.0), rel=1e-10, abs=1e-10)
 
@@ -416,7 +410,7 @@ def test_power_integral_against_scipy_oracle():
     from scipy.integrate import quad
     f = Composition(Affine(1.3, -0.4), bump_map(0.2, 1.1, 0.3))
     for alpha in (0.37, -0.8, 1.6):
-        g = power_integral_map(f, alpha)
+        g = PowerIntegral(f, alpha)
         for x in (-2.3, 0.7, 3.1):
             ref, err = quad(lambda t: f.deriv(t) ** alpha, 0.0, x,
                             epsabs=1e-12, limit=200)
@@ -517,7 +511,7 @@ def test_power_integral_within_quad_tol_of_scipy_at_the_kinks():
     for base in bases:
         kinks = base.breakpoints() if base.breakpoints().size else sampled
         for alpha in (0.45, -0.9):
-            g = power_integral_map(base, alpha)
+            g = PowerIntegral(base, alpha)
             for x in (-4.1, -1.3, -0.9, 0.2, 1.5, 2.6, 7.3):
                 inside = [k for k in kinks if min(0.0, x) < k < max(0.0, x)]
                 ref, err = quad(lambda t: base.deriv(t) ** alpha, 0.0, x,
@@ -572,16 +566,16 @@ def test_power_integral_needs_no_base_slope_at_edges_and_on_flat_panels(monkeypa
 def test_power_integral_bounds():
     f = bump_map(0.0, 1.0, 0.3)
     blo, bhi = f.deriv_bounds()
-    g = power_integral_map(f, 0.5)
+    g = PowerIntegral(f, 0.5)
     assert g.deriv_bounds() == (blo ** 0.5, bhi ** 0.5)
-    h = power_integral_map(f, -2.0)
+    h = PowerIntegral(f, -2.0)
     assert h.deriv_bounds() == (bhi ** -2.0, blo ** -2.0)
 
 
 # -- taper -----------------------------------------------------------------------
 
 def test_taper_identity_is_identity():
-    t = Tapered(identity(), 1.0)
+    t = Tapered(Affine(1.0), 1.0)
     xs = np.linspace(-5, 5, 41)
     assert np.max(np.abs(t(xs) - xs)) == 0.0
 
@@ -662,10 +656,10 @@ def test_sampled_monotone_rejects_bad_data():
 
 def test_power_integral_cache_is_thread_safe():
     from concurrent.futures import ThreadPoolExecutor
-    f = power_integral_map(bump_map(0.0, 1.0, 0.3), 0.6)
+    f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.6)
     xs = np.linspace(-20.0, 20.0, 400)
     serial = f(xs)
-    fresh = power_integral_map(bump_map(0.0, 1.0, 0.3), 0.6)
+    fresh = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.6)
     chunks = np.array_split(xs, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -739,7 +733,7 @@ def test_description_rejects_unknown_kind():
 
 def test_description_children_follow_the_fields():
     g = bump_map(0.0, 1.0, 0.3)
-    p = power_integral_map(g, 0.5)
+    p = PowerIntegral(g, 0.5)
     c = Composition(Affine(2.0, 0.0), Composition(g, Affine(1.0, 1.0)))
     assert p.children() == (g,) and g.children() == ()
     assert c.children() == (c.outer, c.inner)

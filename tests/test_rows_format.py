@@ -49,9 +49,9 @@ CASES = {
     "negative-zero": (BUMP, ["--method", "ns", "--x-min=-0.0", "--x-max=1", *SMALL], "none"),
     "huge-tapered": (TAPERED, ["--method", "ns", "--x-min=-1e300", "--x-max=1e300",
                                *SMALL], "none"),
-    # rows with nan and inf values and undefined dilatations
+    # a value that overflows is refused by name, with no rows written
     "overflow-tapered": (TAPERED, ["--method", "ns", "--x-min=-8e307", "--x-max=8e307",
-                                   "--y-max=1e308", "--nx", "3", "--ny", "2"], "some"),
+                                   "--y-max=1e308", "--nx", "3", "--ny", "2"], "refused"),
     "alpha-zero-c1": (SAMPLED, ["--method", "family", "--alpha=0", *SMALL], "all"),
     # f' = 3x^2 vanishes at x + y = 0: (-1, 1) is on the grid
     "cubic-ns": ({"kind": "cubic"}, ["--method", "ns", "--x-min=-1", "--x-max=1",
@@ -60,7 +60,6 @@ CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_extend_rows_match_the_stdlib_renderers(tmp_path, capsys, monkeypatch,
@@ -77,6 +76,14 @@ def test_extend_rows_match_the_stdlib_renderers(tmp_path, capsys, monkeypatch,
     map_file = tmp_path / "map.json"
     map_file.write_text(json.dumps(desc))
     argv = ["extend", "--map", str(map_file), *options, "--format", fmt]
+    if empty == "refused":
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and columns == []
+        assert captured.err.startswith("error: extension at z=")
+        assert captured.err.endswith(" overflows in floating point\n")
+        assert captured.err.count("\n") == 1
+        return
     assert cli.main(argv) == 0
     stdout = capsys.readouterr().out
     out = tmp_path / f"rows.{fmt}"
@@ -90,16 +97,16 @@ def test_extend_rows_match_the_stdlib_renderers(tmp_path, capsys, monkeypatch,
     n_empty = int(np.isnan(dil).sum())
     assert {"none": n_empty == 0, "some": 0 < n_empty < dil.size,
             "all": n_empty == dil.size}[empty]
-    if case == "overflow-tapered":
-        assert not np.isfinite(vals).all()
+    assert np.isfinite(vals).all()
 
 
 def test_writer_keeps_signed_zeros_and_spells_non_finite_cells(tmp_path, capsys):
+    # the only non-finite cell a row can hold is an undefined (NaN) dilatation
     zs = np.array([complex(-0.0, 1.0), complex(0.0, 1.0), complex(-0.0, 2.0),
                    complex(5e-324, 2.0)])
-    vals = np.array([complex(math.nan, 0.0), complex(math.inf, -math.inf),
+    vals = np.array([complex(-0.0, 0.0), complex(1e300, -1e-300),
                      complex(-0.0, 1e300), complex(1.0 / 3.0, -2.0)])
-    dil = np.array([math.nan, math.inf, -0.0, 0.25])
+    dil = np.array([math.nan, 0.5, -0.0, 0.25])
     for fmt in ("csv", "json"):
         expected = oracle(fmt, zs, vals, dil)
         cli._write_rows(zs, vals, dil, None, fmt)
@@ -107,8 +114,9 @@ def test_writer_keeps_signed_zeros_and_spells_non_finite_cells(tmp_path, capsys)
         out = tmp_path / f"rows.{fmt}"
         cli._write_rows(zs, vals, dil, str(out), fmt)
         assert out.read_bytes() == expected.encode("utf-8")
-    assert expected.startswith('[\n {\n  "x": -0.0,\n  "y": 1.0,\n  "re": NaN,')
-    assert '"re": Infinity,\n  "im": -Infinity,\n  "dilatation": Infinity' in expected
+    assert expected.startswith('[\n {\n  "x": -0.0,\n  "y": 1.0,\n  "re": -0.0,\n'
+                               '  "im": 0.0,\n  "dilatation": null\n }')
+    assert '"re": -0.0,\n  "im": 1e+300,\n  "dilatation": -0.0' in expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
