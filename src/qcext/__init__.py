@@ -26,6 +26,8 @@ from .analysis import (CubicMap, QuadraticWindowMap, boundary_constant,
                        sup_dilatation)
 from .decompose import Factorization, chosen_eps, decompose_bilip, recompose
 
+from types import ModuleType as _Module
+
 import numpy as _np
 
 # glibc's malloc raises its mmap threshold to the size of the largest mapped
@@ -39,4 +41,6 @@ _np.empty(8 << 20, dtype=_np.uint8)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules the imports above bind
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _Module)]

@@ -318,6 +318,13 @@ class QuadraticWindowMap(RealMap):
             raise DomainError("ramp must be positive")
         if not window_hi - window_lo > 2 * ramp:
             raise DomainError("window too narrow for the requested ramp")
+        try:  # the largest constants of the ramps, in Python floats
+            top = (window_hi + ramp) ** 2 + 8.0 * ramp ** 3
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise DomainError(f"quadratic window with window_hi {window_hi:g} and "
+                              f"ramp {ramp:g} overflows in floating point")
         super().__init__(2.0 * window_lo, 2.0 * window_hi)
         self.window_lo = float(window_lo)
         self.window_hi = float(window_hi)

@@ -283,7 +283,7 @@ def _suite_decompose(cfg, rng):
         worst = max(max(m.deriv_hi - 1.0, 1.0 - m.deriv_lo) for m in fac.factors)
         yield _check(f"decompose trial {i:02d} factor certification", worst, eps0)
         yield _check(f"decompose trial {i:02d} recomposition error",
-                     fac.recomposition_error, 1e-6)
+                     fac.recomposition_error, dc.TOL)
 
 
 _SUITES = {
@@ -404,67 +404,51 @@ def cmd_info(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def _extend_options(p: argparse.ArgumentParser):
-    p.add_argument("--map", required=True,
-                   help="map description file (circle map for method de)")
-    p.add_argument("--method", choices=("family", "ns", "ba", "de"),
-                   default="ns")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--x-min", type=float, default=-2.0)
-    p.add_argument("--x-max", type=float, default=2.0)
-    p.add_argument("--y-min", type=float, default=1e-2)
-    p.add_argument("--y-max", type=float, default=2.0)
-    p.add_argument("--nx", type=int, default=20)
-    p.add_argument("--ny", type=int, default=20)
-    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
-    p.add_argument("--im-scale", type=float, default=IM_SCALE)
-    p.add_argument("--n-nodes", type=int, default=N_NODES)
-    p.add_argument("--tol", type=float, default=TOL)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_extend)
-
-
-def _verify_options(p: argparse.ArgumentParser):
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.set_defaults(func=cmd_verify)
-
-
-def _decompose_options(p: argparse.ArgumentParser):
-    p.add_argument("--map", required=True)
-    p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_decompose)
-
-
-def _info_options(p: argparse.ArgumentParser):
-    p.add_argument("--map", required=True)
-    p.set_defaults(func=cmd_info)
-
-
-# subcommand name -> (help line, function adding its options)
-_COMMANDS = {
-    "extend": ("evaluate an extension on a grid", _extend_options),
-    "verify": ("run a verification suite", _verify_options),
-    "decompose": ("factor a bi-Lipschitz map", _decompose_options),
-    "info": ("describe a map file", _info_options),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The ``qcext`` parser, with one subparser (prog ``qcext <command>``)
-    per entry of ``_COMMANDS``."""
+    """The ``qcext`` parser, with one subparser (prog ``qcext <command>``) each."""
     parser = argparse.ArgumentParser(
         prog="qcext",
         description="Quasiconformal boundary extensions: evaluate, verify, factor.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options) in _COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
+
+    p_ext = sub.add_parser("extend", help="evaluate an extension on a grid")
+    p_ext.add_argument("--map", required=True,
+                       help="map description file (circle map for method de)")
+    p_ext.add_argument("--method", choices=("family", "ns", "ba", "de"),
+                       default="ns")
+    p_ext.add_argument("--a", type=float, default=1.0)
+    p_ext.add_argument("--alpha", type=float, default=2.0)
+    p_ext.add_argument("--x-min", type=float, default=-2.0)
+    p_ext.add_argument("--x-max", type=float, default=2.0)
+    p_ext.add_argument("--y-min", type=float, default=1e-2)
+    p_ext.add_argument("--y-max", type=float, default=2.0)
+    p_ext.add_argument("--nx", type=int, default=20)
+    p_ext.add_argument("--ny", type=int, default=20)
+    p_ext.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p_ext.add_argument("--im-scale", type=float, default=IM_SCALE)
+    p_ext.add_argument("--n-nodes", type=int, default=N_NODES)
+    p_ext.add_argument("--tol", type=float, default=TOL)
+    p_ext.add_argument("--out", default=None)
+    p_ext.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_ext.set_defaults(func=cmd_extend)
+
+    p_ver = sub.add_parser("verify", help="run a verification suite")
+    p_ver.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--config", default=None, help="JSON config file")
+    p_ver.set_defaults(func=cmd_verify)
+
+    p_dec = sub.add_parser("decompose", help="factor a bi-Lipschitz map")
+    p_dec.add_argument("--map", required=True)
+    p_dec.add_argument("--eps0", type=float, required=True)
+    p_dec.add_argument("--tol", type=float, default=dc.TOL)
+    p_dec.add_argument("--out", default=None)
+    p_dec.set_defaults(func=cmd_decompose)
+
+    p_inf = sub.add_parser("info", help="describe a map file")
+    p_inf.add_argument("--map", required=True)
+    p_inf.set_defaults(func=cmd_info)
     return parser
 
 

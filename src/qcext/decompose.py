@@ -70,6 +70,7 @@ class Factorization:
 # The recomposition takes a stack frame per factor, and about 950 factors
 # reach Python's default recursion limit.
 MAX_ROUNDS = 500
+TOL = 1e-6  # default bound on the recomposition error
 
 
 def chosen_eps(eps0: float) -> float:
@@ -86,7 +87,7 @@ def _certify_factor(m: RealMap, eps0: float):
             f"not < {eps0:g}")
 
 
-def decompose_bilip(f: RealMap, eps0: float, tol: float = 1e-6) -> Factorization:
+def decompose_bilip(f: RealMap, eps0: float, tol: float = TOL) -> Factorization:
     """Factor f into maps with certified ||f_j' - 1||_inf < eps0.
 
     The recomposition is checked against f at 1000 evenly spaced points of

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, raise_at_first, scalar_or_array
+from .errors import (DomainError, NonConvergence, on_flat, raise_at_first,
+                     scalar_or_array)
 from .realmap import NUMBER, NUMBERS, PAIR, map_from_dict, register
 
 _TWO_PI = 2.0 * math.pi
@@ -62,22 +63,15 @@ class CircleMap:
             if np.max(np.abs(per - _TWO_PI)) > 1e-12:
                 raise DomainError("circle map lift is not 2*pi-periodic")
 
-    def _lifted(self, theta):
-        """The shape of ``theta`` and the lift at its points, flattened: a
-        scalar is lifted as a 1-element array, so it gets the array bits."""
-        t = np.asarray(theta, dtype=float)
-        return t.shape, np.asarray(self.lift(t.ravel()), dtype=float)
-
     def __call__(self, theta):
         """The lift L(theta); a float for a scalar ``theta``."""
-        shape, lt = self._lifted(theta)
-        return scalar_or_array(lt.reshape(shape))
+        return on_flat(lambda t: np.asarray(self.lift(t), dtype=float), theta)
 
     def values(self, theta):
         """Boundary values f(e^{i theta}) = e^{i L(theta)}; a complex for a
         scalar ``theta``."""
-        shape, lt = self._lifted(theta)
-        return scalar_or_array(np.exp(1j * lt).reshape(shape))
+        return on_flat(lambda t: np.exp(1j * np.asarray(self.lift(t), dtype=float)),
+                       theta)
 
     @classmethod
     def from_fourier(cls, rotation: float = 0.0, cos_amps=(), sin_amps=()) -> "CircleMap":
@@ -122,11 +116,8 @@ class MobiusAutomorphism:
     def __call__(self, w):
         """m at each point of ``w``; a complex for a scalar ``w``, with the
         bits of the array element."""
-        w = np.asarray(w, dtype=complex)
-        flat = w.ravel()  # 1-d even for a scalar: 0-d math rounds apart
-        out = (cmath.exp(1j * self.phi) * (flat - self.c)
-               / (1.0 - np.conj(self.c) * flat))
-        return scalar_or_array(out.reshape(w.shape))
+        rot, c = cmath.exp(1j * self.phi), self.c
+        return on_flat(lambda u: rot * (u - c) / (1.0 - np.conj(c) * u), w, complex)
 
     def inverse(self) -> "MobiusAutomorphism":
         return MobiusAutomorphism(-self.phi, -self.c * cmath.exp(1j * self.phi))

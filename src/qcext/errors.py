@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the two conventions every
+"""Exception types shared across the package, and the conventions every
 operator on point arrays keeps: a bad input raises DomainError naming the
-first bad point in C order, and a 0-d result comes back as a Python scalar.
+first bad point in C order, a scalar is computed as the 0-d case of the
+array code, and a 0-d result comes back as a Python scalar.
 """
 
 import cmath
@@ -52,3 +53,12 @@ def scalar_or_array(out):
     """``out`` (an ndarray or numpy scalar) as a Python float or complex with
     the same bits when it is 0-d, else unchanged."""
     return out.item() if out.ndim == 0 else out
+
+
+def on_flat(op, x, dtype=float):
+    """``op`` on ``x`` as a flat ``dtype`` array, reshaped to the shape of
+    ``x``; a Python scalar for a 0-d ``x``.  A scalar goes through ``op`` as
+    a 1-element array, so it gets the bits of an array element: 0-d math
+    rounds apart."""
+    arr = np.asarray(x, dtype=dtype)
+    return scalar_or_array(op(arr.ravel()).reshape(arr.shape))

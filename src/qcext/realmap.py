@@ -35,8 +35,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergence, QuadratureFailure,
-                     raise_at_first, scalar_or_array)
+from .errors import (DomainError, NonConvergence, QuadratureFailure, on_flat,
+                     raise_at_first)
 from .quadrature import panel_integrals, panel_samples
 
 # sup |p'| for the bump profile p(t) = (1 - t^2)^3, attained at t = 1/sqrt(5)
@@ -86,16 +86,11 @@ class RealMap:
     def _deriv(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    @staticmethod
-    def _apply(op, x):
-        arr = np.asarray(x, dtype=float)
-        return scalar_or_array(op(arr.ravel()).reshape(arr.shape))
-
     def __call__(self, x):
-        return self._apply(self._eval, x)
+        return on_flat(self._eval, x)
 
     def deriv(self, x):
-        return self._apply(self._deriv, x)
+        return on_flat(self._deriv, x)
 
     @property
     def has_second_deriv(self) -> bool:
@@ -108,7 +103,7 @@ class RealMap:
         if not self.has_second_deriv:
             raise DomainError(f"map of kind '{self.kind}' does not expose a "
                               "continuous second derivative")
-        return self._apply(self._second, x)
+        return on_flat(self._second, x)
 
     def deriv_bounds(self) -> tuple[float, float]:
         return (self.deriv_lo, self.deriv_hi)
@@ -218,9 +213,11 @@ class BumpProfile:
             x, lambda t, u: self.amplitude / self.halfwidth * (-6.0) * t * u * u)
 
     def d2(self, x):
-        return self._on_support(
-            x, lambda t, u: (self.amplitude / self.halfwidth ** 2
-                             * 6.0 * u * (5.0 * t * t - 1.0)))
+        try:
+            k = self.amplitude / self.halfwidth ** 2
+        except (OverflowError, ZeroDivisionError):  # the square leaves the floats
+            k = self.amplitude / self.halfwidth / self.halfwidth
+        return self._on_support(x, lambda t, u: k * 6.0 * u * (5.0 * t * t - 1.0))
 
 
 class IdentityPlusBump(RealMap):
@@ -403,9 +400,6 @@ class PowerIntegral(RealMap):
         """The table, grown if needed to cover [min(lo, 0), max(hi, 0)] and
         no further than ``_build_table`` rounds that range out."""
         lo, hi = min(lo, 0.0), max(hi, 0.0)
-        table = self._table
-        if table is not None and table[0][0] <= lo and table[0][-1] >= hi:
-            return table
         with self._lock:
             table = self._table
             if table is None or table[0][0] > lo or table[0][-1] < hi:
@@ -581,10 +575,14 @@ class Tapered(RealMap):
         m = max(B - 1.0, 1.0 - b, 0.0)
         # certified sup of |base(x) - x| over the transition bands: max over
         # dense anchors plus the derivative drift to the nearest anchor
-        anchors = np.concatenate([np.linspace(-2.0 * T, -T, 129),
-                                  np.linspace(T, 2.0 * T, 129)])
-        half_gap = 0.5 * (T / 128.0)
-        disp = float(np.max(np.abs(base(anchors) - anchors))) + m * half_gap
+        with np.errstate(all="ignore"):  # refused below
+            anchors = np.concatenate([np.linspace(-2.0 * T, -T, 129),
+                                      np.linspace(T, 2.0 * T, 129)])
+            half_gap = 0.5 * (T / 128.0)
+            disp = float(np.max(np.abs(base(anchors) - anchors))) + m * half_gap
+        if not math.isfinite(disp):
+            raise DomainError(f"tapered map with plateau {T:g}: the displacement "
+                              "on its transition bands overflows in floating point")
         lo = min(1.0, b) - 1.5 * disp / T
         hi = max(1.0, B) + 1.5 * disp / T
         if not lo > 0:
@@ -637,26 +635,29 @@ class SampledMonotone(RealMap):
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
             raise DomainError("need matching 1-d sample arrays with >= 2 points")
-        if not (np.diff(xs) > 0).all() or not (np.diff(ys) > 0).all():
-            raise DomainError("samples must be strictly increasing in x and y")
-        h = np.diff(xs)
-        m = np.diff(ys) / h
-        d = np.full(xs.size, m[0])  # two samples: both slopes are the secant
-        if xs.size > 2:
-            # interior: weighted harmonic mean of the secants (0 where one
-            # underflows); ends: one-sided three-point estimate, or 0
-            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # a cell past the float range is refused below
+            h, dy = np.diff(xs), np.diff(ys)
+            if not (h > 0).all() or not (dy > 0).all():
+                raise DomainError("samples must be strictly increasing in x and y")
+            m = dy / h
+            d = np.full(xs.size, m[0])  # two samples: both slopes are the secant
+            if xs.size > 2:
+                # interior: weighted harmonic mean of the secants (0 where one
+                # underflows); ends: one-sided three-point estimate, or 0
+                w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
                 whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = 1.0 / whmean
-            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-            ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            d[[0, -1]] = np.where(ends > 0, ends, 0.0)
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        # local cubics sum c[k] * s**(3-k), s = x - xs[i]
-        self._c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]])
-        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
-        dmin, dmax = self._deriv_extrema(self._c, h)
+                d[1:-1] = 1.0 / whmean
+                h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+                ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+                d[[0, -1]] = np.where(ends > 0, ends, 0.0)
+            t = (d[:-1] + d[1:] - 2 * m) / h
+            # local cubics sum c[k] * s**(3-k), s = x - xs[i]
+            self._c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]])
+            self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
+            dmin, dmax = self._deriv_extrema(self._c, h)
+        raise_at_first(~(np.isfinite(self._c).all(axis=0) & np.isfinite(h)), xs[:-1],
+                       "sampled-monotone slopes of the cell from x={} overflow in "
+                       "floating point")
         super().__init__(dmin, dmax)
         self.xs, self.ys = xs, ys
         self._slopes = self._cubic(self._dc, xs[[0, -1]])  # left, right

@@ -60,7 +60,7 @@ SEEDS = (1, 2, 3)
 # "MAP" stands for a bump map file
 PARSE_CORPUS = [
     [], ["-h"], ["--help"], ["bogus"], ["-x", "info"], ["--", "extend"],
-    *([command, "-h"] for command in cli._COMMANDS),
+    *([command, "-h"] for command in ("extend", "verify", "decompose", "info")),
     ["decompose", "--map", "MAP"],                            # missing --eps0
     ["extend", "--map", "MAP", "--nx", "x"],                  # bad type
     ["extend", "--map", "MAP", "--method", "zz"],             # bad choice

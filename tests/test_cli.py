@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -426,6 +427,17 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
 
 HUGE_SLOPES = {"kind": "composition", "maps": [{"kind": "affine", "slope": 1e300},
                                               {"kind": "affine", "slope": 1e300}]}
+# maps whose parameters put their arithmetic past the float range
+FAR_MAPS = {
+    "@huge": HUGE_SLOPES,
+    "@window": {"kind": "quadratic-window", "window_lo": 1e200, "window_hi": 2e200,
+                "ramp": 1.0},
+    "@wide-knots": {"kind": "sampled-monotone", "xs": [-2.0, 0.0, 1.0, 1e300],
+                    "ys": [-2.5, 0.0, 1.2, 3.1]},
+    "@close-knots": {"kind": "sampled-monotone", "xs": [0.0, 1e-320, 2e-320],
+                     "ys": [0.0, 1.0, 2.0]},
+    "@wide-taper": {"kind": "tapered", "base": BUMP, "plateau": 1e308},
+}
 BAD_INPUTS = [
     # (argv with @map / @circle / @cut / @config placeholders, config, words in
     # the error)
@@ -502,6 +514,16 @@ BAD_INPUTS = [
     (["extend", "--method", "ba", "--map", "@map", "--x-min", "1e308", "--x-max",
       "1.5e308", "--y-min", "1e308", "--y-max", "1.2e308", "--nx", "2", "--ny", "2"],
      None, ["averaging window of z=(1e+308+1e+308j) overflows"]),
+    # parameters whose arithmetic leaves the float range, refused by name and
+    # with no numpy warning
+    (["info", "--map", "@window"], None, ["window_hi 2e+200", "overflows"]),
+    (["extend", "--method", "ns", "--map", "@window", "--nx", "2", "--ny", "2"], None,
+     ["window_hi 2e+200", "overflows"]),
+    (["decompose", "--map", "@window", "--eps0", "0.2"], None,
+     ["window_hi 2e+200", "overflows"]),
+    (["info", "--map", "@wide-knots"], None, ["lower bound must be positive, got 0.0"]),
+    (["info", "--map", "@close-knots"], None, ["cell from x=0.0 overflow"]),
+    (["info", "--map", "@wide-taper"], None, ["plateau 1e+308", "overflows"]),
 ]
 
 
@@ -536,14 +558,37 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config, words):
     paths = {"@cut": str(cut),
              "@map": write_json(tmp_path / "bump.json", BUMP),
              "@circle": write_json(tmp_path / "circ.json", MOBIUS),
-             "@huge": write_json(tmp_path / "huge.json", HUGE_SLOPES),
-             "@config": write_json(tmp_path / "cfg.json", config)}
+             "@config": write_json(tmp_path / "cfg.json", config),
+             **{key: write_json(tmp_path / f"{key[1:]}.json", desc)
+                for key, desc in FAR_MAPS.items() if key in argv}}
     assert main([paths.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert all(w in lines[0] for w in words), lines[0]
+
+
+# bumps whose halfwidth squared leaves the float range, though amplitude /
+# halfwidth ** 2, their second derivative's scale, does not
+FAR_BUMPS = [{"center": 0.0, "halfwidth": 1e-200, "amplitude": 1e-201},
+             {"center": 0.0, "halfwidth": 1e200, "amplitude": 1e199}]
+
+
+@pytest.mark.parametrize("bump", FAR_BUMPS, ids=["narrow", "wide"])
+def test_bump_with_overflowing_square_halfwidth_has_finite_cells(tmp_path, capsys, bump):
+    desc = {"kind": "identity-plus-bump", "bumps": [bump]}
+    assert math.isfinite(map_from_dict(desc).second_deriv(bump["center"]))
+    out = tmp_path / "out.csv"
+    assert main(["extend", "--method", "family", "--alpha", "0", "--nx", "2", "--ny", "2",
+                 "--map", write_json(tmp_path / "bump.json", desc), "--out", str(out)]) == 0
+    assert all(math.isfinite(float(cell)) for row in read_csv_rows(out) for cell in row)
+    config = write_json(tmp_path / "cfg.json", {"trials": 1, "map": desc,
+                                                "expect": "not-quasiconformal"})
+    assert main(["verify", "--suite", "dilatation", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert math.isfinite(float(captured.out.split(": ")[1].split()[0]))
 
 
 def test_decompose_subcommand_writes_factors(tmp_path):

@@ -85,8 +85,13 @@ def mutated_descriptions(draw):
 def test_mutated_descriptions_exit_cleanly(tmp_path, capsys, desc):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(desc))
+    # de refuses a line map before it evaluates anything; ns and family
+    # evaluate one, its slope and, at alpha = 0, its second derivative
     for argv in (["info", "--map", str(path)],
-                 ["extend", "--method", "de", "--map", str(path), *DISK_2X2]):
+                 ["extend", "--method", "de", "--map", str(path), *DISK_2X2],
+                 ["extend", "--method", "ns", "--map", str(path), "--nx", "2", "--ny", "2"],
+                 ["extend", "--method", "family", "--alpha", "0", "--map", str(path),
+                  "--nx", "2", "--ny", "2"]):
         assert main(argv) in (0, 2, 3), (argv, desc)
         err = capsys.readouterr().err
         assert "Traceback" not in err
