@@ -343,42 +343,47 @@ class QuadraticWindowMap(RealMap):
                 (x > r - s) & (x < r + s),
                 x >= r + s]
 
+    def _piecewise(self, x, pieces):
+        """Each of the five piece formulas on its own points alone (off its
+        interval a piece may overflow), and 0 where x is NaN."""
+        out = np.zeros_like(x)
+        for on, piece in zip(self._pieces(x), pieces):
+            out[on] = piece(x[on])
+        return out
+
     def _eval(self, x):
         l, r, s = self.window_lo, self.window_hi, self.ramp
         f_lm = (l - s) ** 2 - 4.0 * s * s / 3.0  # value at l - s
         f_rp = (r + s) ** 2 - 4.0 * s * s / 3.0  # value at r + s
-        vals = [
-            f_lm + 2.0 * l * (x - (l - s)),
-            (l + s) ** 2 - 2.0 * l * (l + s - x)
+        return self._piecewise(x, [
+            lambda x: f_lm + 2.0 * l * (x - (l - s)),
+            lambda x: (l + s) ** 2 - 2.0 * l * (l + s - x)
             - (8.0 * s ** 3 - (x - l + s) ** 3) / (6.0 * s),
-            x * x,
-            (r - s) ** 2 + 2.0 * r * (x - r + s)
+            lambda x: x * x,
+            lambda x: (r - s) ** 2 + 2.0 * r * (x - r + s)
             - (8.0 * s ** 3 - (r + s - x) ** 3) / (6.0 * s),
-            f_rp + 2.0 * r * (x - (r + s)),
-        ]
-        return np.select(self._pieces(x), vals)
+            lambda x: f_rp + 2.0 * r * (x - (r + s)),
+        ])
 
     def _deriv(self, x):
         l, r, s = self.window_lo, self.window_hi, self.ramp
-        vals = [
-            np.full_like(x, 2.0 * l),
-            2.0 * l + (x - l + s) ** 2 / (2.0 * s),
-            2.0 * x,
-            2.0 * r - (r + s - x) ** 2 / (2.0 * s),
-            np.full_like(x, 2.0 * r),
-        ]
-        return np.select(self._pieces(x), vals)
+        return self._piecewise(x, [
+            lambda x: 2.0 * l,
+            lambda x: 2.0 * l + (x - l + s) ** 2 / (2.0 * s),
+            lambda x: 2.0 * x,
+            lambda x: 2.0 * r - (r + s - x) ** 2 / (2.0 * s),
+            lambda x: 2.0 * r,
+        ])
 
     def _second(self, x):
         l, r, s = self.window_lo, self.window_hi, self.ramp
-        vals = [
-            np.zeros_like(x),
-            (x - l + s) / s,
-            np.full_like(x, 2.0),
-            (r + s - x) / s,
-            np.zeros_like(x),
-        ]
-        return np.select(self._pieces(x), vals)
+        return self._piecewise(x, [
+            lambda x: 0.0,
+            lambda x: (x - l + s) / s,
+            lambda x: 2.0,
+            lambda x: (r + s - x) / s,
+            lambda x: 0.0,
+        ])
 
 
 register("map", "cubic", CubicMap)

@@ -76,21 +76,15 @@ _NAN = {"csv": "", "json": "null"}
 
 
 def _cell_texts(v: np.ndarray, nan: str | None = None) -> list:
-    """The repr of each float of v, with ``nan``, when given, for a NaN."""
-    texts = list(map(repr, v.tolist()))
-    if nan is not None and np.isnan(v).any():
-        texts = [nan if t == "nan" else t for t in texts]
-    return texts
-
-
-def _coordinate_texts(v: np.ndarray) -> list:
-    """The repr of each float of a grid coordinate column, which holds few
-    distinct values, all finite: one repr per distinct bit pattern (so -0.0
-    keeps its sign)."""
+    """The repr of each float of v, with ``nan``, when given, for a NaN: one
+    repr per distinct bit pattern (so -0.0 keeps its sign), since a column
+    of a locally affine map repeats many values."""
     bits, where = np.unique(np.ascontiguousarray(v).view(np.int64),
                             return_inverse=True)
-    texts = np.array(_cell_texts(bits.view(np.float64)), dtype=object)
-    return texts[where].tolist()
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    if nan is not None:
+        texts = [nan if t == "nan" else t for t in texts]
+    return np.array(texts, dtype=object)[where].tolist()
 
 
 def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
@@ -99,7 +93,7 @@ def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
     out_path, or to stdout if it is None, as the bytes csv.writer over repr
     cells (fmt "csv") or json.dumps(rows, indent=1) and a newline (fmt
     "json") would write, one f-string per row."""
-    rows = zip(_coordinate_texts(zs.real), _coordinate_texts(zs.imag),
+    rows = zip(_cell_texts(zs.real), _cell_texts(zs.imag),
                _cell_texts(vals.real), _cell_texts(vals.imag),
                _cell_texts(dil, _NAN[fmt]))
     if fmt == "csv":

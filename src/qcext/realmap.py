@@ -595,15 +595,17 @@ class Tapered(RealMap):
 
     def _psi(self, x):
         T = self.plateau
-        u = np.clip((2.0 * T - np.abs(x)) / T, 0.0, 1.0)
+        with np.errstate(over="ignore"):  # -inf far outside a tiny plateau: 0
+            u = np.clip((2.0 * T - np.abs(x)) / T, 0.0, 1.0)
         return u * u * (3.0 - 2.0 * u)
 
     def _psi_d1(self, x):
         T = self.plateau
         ax = np.abs(x)
-        u = (2.0 * T - ax) / T
         on_ramp = (ax > T) & (ax < 2.0 * T)
-        slope = 6.0 * u * (1.0 - u) / T
+        with np.errstate(over="ignore"):  # only off the ramp, dropped below
+            u = (2.0 * T - ax) / T
+            slope = 6.0 * u * (1.0 - u) / T
         return np.where(on_ramp, -np.sign(x) * slope, 0.0)
 
     def breakpoints(self):

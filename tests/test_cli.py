@@ -437,6 +437,9 @@ FAR_MAPS = {
     "@close-knots": {"kind": "sampled-monotone", "xs": [0.0, 1e-320, 2e-320],
                      "ys": [0.0, 1.0, 2.0]},
     "@wide-taper": {"kind": "tapered", "base": BUMP, "plateau": 1e308},
+    # finite, but its outer pieces overflow when evaluated at f(0.0)
+    "@far-window": {"kind": "quadratic-window", "window_lo": 1, "window_hi": 1e154,
+                    "ramp": 1},
 }
 BAD_INPUTS = [
     # (argv with @map / @circle / @cut / @config placeholders, config, words in
@@ -524,6 +527,9 @@ BAD_INPUTS = [
     (["info", "--map", "@wide-knots"], None, ["lower bound must be positive, got 0.0"]),
     (["info", "--map", "@close-knots"], None, ["cell from x=0.0 overflow"]),
     (["info", "--map", "@wide-taper"], None, ["plateau 1e+308", "overflows"]),
+    # each window piece is evaluated on its own interval only
+    (["decompose", "--map", "@far-window", "--eps0", "0.2"], None,
+     ["bi-Lipschitz constant 2e+154", "MAX_ROUNDS = 500"]),
 ]
 
 
@@ -567,6 +573,21 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config, words):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert all(w in lines[0] for w in words), lines[0]
+
+
+def test_decompose_far_outside_a_tiny_taper_plateau_is_silent(tmp_path, capsys):
+    # the cutoff and its slope overflow far off their ramp, where both are 0
+    bump = {"center": 4.8590646202801585e+255, "halfwidth": 9.572650914989033e+98,
+            "amplitude": 3.571094524625349e+98}
+    desc = {"kind": "inverse", "base": {
+        "kind": "tapered", "plateau": 1.4252801448677338e-158,
+        "base": {"kind": "identity-plus-bump", "bumps": [bump]}}}
+    map_file = write_json(tmp_path / "far.json", desc)
+    assert main(["decompose", "--map", map_file, "--eps0", "0.3",
+                 "--out", str(tmp_path / "fac.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("factors: ") and captured.err.count("\n") == 1
 
 
 # bumps whose halfwidth squared leaves the float range, though amplitude /

@@ -32,6 +32,19 @@ def oracle(fmt, zs, vals, dil):
     return json.dumps([dict(zip(HEADER, r)) for r in rows], indent=1) + "\n"
 
 
+def writes_the_oracle_bytes(tmp_path, capsys, zs, vals, dil):
+    """Check _write_rows against the oracle to stdout and to a file, in both
+    formats; the JSON text."""
+    for fmt in ("csv", "json"):
+        expected = oracle(fmt, zs, vals, dil)
+        cli._write_rows(zs, vals, dil, None, fmt)
+        assert capsys.readouterr().out == expected
+        out = tmp_path / f"rows.{fmt}"
+        cli._write_rows(zs, vals, dil, str(out), fmt)
+        assert out.read_bytes() == expected.encode("utf-8")
+    return expected
+
+
 BUMP = {"kind": "identity-plus-bump",
         "bumps": [{"center": 0.0, "halfwidth": 1.0, "amplitude": 0.3}]}
 SAMPLED = {"kind": "sampled-monotone", "xs": [-2.0, 0.0, 1.0, 3.0],
@@ -107,13 +120,7 @@ def test_writer_keeps_signed_zeros_and_spells_non_finite_cells(tmp_path, capsys)
     vals = np.array([complex(-0.0, 0.0), complex(1e300, -1e-300),
                      complex(-0.0, 1e300), complex(1.0 / 3.0, -2.0)])
     dil = np.array([math.nan, 0.5, -0.0, 0.25])
-    for fmt in ("csv", "json"):
-        expected = oracle(fmt, zs, vals, dil)
-        cli._write_rows(zs, vals, dil, None, fmt)
-        assert capsys.readouterr().out == expected
-        out = tmp_path / f"rows.{fmt}"
-        cli._write_rows(zs, vals, dil, str(out), fmt)
-        assert out.read_bytes() == expected.encode("utf-8")
+    expected = writes_the_oracle_bytes(tmp_path, capsys, zs, vals, dil)
     assert expected.startswith('[\n {\n  "x": -0.0,\n  "y": 1.0,\n  "re": -0.0,\n'
                                '  "im": 0.0,\n  "dilatation": null\n }')
     assert '"re": -0.0,\n  "im": 1e+300,\n  "dilatation": -0.0' in expected
@@ -133,3 +140,48 @@ def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, fmt):
     subprocess.run([*argv, "--out", str(out)], capture_output=True, env=env, check=True)
     assert piped.stdout == out.read_bytes()
     assert piped.stdout.endswith(b"\r\n" if fmt == "csv" else b"\n]\n")
+
+
+def repeating_columns():
+    """Columns as a locally affine map writes them: each repeats values, and
+    they hold -0.0 next to 0.0, and a NaN with its sign bit set."""
+    def columns(re, im):  # re + 1j * im would turn a -0.0 into 0.0
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    zs = columns(np.tile([-0.0, 0.0, 0.5, -0.0], 3), np.repeat([1.0, 2.0, 1.0], 4))
+    vals = columns(np.tile([-0.0, 0.0, 1.0 / 3.0, -0.0], 3),
+                   np.repeat([0.0, -0.0, 2.5], 4))
+    dil = np.array([np.copysign(math.nan, -1.0), math.nan, 0.0, -0.0] * 3)
+    return zs, vals, dil
+
+
+def test_writer_spells_repeated_cells_signed_zeros_and_negative_nans(tmp_path, capsys):
+    zs, vals, dil = repeating_columns()
+    assert np.signbit(dil[0]) and not np.signbit(dil[1])
+    expected = writes_the_oracle_bytes(tmp_path, capsys, zs, vals, dil)
+    assert expected.startswith('[\n {\n  "x": -0.0,\n  "y": 1.0,\n  "re": -0.0,\n'
+                               '  "im": 0.0,\n  "dilatation": null\n }')
+    assert expected.count('"dilatation": null') == 6
+    assert expected.count('"im": -0.0') == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_spells_each_distinct_bit_pattern_of_a_column_once(capsys, monkeypatch,
+                                                                  fmt):
+    zs, vals, dil = repeating_columns()
+    spelled = []
+
+    def counting_repr(v):
+        spelled.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    cli._write_rows(zs, vals, dil, None, fmt)
+    assert capsys.readouterr().out == oracle(fmt, zs, vals, dil)
+    columns = (zs.real, zs.imag, vals.real, vals.imag, dil)
+    distinct = [len(set(np.ascontiguousarray(c).view(np.int64).tolist()))
+                for c in columns]
+    assert distinct == [3, 2, 3, 3, 4]
+    assert len(spelled) == sum(distinct)
