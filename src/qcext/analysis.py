@@ -221,14 +221,13 @@ def homomorphism_residual(p: ExtParams, f: RealMap, g: RealMap, grid) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def boundary_residual(p: ExtParams, f: RealMap, interval=(-1.0, 1.0),
-                      y=1e-2, n: int = 201):
-    """sup over n sampled x in the interval of |E f(x + i y) - f(x)|, at
+def boundary_residual(p: ExtParams, f: RealMap, interval=(-1.0, 1.0), y=1e-2):
+    """sup over 201 sampled x in the interval of |E f(x + i y) - f(x)|, at
     each height of y in one call; a float for a scalar y."""
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0):
         raise DomainError("y must be positive")
-    xs = np.linspace(interval[0], interval[1], n)
+    xs = np.linspace(interval[0], interval[1], 201)
     vals = extend_family(p, f, xs + 1j * y[..., None])
     return scalar_or_array(np.max(np.abs(vals - f(xs)), axis=-1))
 
@@ -335,19 +334,14 @@ class QuadraticWindowMap(RealMap):
         """Interval on which the map is exactly x -> x^2."""
         return (self.window_lo + self.ramp, self.window_hi - self.ramp)
 
-    def _pieces(self, x):
-        l, r, s = self.window_lo, self.window_hi, self.ramp
-        return [x <= l - s,
-                (x > l - s) & (x < l + s),
-                (x >= l + s) & (x <= r - s),
-                (x > r - s) & (x < r + s),
-                x >= r + s]
-
     def _piecewise(self, x, pieces):
         """Each of the five piece formulas on its own points alone (off its
         interval a piece may overflow), and 0 where x is NaN."""
+        l, r, s = self.window_lo, self.window_hi, self.ramp
+        ons = [x <= l - s, (x > l - s) & (x < l + s), (x >= l + s) & (x <= r - s),
+               (x > r - s) & (x < r + s), x >= r + s]
         out = np.zeros_like(x)
-        for on, piece in zip(self._pieces(x), pieces):
+        for on, piece in zip(ons, pieces):
             out[on] = piece(x[on])
         return out
 

@@ -197,8 +197,12 @@ def de_defect(f: CircleMap, w, z, n_nodes: int = N_NODES):
     w = _disk_points(w, "w")
     z = _disk_points(z, "z")
     _check_nodes(n_nodes)
-    zeta, fv = _samples(f, n_nodes)
-    return scalar_or_array(_defect(w, fv, _kernel(zeta, z)))
+    w, z = np.broadcast_arrays(w, z)
+    flat_w, flat_z = w.ravel(), z.ravel()
+    g = np.empty_like(flat_z)
+    for rows, fv, kernel in _blocks(f, flat_z, n_nodes):
+        g[rows] = _defect(flat_w[rows], fv, kernel)
+    return scalar_or_array(g.reshape(z.shape))
 
 
 def _de_jacobian(w: np.ndarray, fv: np.ndarray, kernel: np.ndarray):
@@ -218,13 +222,21 @@ def _poisson_seed(fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (fv * kernel).sum(axis=-1) / kernel.sum(axis=-1)
 
 
-# Points solved together carry n_nodes-long rows through the solve.  A block
+# Points solved or summed together carry n_nodes-long rows.  A block
 # holds at most _BLOCK_SIZE nodes in all, which bounds the memory of each
 # points x nodes complex temporary (128 KiB): unblocked, a 200 x 200 grid at
 # 512 nodes would need about 330 MB per temporary.  The value is otherwise
 # free: 131072 nodes gave the same time and the same bits as 8192.
 _BLOCK_SIZE = 8192
 _MAX_ITER = 50  # Newton steps of one point's solve
+
+
+def _blocks(f: CircleMap, z: np.ndarray, n_nodes: int):
+    """Sample f once; yield each block's slice, f(zeta_k) and Poisson rows."""
+    zeta, fv = _samples(f, n_nodes)
+    block = max(1, _BLOCK_SIZE // n_nodes)
+    for s in range(0, z.size, block):
+        yield slice(s, s + block), fv, _kernel(zeta, z[s:s + block])
 
 
 def extend_de(f: CircleMap, z, tol: float = TOL, n_nodes: int = N_NODES):
@@ -244,13 +256,10 @@ def extend_de(f: CircleMap, z, tol: float = TOL, n_nodes: int = N_NODES):
                    "tol must be positive and finite, got {}")
     _check_nodes(n_nodes)
     z = _disk_points(z, "z")
-    zeta, fv = _samples(f, n_nodes)
     flat = z.ravel()
     w = np.empty_like(flat)
-    block = max(1, _BLOCK_SIZE // n_nodes)
-    for s in range(0, flat.size, block):
-        zb = flat[s:s + block]
-        w[s:s + block] = _solve_block(fv, _kernel(zeta, zb), zb, tol)
+    for rows, fv, kernel in _blocks(f, flat, n_nodes):
+        w[rows] = _solve_block(fv, kernel, flat[rows], tol)
     return scalar_or_array(w.reshape(z.shape))
 
 

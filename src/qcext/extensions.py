@@ -52,10 +52,9 @@ class ExtParams:
         if self.alpha < 0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
-    def require_group(self) -> "ExtParams":
+    def require_group(self) -> None:
         if not self.alpha > 0:
             raise DomainError("group operations require alpha > 0")
-        return self
 
 
 def shear(a: float, alpha: float, z):

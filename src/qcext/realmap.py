@@ -122,12 +122,21 @@ class RealMap:
         lo <= f^{-1}(y) <= hi and a start point inside it.
 
         With d = y - f(0) the preimage lies between d/deriv_hi and d/deriv_lo.
+        Where that midpoint overflows, ``_bisect_floats`` narrows the bracket
+        and the start is its lower end.
         """
         b, B = self.deriv_bounds()
-        d = y - self(0.0)
-        lo = np.where(d >= 0.0, d / B, d / b) - 1e-9
-        hi = np.where(d >= 0.0, d / b, d / B) + 1e-9
-        return lo, hi, 0.5 * (lo + hi)
+        f0 = self(0.0)
+        with np.errstate(over="ignore"):  # a start past the float range: below
+            d = y - f0
+            lo = np.where(d >= 0.0, d / B, d / b) - 1e-9
+            hi = np.where(d >= 0.0, d / b, d / B) + 1e-9
+            x0 = 0.5 * (lo + hi)
+        wide = np.isinf(x0)
+        if wide.any():
+            lo[wide], hi[wide] = _bisect_floats(self, y[wide], lo[wide], hi[wide])
+            x0[wide] = lo[wide]
+        return lo, hi, x0
 
     # -- description -----------------------------------------------------
 
@@ -455,8 +464,9 @@ class PowerIntegral(RealMap):
             edges, cum, _ = self._ensure_table(lo, hi)
         i = np.clip(np.searchsorted(cum, y, side="right") - 1, 0, cum.size - 2)
         lo, hi = edges[i], edges[i + 1]
-        x0 = lo + (y - cum[i]) / (cum[i + 1] - cum[i]) * (hi - lo)
-        return lo, hi, np.clip(x0, lo, hi)
+        rise = cum[i + 1] - cum[i]  # 0 where a panel's increment underflows
+        t = np.divide(y - cum[i], rise, out=np.zeros_like(y), where=rise > 0)
+        return lo, hi, np.clip(lo + t * (hi - lo), lo, hi)
 
     def _second(self, x):
         d = self.base.deriv(x)
@@ -705,6 +715,30 @@ class SampledMonotone(RealMap):
 
 
 # -- inversion -------------------------------------------------------------
+
+def _float_order(v: np.ndarray) -> np.ndarray:
+    """float64 bit patterns as int64 keys in the order of the floats, and
+    back: the map is its own inverse."""
+    i = v.view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+
+def _bisect_floats(f: RealMap, y: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Brackets [lo, hi] of f^{-1}(y), clamped to the float range and
+    narrowed to adjacent floats by 64 bisections of the floats' order.  A
+    value of f that is not finite counts as past y on its own side of 0,
+    since f(0) is finite."""
+    big = np.finfo(float).max
+    a, b = _float_order(np.clip(lo, -big, big)), _float_order(np.clip(hi, -big, big))
+    for _ in range(64):
+        m = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2), no overflow
+        x = _float_order(m).view(float)
+        with np.errstate(all="ignore"):  # overflow in f is handled below
+            v = np.asarray(f(x))
+        above = np.where(np.isfinite(v), v > y, x > 0.0)
+        a, b = np.where(above, a, m), np.where(above, m, b)
+    return _float_order(a).view(float), _float_order(b).view(float)
+
 
 _MAX_ITER = 200     # passes of one inversion
 _VALUE_TOL = 1e-11  # residual |f(x) - y| of an inverse map's values

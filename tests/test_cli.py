@@ -386,6 +386,16 @@ BAD_DESCRIPTIONS = [
     ("de", '{"kind": "circle-fourier", "cos": ["x"]}', ["circle-fourier", "cos"]),
     ("de", '{"kind": "circle-mobius", "center": [0.1, 0.2, 0.3]}',
      ["circle-mobius", "center"]),
+    # parameters the constructors refuse
+    ("info", '{"kind": "identity-plus-bump", "bumps": [{"center": 0, "halfwidth": 0, '
+             '"amplitude": 0.1}]}', ["halfwidth must be positive, got 0.0"]),
+    ("info", '{"kind": "identity-plus-bump", "bumps": []}', ["at least one bump"]),
+    ("info", '{"kind": "tapered", "base": {"kind": "affine", "slope": 2}, '
+             '"plateau": -1}', ["taper radius must be positive, got -1.0"]),
+    ("info", '{"kind": "quadratic-window", "window_lo": 0}', ["window_lo must be positive"]),
+    ("info", '{"kind": "quadratic-window", "ramp": 0}', ["ramp must be positive"]),
+    ("info", '{"kind": "quadratic-window", "window_lo": 1, "window_hi": 2, "ramp": 0.5}',
+     ["window too narrow"]),
 ]
 
 
@@ -440,6 +450,11 @@ FAR_MAPS = {
     # finite, but its outer pieces overflow when evaluated at f(0.0)
     "@far-window": {"kind": "quadratic-window", "window_lo": 1, "window_hi": 1e154,
                     "ramp": 1},
+    # its slope bounds put the certified bracket of an inverse value past the
+    # float range, though the preimage of 0 is about 6e38
+    "@inverse-window": {"kind": "inverse", "base": {
+        "kind": "quadratic-window", "window_lo": 3.0233959382799814e-232,
+        "window_hi": 3.902506907615861e+133, "ramp": 2.3270208426538043e+39}},
 }
 BAD_INPUTS = [
     # (argv with @map / @circle / @cut / @config placeholders, config, words in
@@ -530,6 +545,9 @@ BAD_INPUTS = [
     # each window piece is evaluated on its own interval only
     (["decompose", "--map", "@far-window", "--eps0", "0.2"], None,
      ["bi-Lipschitz constant 2e+154", "MAX_ROUNDS = 500"]),
+    # an inverse whose slope bracket overflows starts from a narrowed bracket
+    (["decompose", "--map", "@inverse-window", "--eps0", "0.3"], None,
+     ["bi-Lipschitz constant 1.65377e+231", "MAX_ROUNDS = 500"]),
 ]
 
 
@@ -583,6 +601,20 @@ def test_decompose_far_outside_a_tiny_taper_plateau_is_silent(tmp_path, capsys):
         "kind": "tapered", "plateau": 1.4252801448677338e-158,
         "base": {"kind": "identity-plus-bump", "bumps": [bump]}}}
     map_file = write_json(tmp_path / "far.json", desc)
+    assert main(["decompose", "--map", map_file, "--eps0", "0.3",
+                 "--out", str(tmp_path / "fac.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("factors: ") and captured.err.count("\n") == 1
+
+
+def test_decompose_where_a_table_panel_underflows_is_silent(tmp_path, capsys):
+    # an increment of the power-integral table underflows to 0 in a panel, so
+    # an inversion starts at that panel's left edge
+    desc = {"kind": "sampled-monotone",
+            "xs": [2.925085594438359e-258, 0.004208778023764949, 1.7534790907238686],
+            "ys": [5.078635928715845e-237, 0.0006469480903628057, 0.0007567714896740483]}
+    map_file = write_json(tmp_path / "knots.json", desc)
     assert main(["decompose", "--map", map_file, "--eps0", "0.3",
                  "--out", str(tmp_path / "fac.json")]) == 0
     captured = capsys.readouterr()

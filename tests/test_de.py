@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import qcext.douady_earle as douady_earle
 from qcext.douady_earle import (CircleMap, MobiusAutomorphism, _de_jacobian,
                                 _kernel, _samples, circle_map_from_dict,
                                 compose_circle, de_defect, de_naturality_residual,
@@ -184,6 +185,30 @@ def test_defect_array_rows_equal_scalar_calls(rng):
     got = de_defect(f, ws, zs)
     assert got.shape == zs.shape
     assert np.array_equal(got, [de_defect(f, w, z) for w, z in zip(ws, zs)])
+
+
+def test_defect_broadcasts_w_against_z(rng):
+    f = small_perturbation(rng)
+    zs = disk_grid(0.8, 6).reshape(4, 9)
+    ws = 0.5 * zs[1:2, ::-1]
+    got = de_defect(f, ws, zs)
+    assert got.shape == zs.shape
+    want = [[de_defect(f, ws[0, j], zs[i, j]) for j in range(9)] for i in range(4)]
+    assert np.array_equal(got, want)
+
+
+def test_defect_builds_rows_one_block_at_a_time(monkeypatch, rng):
+    # 512 nodes a row: a block of the 8192-node budget holds 16 rows
+    rows = []
+
+    def spy(zeta, z):
+        rows.append(z.size)
+        return _kernel(zeta, z)
+
+    monkeypatch.setattr(douady_earle, "_kernel", spy)
+    zs = disk_grid(0.8, 7)[:40]
+    de_defect(small_perturbation(rng), 0.5 * zs, zs, 512)
+    assert sum(rows) == 40 and max(rows) <= 16
 
 
 def test_closed_form_jacobian_matches_central_difference(rng):

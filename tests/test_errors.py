@@ -11,8 +11,9 @@ import pytest
 import qcext.douady_earle as douady_earle
 import qcext.quadrature as quadrature
 from qcext.analysis import (CubicMap, boundary_residual, compare_dilatation,
-                            dilatation_analytic, dilatation_numeric,
-                            pde_residual)
+                            dilatation_analytic, dilatation_bound,
+                            dilatation_numeric, estimate_m, pde_residual,
+                            sup_dilatation)
 from qcext.beurling_ahlfors import ba_affine_naturality_residual, extend_ba
 from qcext.cli import main
 from qcext.douady_earle import (CircleMap, MobiusAutomorphism, de_defect,
@@ -121,6 +122,40 @@ def test_zero_d_results_are_python_scalars(case):
     call, kind = ZERO_D[case]
     # a numpy scalar would pass isinstance
     assert type(call()) is kind
+
+
+# -- argument checks that no CLI input reaches ---------------------------------
+
+LIBRARY_CHECKS = {
+    "estimate_m grid_n": (lambda: estimate_m(F, grid_n=1), "grid_n must be >= 2"),
+    "estimate_m t_range from 0": (lambda: estimate_m(F, t_range=(0.0, 1.0)),
+                                  "t range must be positive and increasing"),
+    "estimate_m t_range decreasing": (lambda: estimate_m(F, t_range=(2.0, 1.0)),
+                                      "t range must be positive and increasing"),
+    "sup_dilatation empty grid": (lambda: sup_dilatation(F, NS, np.empty(0, complex)),
+                                  "grid must be nonempty"),
+    "dilatation_bound": (lambda: dilatation_bound(NS, 2.0, 1.0),
+                         "need 0 < deriv_lo <= deriv_hi"),
+    "boundary_residual y": (lambda: boundary_residual(NS, F, y=[0.1, 0.0]),
+                            "y must be positive"),
+    "de_naturality_residual mode": (lambda: de_naturality_residual(
+        DISK, MobiusAutomorphism(0.3, 0.2 + 0.1j), 0.1j, mode="both"),
+        "mode must be 'pre' or 'post', got 'both'"),
+    # accepted, not refused: no point in, no point out
+    "power integral of no points": (lambda: PowerIntegral(F, 0.5)(np.empty(0)), None),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_CHECKS)
+def test_library_argument_checks(case):
+    call, message = LIBRARY_CHECKS[case]
+    if message is None:
+        out = call()
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        return
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- solver refusals: each budget cut to what one input cannot meet ------------

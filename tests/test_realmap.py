@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcext.realmap as realmap
+from qcext.analysis import QuadraticWindowMap
 from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.quadrature import panel_integrals
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
@@ -354,6 +355,18 @@ def test_inversion_generic_path_inverts_an_inverse_map():
         assert invert(inv, x, 1e-12) == pytest.approx(g(x), abs=1e-11)
     xs = np.linspace(-2.0, 2.0, 41)
     assert np.max(np.abs(InverseMap(inv)(xs) - g(xs))) <= 1e-10
+
+
+def test_inversion_narrows_a_slope_bracket_past_the_float_range():
+    # y / deriv_lo passes the float range, though the preimages lie inside it
+    g = QuadraticWindowMap(3.0233959382799814e-232, 3.902506907615861e+133,
+                           2.3270208426538043e+39)
+    ys = np.array([0.0, -1.9e78, 1e300])
+    xs = InverseMap(g)(ys)
+    assert np.all(np.isfinite(xs)) and np.array_equal(g(xs), ys)
+    lo, hi, x0 = g._inverse_start(ys)
+    assert np.all((lo <= xs) & (xs <= hi)) and np.array_equal(x0, lo)
+    assert np.all(np.nextafter(lo, math.inf) == hi)  # adjacent floats
 
 
 def test_non_finite_values_raise_domain_error():
