@@ -334,10 +334,32 @@ class QuadraticWindowMap(RealMap):
         """Interval on which the map is exactly x -> x^2."""
         return (self.window_lo + self.ramp, self.window_hi - self.ramp)
 
-    def _piecewise(self, x, pieces):
-        """Each of the five piece formulas on its own points alone (off its
-        interval a piece may overflow), and 0 where x is NaN."""
+    def _piecewise(self, x, order):
+        """The ``order``-th derivative (0, 1 or 2) of the map: each of its
+        five piece formulas on its own points alone (off its interval a piece
+        may overflow), and 0 where x is NaN."""
         l, r, s = self.window_lo, self.window_hi, self.ramp
+        f_lm = (l - s) ** 2 - 4.0 * s * s / 3.0  # value at l - s
+        f_rp = (r + s) ** 2 - 4.0 * s * s / 3.0  # value at r + s
+        pieces = [
+            [lambda x: f_lm + 2.0 * l * (x - (l - s)),
+             lambda x: (l + s) ** 2 - 2.0 * l * (l + s - x)
+             - (8.0 * s ** 3 - (x - l + s) ** 3) / (6.0 * s),
+             lambda x: x * x,
+             lambda x: (r - s) ** 2 + 2.0 * r * (x - r + s)
+             - (8.0 * s ** 3 - (r + s - x) ** 3) / (6.0 * s),
+             lambda x: f_rp + 2.0 * r * (x - (r + s))],
+            [lambda x: 2.0 * l,
+             lambda x: 2.0 * l + (x - l + s) ** 2 / (2.0 * s),
+             lambda x: 2.0 * x,
+             lambda x: 2.0 * r - (r + s - x) ** 2 / (2.0 * s),
+             lambda x: 2.0 * r],
+            [lambda x: 0.0,
+             lambda x: (x - l + s) / s,
+             lambda x: 2.0,
+             lambda x: (r + s - x) / s,
+             lambda x: 0.0],
+        ][order]
         ons = [x <= l - s, (x > l - s) & (x < l + s), (x >= l + s) & (x <= r - s),
                (x > r - s) & (x < r + s), x >= r + s]
         out = np.zeros_like(x)
@@ -346,38 +368,13 @@ class QuadraticWindowMap(RealMap):
         return out
 
     def _eval(self, x):
-        l, r, s = self.window_lo, self.window_hi, self.ramp
-        f_lm = (l - s) ** 2 - 4.0 * s * s / 3.0  # value at l - s
-        f_rp = (r + s) ** 2 - 4.0 * s * s / 3.0  # value at r + s
-        return self._piecewise(x, [
-            lambda x: f_lm + 2.0 * l * (x - (l - s)),
-            lambda x: (l + s) ** 2 - 2.0 * l * (l + s - x)
-            - (8.0 * s ** 3 - (x - l + s) ** 3) / (6.0 * s),
-            lambda x: x * x,
-            lambda x: (r - s) ** 2 + 2.0 * r * (x - r + s)
-            - (8.0 * s ** 3 - (r + s - x) ** 3) / (6.0 * s),
-            lambda x: f_rp + 2.0 * r * (x - (r + s)),
-        ])
+        return self._piecewise(x, 0)
 
     def _deriv(self, x):
-        l, r, s = self.window_lo, self.window_hi, self.ramp
-        return self._piecewise(x, [
-            lambda x: 2.0 * l,
-            lambda x: 2.0 * l + (x - l + s) ** 2 / (2.0 * s),
-            lambda x: 2.0 * x,
-            lambda x: 2.0 * r - (r + s - x) ** 2 / (2.0 * s),
-            lambda x: 2.0 * r,
-        ])
+        return self._piecewise(x, 1)
 
     def _second(self, x):
-        l, r, s = self.window_lo, self.window_hi, self.ramp
-        return self._piecewise(x, [
-            lambda x: 0.0,
-            lambda x: (x - l + s) / s,
-            lambda x: 2.0,
-            lambda x: (r + s - x) / s,
-            lambda x: 0.0,
-        ])
+        return self._piecewise(x, 2)
 
 
 register("map", "cubic", CubicMap)

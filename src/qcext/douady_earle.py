@@ -75,7 +75,8 @@ class CircleMap:
 
     @classmethod
     def from_fourier(cls, rotation: float = 0.0, cos_amps=(), sin_amps=()) -> "CircleMap":
-        """L(t) = t + rotation + sum_k a_k cos(k t) + b_k sin(k t)."""
+        """L(t) = t + rotation + sum_k a_k cos(k t) + b_k sin(k t), summed in
+        each point's own row (einsum, no BLAS), whatever the batch."""
         rotation = _principal(rotation)
         ca = np.asarray(cos_amps, dtype=float)
         sa = np.asarray(sin_amps, dtype=float)
@@ -86,9 +87,9 @@ class CircleMap:
             t = np.asarray(t, dtype=float)
             out = t + rotation
             if ca.size:
-                out = out + np.cos(np.multiply.outer(t, kc)) @ ca
+                out = out + np.einsum("...k,k->...", np.cos(t[..., None] * kc), ca)
             if sa.size:
-                out = out + np.sin(np.multiply.outer(t, ks)) @ sa
+                out = out + np.einsum("...k,k->...", np.sin(t[..., None] * ks), sa)
             return out
 
         fourier = cls(lift, check=False)

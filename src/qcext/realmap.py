@@ -256,23 +256,20 @@ class IdentityPlusBump(RealMap):
     def breakpoints(self):
         return np.array([e for b in self.bumps for e in b.support])
 
-    def _eval(self, x):
-        out = x.copy()
+    def _plus_bumps(self, out, term, x):
+        """``out`` plus ``term(bump, x)`` of each bump, added in order."""
         for b in self.bumps:
-            out = out + b.value(x)
+            out = out + term(b, x)
         return out
+
+    def _eval(self, x):
+        return self._plus_bumps(x, BumpProfile.value, x)
 
     def _deriv(self, x):
-        out = np.ones_like(x)
-        for b in self.bumps:
-            out = out + b.d1(x)
-        return out
+        return self._plus_bumps(np.ones_like(x), BumpProfile.d1, x)
 
     def _second(self, x):
-        out = np.zeros_like(x)
-        for b in self.bumps:
-            out = out + b.d2(x)
-        return out
+        return self._plus_bumps(np.zeros_like(x), BumpProfile.d2, x)
 
 
 def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusBump:
@@ -297,8 +294,9 @@ class PowerIntegral(RealMap):
     breakpoints; a panel is halved until its order-16 and order-32 values
     differ by at most ``quad_tol * max(width, 1e-3) / _TOL_SPAN``, a budget
     that depends only on the panel, so the table is accurate to ``quad_tol``
-    on ``[-_TOL_SPAN, _TOL_SPAN]``.  The table holds at least one coarse
-    panel on each side of 0 and grows outward on demand by appending panels
+    on ``[-_TOL_SPAN, _TOL_SPAN]``.  The table starts as the one edge
+    ``P(0) = 0``; from its first build it holds at least one coarse panel
+    on each side of 0, and it grows outward on demand by appending panels
     and accumulating ``cum`` outward from 0, so growing never changes an
     entry it holds and a value does not depend on what was evaluated before.
     A call grows it to the coarse edges around the range the call asks for,
@@ -326,7 +324,7 @@ class PowerIntegral(RealMap):
         super().__init__(lo, hi)
         self.base = base
         self.exponent = float(exponent)
-        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._table = (np.zeros(1), np.zeros(1), np.full(1, np.nan))
         self._lock = threading.Lock()
 
     def _integrand(self, t):
@@ -378,9 +376,7 @@ class PowerIntegral(RealMap):
             raise QuadratureFailure(
                 f"a power-integral table over [{lo:.6g}, {hi:.6g}] would need "
                 f"more than {self._MAX_PANELS} panels")
-        table = self._table
-        edges, cum, flat = table if table is not None else (
-            np.zeros(1), np.zeros(1), np.full(1, np.nan))
+        edges, cum, flat = self._table
         lo, hi = min(lo, float(edges[0])), max(hi, float(edges[-1]))
         k_lo, k_hi = math.floor(lo / self._PANEL), math.ceil(hi / self._PANEL)
         kinks = np.asarray(self.base.breakpoints(), dtype=float)
@@ -410,8 +406,8 @@ class PowerIntegral(RealMap):
         no further than ``_build_table`` rounds that range out."""
         lo, hi = min(lo, 0.0), max(hi, 0.0)
         with self._lock:
-            table = self._table
-            if table is None or table[0][0] > lo or table[0][-1] < hi:
+            edges = self._table[0]
+            if edges.size < 2 or edges[0] > lo or edges[-1] < hi:
                 self._build_table(lo, hi)
             return self._table
 
@@ -456,8 +452,7 @@ class PowerIntegral(RealMap):
             return max(gap / slope, self._PANEL)
 
         y0, y1 = float(y.min()), float(y.max())
-        table = self._table  # P(0) = 0 stands in for a table not built yet
-        edges, cum = table[:2] if table is not None else (np.zeros(1), np.zeros(1))
+        edges, cum, _ = self._table
         while cum.size < 2 or cum[0] > y0 or cum[-1] < y1:
             lo = edges[0] - reach(float(cum[0]) - y0, 0) if cum[0] > y0 else 0.0
             hi = edges[-1] + reach(y1 - float(cum[-1]), -2) if cum[-1] < y1 else 0.0
@@ -701,17 +696,18 @@ class SampledMonotone(RealMap):
         allc = np.concatenate(cands)
         return float(allc.min()), float(allc.max())
 
+    def _tails(self, x, c, left, right):
+        """The polynomials ``c`` in the window, ``left`` and ``right`` past its ends."""
+        out = np.where(x < self.xs[0], left, self._cubic(c, x))
+        return np.where(x > self.xs[-1], right, out)
+
     def _eval(self, x):
         x0, xN = self.xs[0], self.xs[-1]
-        inner = self._cubic(self._c, x)
-        out = np.where(x < x0, self.ys[0] + self._slopes[0] * (x - x0), inner)
-        return np.where(x > xN, self.ys[-1] + self._slopes[1] * (x - xN), out)
+        return self._tails(x, self._c, self.ys[0] + self._slopes[0] * (x - x0),
+                           self.ys[-1] + self._slopes[1] * (x - xN))
 
     def _deriv(self, x):
-        x0, xN = self.xs[0], self.xs[-1]
-        inner = self._cubic(self._dc, x)
-        out = np.where(x < x0, self._slopes[0], inner)
-        return np.where(x > xN, self._slopes[1], out)
+        return self._tails(x, self._dc, *self._slopes)
 
 
 # -- inversion -------------------------------------------------------------
@@ -727,7 +723,8 @@ def _bisect_floats(f: RealMap, y: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Brackets [lo, hi] of f^{-1}(y), clamped to the float range and
     narrowed to adjacent floats by 64 bisections of the floats' order.  A
     value of f that is not finite counts as past y on its own side of 0,
-    since f(0) is finite."""
+    since f(0) is finite.  A y that f does not reach at either end of the
+    float range has no preimage in it and raises DomainError."""
     big = np.finfo(float).max
     a, b = _float_order(np.clip(lo, -big, big)), _float_order(np.clip(hi, -big, big))
     for _ in range(64):
@@ -737,7 +734,11 @@ def _bisect_floats(f: RealMap, y: np.ndarray, lo: np.ndarray, hi: np.ndarray):
             v = np.asarray(f(x))
         above = np.where(np.isfinite(v), v > y, x > 0.0)
         a, b = np.where(above, a, m), np.where(above, m, b)
-    return _float_order(a).view(float), _float_order(b).view(float)
+    lo, hi = _float_order(a).view(float), _float_order(b).view(float)
+    with np.errstate(all="ignore"):  # a non-finite f at an end is beyond y
+        past = ((lo == -big) & (f(lo) > y)) | ((hi == big) & (f(hi) < y))
+    raise_at_first(past, y, "the preimage of y={} overflows in floating point")
+    return lo, hi
 
 
 _MAX_ITER = 200     # passes of one inversion

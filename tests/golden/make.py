@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tests/golden/make.py
 
-writes ``tests/golden/hashes.json`` (with the Python and numpy versions it
-ran under); ``tests/test_golden.py`` recomputes every record and names each
-one whose hash differs.  The records:
+writes ``tests/golden/hashes.json`` (with the Python and numpy versions and
+numpy's x86 dispatch level it ran under); ``tests/test_golden.py`` recomputes
+every record and names each one whose hash differs.  The records:
 
 - ``op/...``: the first cycle and the defect probes of seeds 1-3 of each
   workload in ``bench/workloads.py``, run through ``cli.main`` as
@@ -45,6 +45,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from qcext import analysis, cli
 from qcext.douady_earle import circle_map_from_dict, extend_de
@@ -262,7 +263,12 @@ def records() -> dict:
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The Python and numpy versions, and numpy's x86 dispatch level: the
+    highest ``X86_V*`` CPU feature that is on ("" where there is none), since
+    ``exp``, ``log`` and ``power`` round by that level."""
+    levels = [k for k, on in __cpu_features__.items() if k.startswith("X86_V") and on]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "numpy_x86_level": max(levels, key=lambda k: int(k[5:]), default="")}
 
 
 def main() -> int:

@@ -548,6 +548,10 @@ BAD_INPUTS = [
     # an inverse whose slope bracket overflows starts from a narrowed bracket
     (["decompose", "--map", "@inverse-window", "--eps0", "0.3"], None,
      ["bi-Lipschitz constant 1.65377e+231", "MAX_ROUNDS = 500"]),
+    # a y below the image of the float range under the base has no preimage
+    (["extend", "--method", "ns", "--map", "@inverse-window", "--x-min=-1e79",
+      "--x-max", "0", "--nx", "2", "--ny", "2"], None,
+     ["y=-1e+79", "overflows in floating point"]),
 ]
 
 

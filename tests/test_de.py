@@ -1,7 +1,11 @@
 """Tests for the barycentric disk extension."""
 
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -430,13 +434,46 @@ def test_circle_map_scalars_are_python_numbers_with_the_array_bits():
         assert _bits(scalar_values) == _bits(values)
         assert _bits(f(t.reshape(37, 1))) == _bits(lifts)
         assert type(f(np.float64(0.5))) is float
-    # several terms are summed by a BLAS product, whose rows may round by
-    # the batch: a scalar gets the bits of a 1-element array
+    # several terms: each point's sum is its own row, whatever the batch
     several = CircleMap.from_fourier(0.1, [0.05, 0.02], [0.03, 0.01])
     for f in (several, compose_circle(mobius, several)):
         for x in t.tolist():
             assert _bits(f(x)) == _bits(f(np.array([x])))
             assert _bits(f.values(x)) == _bits(f.values(np.array([x])))
+
+
+def test_fourier_scalar_lifts_have_the_bits_of_their_array_elements():
+    f = CircleMap.from_fourier(0.1, [0.05, 0.02, 0.01, 0.003], [0.03, 0.01, 0.002])
+    t = np.random.default_rng(0).uniform(-20.0, 20.0, 1000)
+    assert _bits([f(x) for x in t.tolist()]) == _bits(f(t))
+    assert _bits([f.values(x) for x in t.tolist()]) == _bits(f.values(t))
+
+
+# the bits of a Fourier lift and a disk solve on it, as hex text
+FOURIER_BITS = """
+import math
+import numpy as np
+from qcext.douady_earle import CircleMap, extend_de
+f = CircleMap.from_fourier(0.1, [0.05, 0.02, 0.01, 0.003], [0.03, 0.01, 0.002])
+t = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
+z = np.linspace(-0.6, 0.6, 4)[None, :] + 1j * np.linspace(-0.6, 0.6, 4)[:, None]
+bits = (f.values(t).tobytes() + extend_de(f, z).tobytes()).hex()
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="OPENBLAS_CORETYPE names x86 kernels")
+def test_fourier_bits_do_not_depend_on_the_openblas_kernel():
+    # Sandybridge has no FMA: a BLAS product would round apart from the
+    # default kernel's
+    src = os.path.dirname(os.path.dirname(douady_earle.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Sandybridge")
+    run = subprocess.run([sys.executable, "-c", FOURIER_BITS + "print(bits)"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    here = {}
+    exec(FOURIER_BITS, here)
+    assert run.stdout.strip() == here["bits"]
 
 
 def test_circle_map_descriptions():

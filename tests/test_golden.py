@@ -22,7 +22,11 @@ def test_every_golden_record_keeps_its_hash():
     moved = [f"{name} ({'new' if name not in want else 'gone' if name not in got else 'changed'})"
              for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
     now = make.versions()
+    level = ""
+    if saved.get("numpy_x86_level") != now["numpy_x86_level"]:
+        level = (f"; numpy's x86 dispatch level was {saved.get('numpy_x86_level')!r}, "
+                 f"this run {now['numpy_x86_level']!r}")
     assert not moved, (
         f"{len(moved)} golden records differ (hashes written under Python "
         f"{saved['python']}, numpy {saved['numpy']}; this run Python {now['python']}, "
-        f"numpy {now['numpy']}):\n" + "\n".join(moved))
+        f"numpy {now['numpy']}{level}):\n" + "\n".join(moved))

@@ -1,6 +1,7 @@
 """Tests for the certified-monotone map algebra."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -367,6 +368,15 @@ def test_inversion_narrows_a_slope_bracket_past_the_float_range():
     lo, hi, x0 = g._inverse_start(ys)
     assert np.all((lo <= xs) & (xs <= hi)) and np.array_equal(x0, lo)
     assert np.all(np.nextafter(lo, math.inf) == hi)  # adjacent floats
+
+
+@pytest.mark.parametrize("y", [-1e79, -1e300])
+def test_inversion_refuses_a_y_past_the_image_of_the_float_range(y):
+    # f at the lowest float is about -1.9e78, still above y: no preimage
+    g = QuadraticWindowMap(3.0233959382799814e-232, 3.902506907615861e+133,
+                           2.3270208426538043e+39)
+    with pytest.raises(DomainError, match=re.escape(f"y={y!r} overflows in floating")):
+        InverseMap(g)(y)
 
 
 def test_non_finite_values_raise_domain_error():
