@@ -3,9 +3,9 @@
 Two entry points: ``adaptive_integral`` for smooth(ish) integrals of one
 function over one or many intervals, and ``panel_integrals`` as the
 vectorized building block reused by it and by the memoizing power-integral
-maps, which also read the node values through ``panel_samples``.  Error
-estimates come from comparing each panel against an embedded lower-order
-rule; failing panels are halved.
+maps, which also sample their base at the nodes through ``panel_samples``
+and sum their rows by ``panel_sums``.  Error estimates come from comparing
+each panel against an embedded lower-order rule; failing panels are halved.
 """
 
 from __future__ import annotations
@@ -28,19 +28,26 @@ def panel_samples(fun, lo, hi, order: int = 16):
     ``fun`` at their order-``order`` Gauss-Legendre nodes (one row per
     panel), and each row's weighted node sum.
 
-    ``fun`` must accept a flat ndarray and return values elementwise.  Each
-    sum is taken in its own row (einsum), not by a BLAS matrix-vector
-    product whose rounding depends on a row's place in the batch, so a
-    panel's sum is a function of its interval alone.
+    ``fun`` must accept a flat ndarray and return values elementwise; the
+    sums are ``panel_sums``, so a panel's sum is a function of its interval
+    alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    x, w = gauss_legendre(order)
+    x, _ = gauss_legendre(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(fun(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half, vals, np.einsum("ij,j->i", vals, w)
+    return half, vals, panel_sums(vals)
+
+
+def panel_sums(vals):
+    """Each row's weighted sum by the Gauss-Legendre rule with one node per
+    column, taken in its own row (einsum), not by a BLAS matrix-vector
+    product whose rounding depends on a row's place in the batch, so a
+    panel's sum is a function of its samples alone."""
+    return np.einsum("ij,j->i", vals, gauss_legendre(vals.shape[1])[1])
 
 
 def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:

@@ -12,7 +12,10 @@ All maps are immutable after construction; evaluation accepts scalars or
 ndarrays and is safe to share across threads.  The only internal mutable
 state is the power-integral table, which grows under a lock by appending
 panels and never changes an entry it holds, so neither a value nor a
-refusal depends on what was evaluated before.  A point at a table edge, or
+refusal depends on what was evaluated before, and the store of a base
+map's slopes at the table nodes (``_NodeSlopes``), kept on the base object
+for as long as it lives and shared by every power integral on it, which
+likewise only adds entries.  A point at a table edge, or
 on a panel where the integrand is one value, is evaluated from the table
 alone.  Maps may list the points where their derivative is not smooth (``breakpoints``);
 tables put panel edges there.  Monotone inversion is one safeguarded Newton
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import (DomainError, NonConvergence, QuadratureFailure, on_flat,
                      raise_at_first)
-from .quadrature import panel_integrals, panel_samples
+from .quadrature import panel_integrals, panel_samples, panel_sums
 
 # sup |p'| for the bump profile p(t) = (1 - t^2)^3, attained at t = 1/sqrt(5)
 BUMP_SLOPE_MAX = 96.0 * math.sqrt(5.0) / 125.0
@@ -116,6 +119,11 @@ class RealMap:
         point costs time, never accuracy).  The default lists none.
         """
         return np.empty(0)
+
+    def _eval_with_slope(self, x):
+        """(f(x), f'(x)) for a flat x, or (f(x), None) where the value pass
+        samples no slope (here: always)."""
+        return self._eval(x), None
 
     def _inverse_start(self, y: np.ndarray):
         """(lo, hi, x0) for a flat finite y: a certified bracket
@@ -277,6 +285,66 @@ def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusB
     return IdentityPlusBump([BumpProfile(center, halfwidth, amplitude)])
 
 
+class _NodeSlopes:
+    """A base map's slopes at the Gauss-Legendre nodes of each power-integral
+    panel sampled on it, one row per order of ``orders``.  Panels sampled
+    one after another whose slopes are all one same value (as off the
+    supports of a bump) share one row, so the store grows with the base's
+    non-affine panels and not with a table's range.
+
+    It is kept on the base object, so it lives as long as the base does and
+    every power integral on the base shares it: a panel is sampled once for
+    all exponents.  Entries are keyed by the panel's edges and never change
+    once held; two builds that race on one panel may both sample it, with
+    the same bits, and the first to store it is kept.
+    """
+
+    def __init__(self, orders):
+        self.orders = orders
+        self._lock = threading.Lock()
+        # the keys a + b*1j, sorted and ending in one past every finite key,
+        # the row of each key, and the rows of each order
+        self._held = (np.array([complex(np.inf, np.inf)]), np.zeros(1, dtype=np.intp),
+                      tuple(np.zeros((1, n)) for n in orders))
+
+    def at(self, base, a: np.ndarray, b: np.ndarray):
+        """``base._deriv`` at the nodes of the panels [a_i, b_i], one array
+        per order with one row per panel; only panels not held are sampled."""
+        key = a + 1j * b  # exact for finite edges
+        keys, row, rows = self._held
+        i = np.searchsorted(keys, key)
+        new = keys[i] != key
+        if new.all():  # as on a build's first pass on a new base
+            return self._add(base, a, b, key)
+        if new.any():
+            self._add(base, a[new], b[new], key[new])
+            keys, row, rows = self._held
+            i = np.searchsorted(keys, key)
+        r = row[i]
+        return [held[r] for held in rows]
+
+    def _add(self, base, a, b, key):
+        """Sample the panels [a_i, b_i], hold them under ``key`` and return
+        the samples."""
+        samples = [panel_samples(base._deriv, a, b, n)[1] for n in self.orders]
+        bits = [s.view(np.int64) for s in samples]
+        first = bits[0][:, 0]
+        one = np.logical_and.reduce([(s == first[:, None]).all(axis=1) for s in bits])
+        # a panel of one value equal to the one before it shares its row
+        shared = np.zeros(key.size, dtype=bool)
+        shared[1:] = one[1:] & one[:-1] & (first[1:] == first[:-1])
+        pos = np.cumsum(~shared) - 1
+        with self._lock:
+            keys, row, rows = self._held
+            fresh = keys[np.searchsorted(keys, key)] != key  # else a racing build's
+            keys = np.concatenate([keys, key[fresh]])
+            order = np.argsort(keys, kind="stable")  # merges two sorted runs
+            self._held = (
+                keys[order], np.concatenate([row, len(rows[0]) + pos[fresh]])[order],
+                tuple(np.concatenate([h, s[~shared]]) for h, s in zip(rows, samples)))
+        return samples
+
+
 class PowerIntegral(RealMap):
     """x -> integral_0^x base'(t)**exponent dt.
 
@@ -303,7 +371,9 @@ class PowerIntegral(RealMap):
     and the ``_MAX_PANELS`` limit applies to that range alone, so what was
     evaluated before does not decide whether a call is refused either.
     ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
-    preimage to one panel by ``searchsorted`` on ``cum``.
+    preimage to one panel by ``searchsorted`` on ``cum``.  A build samples
+    the base through the base's ``_NodeSlopes``, so each panel is sampled
+    once for every exponent on that base object.
     Certified bounds are the interval power of the base bounds.
     """
 
@@ -314,6 +384,7 @@ class PowerIntegral(RealMap):
     _TOL_SPAN = 128.0      # per-panel budget: quad_tol * width / _TOL_SPAN
     _MAX_PASSES = 40       # halvings of one coarse panel
     _MAX_PANELS = 1 << 16  # coarse panels of a table, or panels of one pass
+    _CHUNK = 2048          # panels sampled at once: bounds a build's memory
     quad_tol = 1e-10       # accuracy of the table on [-_TOL_SPAN, _TOL_SPAN]
 
     def __init__(self, base: RealMap, exponent: float):
@@ -326,26 +397,42 @@ class PowerIntegral(RealMap):
         self.exponent = float(exponent)
         self._table = (np.zeros(1), np.zeros(1), np.full(1, np.nan))
         self._lock = threading.Lock()
+        # the base's slopes at the table nodes, shared with every power
+        # integral on the same base object (setdefault is atomic)
+        self._slopes = vars(base).setdefault(
+            "_node_slopes", _NodeSlopes((self._ORDER, 2 * self._ORDER)))
 
     def _integrand(self, t):
-        return self.base.deriv(t) ** self.exponent
+        return self.base._deriv(t) ** self.exponent
+
+    def _rules(self, a: np.ndarray, b: np.ndarray):
+        """``(value, check, flat)`` of the panels [a_i, b_i]: the order-16
+        and order-32 values, and the order-16 node sum where the samples of
+        both rules are all one value (NaN elsewhere).  The integrand is the
+        stored base slopes at the nodes raised to the exponent."""
+        half = 0.5 * (b - a)
+        d16, d32 = self._slopes.at(self.base, a, b)
+        s16, s32 = d16 ** self.exponent, d32 ** self.exponent
+        sum16, sum32 = panel_sums(s16), panel_sums(s32)
+        c = s16[:, :1]
+        flat = np.where((s16 == c).all(axis=1) & (s32 == c).all(axis=1),
+                        sum16, np.nan)
+        return half * sum16, half * sum32, flat
 
     def _refine(self, a: np.ndarray, b: np.ndarray):
         """Halve the panels [a_i, b_i] until each meets its budget; returns
         the refined panels ``(a, b, value, flat)`` sorted by ``a``, with the
         order-32 values, and the order-16 node sum of each panel whose
         order-16 and order-32 samples are all one value (NaN for the others).
-        Only the new halves are integrated on each pass."""
+        Only the new halves are integrated on each pass, ``_CHUNK`` panels
+        at a time, so a pass holds node samples of one chunk only."""
         kept = []
         for _ in range(self._MAX_PASSES):
-            half, s16, sum16 = panel_samples(self._integrand, a, b, self._ORDER)
-            _, s32, sum32 = panel_samples(self._integrand, a, b, 2 * self._ORDER)
-            v, check = half * sum16, half * sum32
+            v, check, flat = (np.concatenate(part) for part in zip(*(
+                self._rules(a[i:i + self._CHUNK], b[i:i + self._CHUNK])
+                for i in range(0, a.size, self._CHUNK))))
             budget = self.quad_tol * np.maximum(b - a, 1e-3) / self._TOL_SPAN
             bad = ~(np.abs(v - check) <= budget)
-            c = s16[:, :1]
-            flat = np.where((s16 == c).all(axis=1) & (s32 == c).all(axis=1),
-                            sum16, np.nan)
             kept.append((a[~bad], b[~bad], check[~bad], flat[~bad]))
             if not bad.any():
                 break
@@ -412,18 +499,38 @@ class PowerIntegral(RealMap):
             return self._table
 
     def _eval(self, x):
-        raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
+        return self._values(x, False)[0]
+
+    def _eval_with_slope(self, x):
+        return self._values(x, True)
+
+    def _values(self, x, slope: bool):
+        """The values, and with ``slope`` the slopes at every point where the
+        rule samples the integrand at all: the points ride along in its one
+        call.  Where no point needs the rule (each is at a table edge or on
+        a flat panel) nothing is sampled and the slopes are None."""
         if x.size == 0:
-            return x.copy()
-        edges, cum, flat = self._ensure_table(float(x.min()), float(x.max()))
+            return x.copy(), None
+        lo, hi = float(x.min()), float(x.max())  # NaN if any x is
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
+        edges, cum, flat = self._ensure_table(lo, hi)
         idx = np.searchsorted(edges, x, side="right") - 1
         a = edges[idx]
         out = cum[idx] + np.where(x == a, 0.0, 0.5 * (x - a) * flat[idx])
         rest = np.flatnonzero(np.isnan(out))  # off the edges and flat panels
-        if rest.size:
-            out[rest] = cum[idx[rest]] + panel_integrals(
-                self._integrand, a[rest], x[rest], self._ORDER)
-        return out
+        if not rest.size:
+            return out, None
+        at_points = []
+
+        def nodes_then_points(t):
+            v = self._integrand(np.concatenate([t, x]) if slope else t)
+            at_points.append(v[t.size:])
+            return v[:t.size]
+
+        out[rest] = cum[idx[rest]] + panel_integrals(
+            nodes_then_points, a[rest], x[rest], self._ORDER)
+        return out, at_points[0] if slope else None
 
     def _deriv(self, x):
         return self._integrand(x)
@@ -756,14 +863,16 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     x - r/s needs no evaluation, and its residual r (1 - f'/s), with f' in
     the certified bounds [b, B], is within half of tol (the other half is
     left for the error of evaluating f) when |r| max(B/s - 1, 1 - b/s) is.
-    That step brings the residual far below tol.  The other points evaluate
-    f' and take the Newton step if it lands strictly inside the bracket and
-    is at most half as long as their previous step; the length test breaks
-    the two-cycles Newton can fall into where the slope varies by a large
-    factor.  A point whose step is refused leaves with the clipped chord
-    step if it is within tol and its own slope certifies that step (where f
-    is affine, a start one ulp from the root has a Newton step that lands on
-    the bracket end, and bisection would not end); the others bisect.
+    That step brings the residual far below tol.  The other points take f'
+    from the value pass where that pass samples it (a power integral's rule
+    does, with the points in its call), or evaluate it, and take the Newton
+    step if it lands strictly inside the bracket and is at most half as
+    long as their previous step; the length test breaks the two-cycles
+    Newton can fall into where the slope varies by a large factor.  A point
+    whose step is refused leaves with the clipped chord step if it is
+    within tol and its own slope certifies that step (where f is affine, a
+    start one ulp from the root has a Newton step that lands on the bracket
+    end, and bisection would not end); the others bisect.
     """
     raise_at_first(~np.isfinite(y), y, "y must be finite, got y={}")
     if y.size == 0:
@@ -771,47 +880,51 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     b, B = f.deriv_bounds()
 
     def certified(r, s):  # |r| <= tol, and the chord step with slope s is good
-        return (np.abs(r) <= tol) & (
-            np.abs(r) * np.maximum(B / s - 1.0, 1.0 - b / s) <= 0.5 * tol)
+        ar = np.abs(r)
+        return (ar <= tol) & (ar * np.maximum(B / s - 1.0, 1.0 - b / s) <= 0.5 * tol)
 
     lo, hi, x = f._inverse_start(y)
     x = x.copy()
-    slope = np.full(y.shape, np.nan)   # f' of each point's last Newton step
-    dx = hi - lo                       # the length of each point's last step
-    act = np.arange(y.size)
-    for _ in range(_MAX_ITER):
-        xa = x[act]
-        r = np.asarray(f(xa)) - y[act]
+    # the state of the active points act: iterate, target, bracket, the
+    # slope of the last Newton step (NaN after a bisection: no chord,
+    # another pass) and the length of the last step
+    act, xa, ya, la, ha = np.arange(y.size), x, y, lo, hi
+    s, dx = np.full(y.shape, np.nan), hi - lo
+    for k in range(_MAX_ITER):
+        fx, d = f._eval_with_slope(xa)
+        r = fx - ya
         below = r < 0.0
-        la = np.where(below, xa, lo[act])
-        ha = np.where(below, hi[act], xa)
-        lo[act], hi[act] = la, ha
-        s = slope[act]   # NaN after a bisection: no chord, another pass
-        chord = certified(r, s)
+        la, ha = np.where(below, xa, la), np.where(below, ha, xa)
+        chord = certified(r, s) if k else np.zeros_like(below)  # no slope yet
         done = chord | (r == 0.0)
         if done.any():
             # a chord clipped to the bracket lies between x and the chord
             # point, where f is monotone, so the bound still holds
             step = np.clip(xa[done] - r[done] / s[done], la[done], ha[done])
             x[act[done]] = np.where(chord[done], step, xa[done])
-            act, xa, r, la, ha = (v[~done] for v in (act, xa, r, la, ha))
+            keep = ~done
+            act, xa, ya, r, la, ha, dx = (v[keep] for v in (act, xa, ya, r, la, ha, dx))
+            d = None if d is None else d[keep]
             if not act.size:
                 return x
-        d = np.asarray(f.deriv(xa))
+        if d is None:
+            d = f._deriv(xa)
         step = r / d
-        newton = ((xa - step > la) & (xa - step < ha)
-                  & (np.abs(step) <= 0.5 * dx[act]))
+        xn = xa - step
+        newton = (xn > la) & (xn < ha) & (np.abs(step) <= 0.5 * dx)
         done = ~newton & certified(r, d)
         if done.any():
-            x[act[done]] = np.clip(xa[done] - step[done], la[done], ha[done])
-            act, xa, la, ha, d, step, newton = (
-                v[~done] for v in (act, xa, la, ha, d, step, newton))
+            x[act[done]] = np.clip(xn[done], la[done], ha[done])
+            keep = ~done
+            act, xa, ya, la, ha, d, step, xn, newton = (
+                v[keep] for v in (act, xa, ya, la, ha, d, step, xn, newton))
             if not act.size:
                 return x
-        x[act] = np.where(newton, xa - step, 0.5 * (la + ha))
-        dx[act] = np.where(newton, np.abs(step), 0.5 * (ha - la))
-        slope[act] = np.where(newton, d, np.nan)
-    r = np.abs(np.asarray(f(x[act])) - y[act])
+        xa = np.where(newton, xn, 0.5 * (la + ha))
+        dx = np.where(newton, np.abs(step), 0.5 * (ha - la))
+        s = np.where(newton, d, np.nan)
+    x[act] = xa
+    r = np.abs(f._eval(xa) - ya)
     if np.all(r <= tol):
         return x
     raise NonConvergence(

@@ -1,7 +1,9 @@
 """Tests for the certified-monotone map algebra."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -284,12 +286,12 @@ def test_inversion_leaves_a_start_within_tol_on_an_affine_piece(monkeypatch):
     # within one ulp, and its Newton step lands on the bracket end
     y = 1.9090909090909092
     f = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
-    passes = counted(monkeypatch, f, "_eval")
+    passes = counted(monkeypatch, f, "_eval_with_slope")
     x = InverseMap(f)(y)
     assert len(passes) == 1
     assert abs(f(x) - y) <= 1e-11
     g = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
-    passes = counted(monkeypatch, g, "_eval")
+    passes = counted(monkeypatch, g, "_eval_with_slope")
     ys = np.linspace(-3.0, 3.0, 100)
     xs = InverseMap(g)(ys)
     assert len(passes) == 4
@@ -299,7 +301,7 @@ def test_inversion_leaves_a_start_within_tol_on_an_affine_piece(monkeypatch):
 def test_fresh_inversion_of_zero_evaluates_nothing_past_the_table_build(monkeypatch):
     base = bump_map(0.0, 1.0, 0.3)
     f = PowerIntegral(base, 0.5)
-    slopes = counted(monkeypatch, base, "deriv")
+    slopes = counted(monkeypatch, base, "_deriv")
     build = f._build_table
 
     def build_then_forget(lo, hi):
@@ -578,7 +580,7 @@ def test_power_integral_needs_no_base_slope_at_edges_and_on_flat_panels(monkeypa
         xs = np.concatenate([edges, 0.5 * (edges[i] + edges[i + 1]),
                              np.nextafter(edges[i], np.inf),
                              np.nextafter(edges[i + 1], -np.inf)])
-        slopes = counted(monkeypatch, base, "deriv")
+        slopes = counted(monkeypatch, base, "_deriv")
         assert np.array_equal(f(edges), cum)
         f(xs)
         assert slopes == []
@@ -692,6 +694,97 @@ def test_power_integral_cache_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(np.concatenate(parts), serial)
+
+
+SHARED_BASES = {
+    "bump": lambda: bump_map(0.2, 1.1, 0.3),
+    "affine-bump": lambda: Composition(Affine(1.3, -0.4), IdentityPlusBump(
+        [BumpProfile(-0.5, 2.0, 0.2), BumpProfile(0.7, 1.5, -0.15)])),
+    "sampled": lambda: SampledMonotone(np.linspace(-3.0, 3.0, 13),
+                                       np.linspace(-3.0, 3.0, 13)
+                                       + 0.3 * np.sin(np.linspace(-3.0, 3.0, 13))),
+    "tapered": lambda: Tapered(Composition(Affine(1.05, 0.1),
+                                           bump_map(0.0, 1.0, 0.2)), 2.0),
+    "inverse": lambda: InverseMap(bump_map(0.3, 1.2, -0.25)),
+}
+
+
+def table_bits(f):
+    return b"".join(part.tobytes() for part in f._table)
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_BASES))
+def test_power_integrals_on_one_base_have_the_bits_of_separate_bases(kind):
+    make = SHARED_BASES[kind]
+    shared = make()
+    xs = np.linspace(-7.0, 7.0, 61)
+    for exponent, lo, hi in ((0.5, -6.0, 4.0), (-1.3, -3.0, 7.0), (2.0, -6.5, 6.5)):
+        f, alone = PowerIntegral(shared, exponent), PowerIntegral(make(), exponent)
+        for g in (f, alone):
+            g(np.array([lo, hi]))
+        assert table_bits(f) == table_bits(alone)
+        assert f(xs).tobytes() == alone(xs).tobytes()
+        assert f.deriv(xs).tobytes() == alone.deriv(xs).tobytes()
+        ys = alone(xs) + 1e-3
+        assert InverseMap(f)(ys).tobytes() == InverseMap(alone)(ys).tobytes()
+
+
+def test_a_second_build_samples_no_panel_of_the_first(monkeypatch):
+    base = Composition(Affine(1.2, 0.1), bump_map(0.4, 1.5, 0.25))
+    calls = counted(monkeypatch, base, "_deriv")
+    PowerIntegral(base, 0.5)(np.array([-6.0, 6.0]))
+    first = np.concatenate([t for t, in calls])
+    calls.clear()
+    PowerIntegral(base, -0.8)(np.array([-6.0, 6.0]))
+    second = np.concatenate([t for t, in calls] or [np.empty(0)])
+    # 48 coarse panels on [-6, 6], plus the two bump edges: every one of
+    # them was sampled by the first build
+    assert first.size >= 50 * 48
+    assert np.intersect1d(first, second).size == 0
+    assert second.size < first.size // 4
+
+
+def test_power_integral_builds_on_one_base_are_thread_safe():
+    from concurrent.futures import ThreadPoolExecutor
+    exponents = (0.3, 0.3, 0.7, -1.1, 1.6, 0.7, 2.0, -0.4)
+    xs = np.linspace(-15.0, 15.0, 301)
+    serial = [PowerIntegral(SHARED_BASES["affine-bump"](), e)(xs) for e in exponents]
+    base = SHARED_BASES["affine-bump"]()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parts = list(pool.map(lambda e: PowerIntegral(base, e)(xs), exponents,
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(parts, serial):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_a_table_build_far_from_zero_has_bounded_memory():
+    # the child's own peak RSS: ru_maxrss would carry the parent's high-water
+    # mark across fork and exec
+    code = """if True:
+        from qcext.realmap import PowerIntegral, bump_map
+
+        def peak_mb():
+            with open("/proc/self/status") as fh:
+                line = next(l for l in fh if l.startswith("VmHWM:"))
+            return int(line.split()[1]) / 1024
+
+        before = peak_mb()
+        PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)(16300.0)
+        print(peak_mb() - before)
+    """
+    src = os.path.dirname(os.path.dirname(realmap.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert run.returncode == 0, run.stderr
+    # 65200 coarse panels: about 14 MB in chunks, over 100 MB in one pass
+    assert float(run.stdout) < 32.0
 
 
 # -- serialization -----------------------------------------------------------------
