@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -114,6 +115,25 @@ def _write_text(text: str, out_path):
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _json_text(v, pad: str = "\n") -> str:
+    """``json.dumps(v, indent=1)``, spelled by one recursive join: the json
+    module indents in pure Python, several times slower.  ``pad`` is the
+    newline and indent of ``v``'s line.  Strings, finite floats, and
+    non-empty dicts (string keys), lists and tuples are spelled here; other
+    values by ``json.dumps``, whose spelling of them does not indent."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    inner = pad + " "
+    if isinstance(v, dict) and v:
+        return "{" + ",".join([inner + encode_basestring_ascii(k) + ": " + _json_text(x, inner)
+                               for k, x in v.items()]) + pad + "}"
+    if isinstance(v, (list, tuple)) and v:
+        return "[" + ",".join([inner + _json_text(x, inner) for x in v]) + pad + "]"
+    return json.dumps(v)
 
 
 def cmd_extend(args) -> int:
@@ -373,7 +393,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     f = map_from_file(args.map)
     fac = dc.decompose_bilip(f, args.eps0, tol=args.tol)
-    _write_text(json.dumps(fac.to_dict(), indent=1) + "\n", args.out)
+    _write_text(_json_text(fac.to_dict()) + "\n", args.out)
     print(f"factors: {len(fac)}  recomposition error: "
           f"{fac.recomposition_error:.3g}  eps: {fac.eps:.6g}", file=sys.stderr)
     return EXIT_OK

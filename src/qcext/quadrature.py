@@ -24,22 +24,17 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_samples(fun, lo, hi, order: int = 16):
-    """``(half, vals, sums)`` for the panels [lo_i, hi_i]: their half-widths,
+    """``(half, vals)`` for the panels [lo_i, hi_i]: their half-widths and
     ``fun`` at their order-``order`` Gauss-Legendre nodes (one row per
-    panel), and each row's weighted node sum.
-
-    ``fun`` must accept a flat ndarray and return values elementwise; the
-    sums are ``panel_sums``, so a panel's sum is a function of its interval
-    alone.
-    """
+    panel).  ``fun`` must accept a flat ndarray and return values
+    elementwise."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x, _ = gauss_legendre(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(fun(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half, vals, panel_sums(vals)
+    return half, np.asarray(fun(pts.ravel()), dtype=float).reshape(pts.shape)
 
 
 def panel_sums(vals):
@@ -51,10 +46,11 @@ def panel_sums(vals):
 
 
 def panel_integrals(fun, lo, hi, order: int = 16) -> np.ndarray:
-    """Fixed-order Gauss-Legendre integral of ``fun`` over each [lo_i, hi_i],
-    ``half * sums`` of ``panel_samples``."""
-    half, _, sums = panel_samples(fun, lo, hi, order)
-    return half * sums
+    """Fixed-order Gauss-Legendre integral of ``fun`` over each [lo_i, hi_i]:
+    the half-width times the ``panel_sums`` of the ``panel_samples``, so a
+    panel's integral is a function of its interval alone."""
+    half, vals = panel_samples(fun, lo, hi, order)
+    return half * panel_sums(vals)
 
 
 _MAX_DEPTH = 52  # refinement passes, each halving the panels that fail

@@ -214,13 +214,13 @@ class BumpProfile:
         return abs(self.amplitude) / self.halfwidth * BUMP_SLOPE_MAX
 
     def _on_support(self, x, poly):
-        """poly(t, 1 - t^2) where |t| < 1, t = (x - center)/halfwidth; 0 off."""
-        t = (x - self.center) / self.halfwidth
-        out = np.zeros_like(t)
+        """(m, poly(t[m], 1 - t[m]^2)) with m where |t| < 1, t = (x -
+        center)/halfwidth: the profile's term on its support (0 off m)."""
+        t = x - self.center
+        t /= self.halfwidth
         m = np.abs(t) < 1.0
         tm = t[m]
-        out[m] = poly(tm, 1.0 - tm * tm)
-        return out
+        return m, poly(tm, 1.0 - tm * tm)
 
     def value(self, x):
         return self._on_support(x, lambda t, u: self.amplitude * u * u * u)
@@ -265,13 +265,17 @@ class IdentityPlusBump(RealMap):
         return np.array([e for b in self.bumps for e in b.support])
 
     def _plus_bumps(self, out, term, x):
-        """``out`` plus ``term(bump, x)`` of each bump, added in order."""
+        """``out`` plus ``term(bump, x)`` of each bump, added in order and in
+        place on each support: adding a bump's 0 off it changes no bit of an
+        ``out`` that holds no -0.0."""
         for b in self.bumps:
-            out = out + term(b, x)
+            m, v = term(b, x)
+            out[m] += v
         return out
 
     def _eval(self, x):
-        return self._plus_bumps(x, BumpProfile.value, x)
+        # x + 0.0 turns -0.0 into 0.0, as adding a bump's 0 off its support does
+        return self._plus_bumps(x + 0.0, BumpProfile.value, x)
 
     def _deriv(self, x):
         return self._plus_bumps(np.ones_like(x), BumpProfile.d1, x)
@@ -518,7 +522,7 @@ class PowerIntegral(RealMap):
         idx = np.searchsorted(edges, x, side="right") - 1
         a = edges[idx]
         out = cum[idx] + np.where(x == a, 0.0, 0.5 * (x - a) * flat[idx])
-        rest = np.flatnonzero(np.isnan(out))  # off the edges and flat panels
+        rest = np.isnan(out).nonzero()[0]  # off the edges and flat panels
         if not rest.size:
             return out, None
         at_points = []
@@ -887,22 +891,29 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     x = x.copy()
     # the state of the active points act: iterate, target, bracket, the
     # slope of the last Newton step (NaN after a bisection: no chord,
-    # another pass) and the length of the last step
+    # another pass; None before the first step) and the length of the last
+    # step (np.count_nonzero and integer indices cost fewer numpy calls per
+    # pass than .any() and a mask per array)
     act, xa, ya, la, ha = np.arange(y.size), x, y, lo, hi
-    s, dx = np.full(y.shape, np.nan), hi - lo
-    for k in range(_MAX_ITER):
+    s, dx = None, hi - lo
+    for _ in range(_MAX_ITER):
         fx, d = f._eval_with_slope(xa)
         r = fx - ya
         below = r < 0.0
         la, ha = np.where(below, xa, la), np.where(below, ha, xa)
-        chord = certified(r, s) if k else np.zeros_like(below)  # no slope yet
-        done = chord | (r == 0.0)
-        if done.any():
-            # a chord clipped to the bracket lies between x and the chord
-            # point, where f is monotone, so the bound still holds
-            step = np.clip(xa[done] - r[done] / s[done], la[done], ha[done])
-            x[act[done]] = np.where(chord[done], step, xa[done])
-            keep = ~done
+        done = r == 0.0
+        if s is not None:
+            chord = certified(r, s)
+            done |= chord
+        if np.count_nonzero(done):
+            xd = xa[done]
+            if s is not None:
+                # a chord clipped to the bracket lies between x and the chord
+                # point, where f is monotone, so the bound still holds
+                step = np.clip(xd - r[done] / s[done], la[done], ha[done])
+                xd = np.where(chord[done], step, xd)
+            x[act[done]] = xd
+            keep = np.nonzero(~done)[0]
             act, xa, ya, r, la, ha, dx = (v[keep] for v in (act, xa, ya, r, la, ha, dx))
             d = None if d is None else d[keep]
             if not act.size:
@@ -912,10 +923,13 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
         step = r / d
         xn = xa - step
         newton = (xn > la) & (xn < ha) & (np.abs(step) <= 0.5 * dx)
+        if np.count_nonzero(newton) == newton.size:
+            xa, dx, s = xn, np.abs(step), d
+            continue
         done = ~newton & certified(r, d)
-        if done.any():
+        if np.count_nonzero(done):
             x[act[done]] = np.clip(xn[done], la[done], ha[done])
-            keep = ~done
+            keep = np.nonzero(~done)[0]
             act, xa, ya, la, ha, d, step, xn, newton = (
                 v[keep] for v in (act, xa, ya, la, ha, d, step, xn, newton))
             if not act.size:

@@ -246,6 +246,19 @@ def test_extend_json_format(tmp_path):
     assert {"x", "y", "re", "im", "dilatation"} == set(rows[0])
 
 
+def test_decompose_writes_the_bytes_of_json_dumps_with_indent_1(tmp_path):
+    map_file = write_json(tmp_path / "map.json", {"kind": "composition", "maps": [
+        {"kind": "affine", "slope": 1.0, "intercept": 0.25}, BUMP]})
+    out = tmp_path / "factors.json"
+    assert main(["decompose", "--map", map_file, "--eps0", "0.1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert len(json.loads(text)["factors"]) > 3
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    for v in ([], {}, [{}], {"a": []}, {"a": {}}, -0.0, 5e-324, math.nan, math.inf,
+              -math.inf, 1, True, False, None, "\u00e9\n\"", (1.5, [2, {"x": [None]}])):
+        assert cli._json_text(v) == json.dumps(v, indent=1)
+
+
 def test_extend_de_on_disk_grid(tmp_path):
     map_file = write_json(tmp_path / "circ.json",
                           {"kind": "circle-mobius", "angle": 0.4,

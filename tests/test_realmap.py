@@ -97,6 +97,29 @@ def test_deriv_bump_outside_support():
     assert f.deriv(-1.5) == 1.0
 
 
+def test_bump_terms_are_added_in_order_as_whole_arrays_would_be():
+    # each bump's term, 0 off its support, added to the running sum in bump
+    # order: the bits the in-place sum on each support must give, -0.0 included
+    for f in (IdentityPlusBump([BumpProfile(0.5, 1.0, 0.2), BumpProfile(-0.2, 0.7, -0.1)]),
+              IdentityPlusBump([BumpProfile(2.0, 0.5, 0.1), BumpProfile(-2.0, 0.5, -0.1)])):
+        x = np.concatenate([[-0.0, 0.0, 1.5, -0.9, 2.5], np.linspace(-3.0, 3.0, 601)])
+        want = [x, np.ones_like(x), np.zeros_like(x)]
+        for b in f.bumps:
+            t = (x - b.center) / b.halfwidth
+            m = np.abs(t) < 1.0
+            tm = t[m]
+            um = 1.0 - tm * tm
+            k = b.amplitude / b.halfwidth
+            for i, term in enumerate((b.amplitude * um * um * um, k * (-6.0) * tm * um * um,
+                                      b.amplitude / b.halfwidth ** 2 * 6.0 * um * (5.0 * tm * tm - 1.0))):
+                full = np.zeros_like(x)
+                full[m] = term
+                want[i] = want[i] + full
+        for got, ref in zip((f(x), f.deriv(x), f.second_deriv(x)), want):
+            assert got.tobytes() == ref.tobytes()
+    assert math.copysign(1.0, f(-0.0)) == 1.0  # off every support, -0.0 + 0.0
+
+
 def test_deriv_matches_centered_differences(rng):
     f = Composition(Affine(1.3, 0.2), bump_map(0.0, 1.0, 0.3))
     h = 1e-5
