@@ -10,19 +10,21 @@ factorization routine) possible.
 
 All maps are immutable after construction; evaluation accepts scalars or
 ndarrays and is safe to share across threads.  The only internal mutable
-state is the power-integral table, which grows under a lock by appending
-panels and never changes an entry it holds, so neither a value nor a
-refusal depends on what was evaluated before, and the store of a base
-map's slopes at the table nodes (``_NodeSlopes``), kept on the base object
-for as long as it lives and shared by every power integral on it, which
-likewise only adds entries.  A point at a table edge, or
-on a panel where the integrand is one value, is evaluated from the table
-alone.  Maps may list the points where their derivative is not smooth (``breakpoints``);
-tables put panel edges there.  Monotone inversion is one safeguarded Newton
-loop that starts from a bracket the map supplies: the certified slope
-bracket, or one table panel for a power integral.  ``map_from_dict`` builds
-one object for equal parts of one description, so a power integral written
-twice in it, as in a reloaded factorization, has one table.
+state is the power-integral table, which grows by appending panels and
+never changes an entry it holds, so neither a value nor a refusal depends
+on what was evaluated before, and the store of a base map's slopes at the
+table nodes (``_NodeSlopes``), kept on the base object for as long as it
+lives and shared by every power integral on it, which likewise only adds
+entries.  One lock per base object, kept with its store, guards the store
+and the tables of every power integral on that base.  A point at a table
+edge, or on a panel where the integrand is one value, is evaluated from
+the table alone.  Maps may list the points where their derivative is not
+smooth (``breakpoints``); tables put panel edges there.  Monotone inversion
+is one safeguarded Newton loop that starts from a bracket the map supplies:
+the certified slope bracket, or one table panel for a power integral.
+``map_from_dict`` builds one object for parts of one description whose
+text is equal, so a power integral written twice in it, as in a reloaded
+factorization, has one table.
 """
 
 from __future__ import annotations
@@ -291,21 +293,21 @@ def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusB
 
 class _NodeSlopes:
     """A base map's slopes at the Gauss-Legendre nodes of each power-integral
-    panel sampled on it, one row per order of ``orders``.  Panels sampled
-    one after another whose slopes are all one same value (as off the
-    supports of a bump) share one row, so the store grows with the base's
-    non-affine panels and not with a table's range.
+    panel sampled on it, one row per order of ``orders``, and the lock of the
+    base.  Panels sampled one after another whose slopes are all one same
+    value (as off the supports of a bump) share one row, so the store grows
+    with the base's non-affine panels and not with a table's range.
 
     It is kept on the base object, so it lives as long as the base does and
     every power integral on the base shares it: a panel is sampled once for
     all exponents.  Entries are keyed by the panel's edges and never change
-    once held; two builds that race on one panel may both sample it, with
-    the same bits, and the first to store it is kept.
+    once held.  ``lock`` guards the store and the table of every power
+    integral on the base, so one build on the base runs at a time.
     """
 
     def __init__(self, orders):
         self.orders = orders
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         # the keys a + b*1j, sorted and ending in one past every finite key,
         # the row of each key, and the rows of each order
         self._held = (np.array([complex(np.inf, np.inf)]), np.zeros(1, dtype=np.intp),
@@ -313,40 +315,30 @@ class _NodeSlopes:
 
     def at(self, base, a: np.ndarray, b: np.ndarray):
         """``base._deriv`` at the nodes of the panels [a_i, b_i], one array
-        per order with one row per panel; only panels not held are sampled."""
+        per order with one row per panel; only panels not held are sampled,
+        and stored.  The caller holds ``lock``."""
         key = a + 1j * b  # exact for finite edges
         keys, row, rows = self._held
-        i = np.searchsorted(keys, key)
-        new = keys[i] != key
-        if new.all():  # as on a build's first pass on a new base
-            return self._add(base, a, b, key)
+        new = keys[np.searchsorted(keys, key)] != key
         if new.any():
-            self._add(base, a[new], b[new], key[new])
-            keys, row, rows = self._held
-            i = np.searchsorted(keys, key)
-        r = row[i]
-        return [held[r] for held in rows]
-
-    def _add(self, base, a, b, key):
-        """Sample the panels [a_i, b_i], hold them under ``key`` and return
-        the samples."""
-        samples = [panel_samples(base._deriv, a, b, n)[1] for n in self.orders]
-        bits = [s.view(np.int64) for s in samples]
-        first = bits[0][:, 0]
-        one = np.logical_and.reduce([(s == first[:, None]).all(axis=1) for s in bits])
-        # a panel of one value equal to the one before it shares its row
-        shared = np.zeros(key.size, dtype=bool)
-        shared[1:] = one[1:] & one[:-1] & (first[1:] == first[:-1])
-        pos = np.cumsum(~shared) - 1
-        with self._lock:
-            keys, row, rows = self._held
-            fresh = keys[np.searchsorted(keys, key)] != key  # else a racing build's
-            keys = np.concatenate([keys, key[fresh]])
+            samples = [panel_samples(base._deriv, a[new], b[new], n)[1]
+                       for n in self.orders]
+            bits = [s.view(np.int64) for s in samples]
+            first = bits[0][:, 0]
+            one = np.logical_and.reduce([(s == first[:, None]).all(axis=1)
+                                         for s in bits])
+            # a panel of one value equal to the one before it shares its row
+            shared = np.zeros(first.size, dtype=bool)
+            shared[1:] = one[1:] & one[:-1] & (first[1:] == first[:-1])
+            keys = np.concatenate([keys, key[new]])
             order = np.argsort(keys, kind="stable")  # merges two sorted runs
             self._held = (
-                keys[order], np.concatenate([row, len(rows[0]) + pos[fresh]])[order],
+                keys[order],
+                np.concatenate([row, len(rows[0]) + np.cumsum(~shared) - 1])[order],
                 tuple(np.concatenate([h, s[~shared]]) for h, s in zip(rows, samples)))
-        return samples
+            keys, row, rows = self._held
+        r = row[np.searchsorted(keys, key)]
+        return [held[r] for held in rows]
 
 
 class PowerIntegral(RealMap):
@@ -377,7 +369,8 @@ class PowerIntegral(RealMap):
     ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
     preimage to one panel by ``searchsorted`` on ``cum``.  A build samples
     the base through the base's ``_NodeSlopes``, so each panel is sampled
-    once for every exponent on that base object.
+    once for every exponent on that base object, and holds the store's
+    lock, so the builds on one base run one at a time.
     Certified bounds are the interval power of the base bounds.
     """
 
@@ -400,9 +393,9 @@ class PowerIntegral(RealMap):
         self.base = base
         self.exponent = float(exponent)
         self._table = (np.zeros(1), np.zeros(1), np.full(1, np.nan))
-        self._lock = threading.Lock()
-        # the base's slopes at the table nodes, shared with every power
-        # integral on the same base object (setdefault is atomic)
+        # the base's slopes at the table nodes and the lock of its tables,
+        # shared with every power integral on the same base object
+        # (setdefault is atomic)
         self._slopes = vars(base).setdefault(
             "_node_slopes", _NodeSlopes((self._ORDER, 2 * self._ORDER)))
 
@@ -496,7 +489,7 @@ class PowerIntegral(RealMap):
         """The table, grown if needed to cover [min(lo, 0), max(hi, 0)] and
         no further than ``_build_table`` rounds that range out."""
         lo, hi = min(lo, 0.0), max(hi, 0.0)
-        with self._lock:
+        with self._slopes.lock:
             edges = self._table[0]
             if edges.size < 2 or edges[0] > lo or edges[-1] < hi:
                 self._build_table(lo, hi)
@@ -1014,7 +1007,7 @@ def _checked(d: dict, fields: dict, what: str, other=("kind",)) -> dict:
     return out
 
 
-# the maps built so far by the outermost map_from_dict call, by key
+# the maps built so far by the outermost map_from_dict call, by family and text
 _PARSED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "qcext_parsed", default=None)
 
@@ -1023,30 +1016,30 @@ def map_from_dict(d: dict, family: str = "map"):
     """Build a map from its JSON-style description (see README for schema);
     ``family`` "circle-map" takes the circle-map kinds instead.
 
-    Equal sub-descriptions within one call give one object, so a power
+    Parts of one call whose text is equal (the same ``repr``, so -0.0 is
+    not 0.0) are checked and built once and give one object, so a power
     integral written in several places (as in a reloaded factorization)
-    builds one table.  Two parts are equal when their kinds match, the JSON
-    values of their other fields have the same ``repr`` (so -0.0 is not
-    0.0), and their maps are already the same objects.  Nothing is kept
-    from one call to the next."""
+    builds one table.  Nothing is kept from one call to the next."""
     parsed = _PARSED.get()
-    if parsed is None:
+    if parsed is None:  # the whole description: no part repeats it, so no key
         token = _PARSED.set({})
         try:
-            return map_from_dict(d, family)
+            return _built(d, family)
         finally:
             _PARSED.reset(token)
+    key = (family, repr(d))
+    if key not in parsed:
+        parsed[key] = _built(d, family)
+    return parsed[key]
+
+
+def _built(d, family: str):
+    """The map of description ``d``, its fields checked."""
     kind = d.get("kind") if isinstance(d, dict) else None
     entry = KINDS.get(kind) if isinstance(kind, str) else None
     if entry is None or entry[0] != family:
         raise DomainError(f"{family} description needs a known 'kind', got {kind!r}")
-    fields = _checked(d, entry[1], f"{family} kind {kind!r}")
-    key = (kind, *(fields[name] if field is MAP else
-                   tuple(fields[name]) if field is MAPS else repr(d.get(name))
-                   for name, (field, _) in entry[1].items()))
-    if key not in parsed:
-        parsed[key] = entry[2](**fields)
-    return parsed[key]
+    return entry[2](**_checked(d, entry[1], f"{family} kind {kind!r}"))
 
 
 def description_from_file(path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcext.analysis import boundary_constant, half_plane_grid
+from qcext.analysis import boundary_constant, dilatation_values, half_plane_grid
 from qcext.errors import DomainError
 from qcext.extensions import (ExtParams, act, extend_family, extend_ns,
                               group_inv, group_mul, shear)
@@ -135,6 +135,28 @@ def test_ns_equals_family_member():
     assert extend_ns(Affine(2.0, 0.0), 0.5 + 1.5j) == 1.0 + 3.0j
     for z in half_plane_grid(nx=5, ny=5):
         assert abs(extend_ns(f, complex(z)) - extend_family(p, f, complex(z))) <= 1e-15
+
+
+def test_family_member_is_the_two_node_average_of_the_paper(rng):
+    # F(x + iy) = A1 f(x + s y) + A2 f(x + t y) with nodes s = a, t = a - alpha
+    # and weights A1 = (i - t)/(s - t), A2 = (s - i)/(s - t); then
+    # mu = sum A_j (1 + i t_j) f'_j / sum A_j (1 - i t_j) f'_j, and the
+    # weights' form Q12 = -2 (t1 - t2) Im(A1 conj(A2)) is -2
+    for _ in range(50):
+        p, f = make_params(rng), make_bump_map(rng)
+        s, t = p.a, p.a - p.alpha
+        A1, A2 = (1j - t) / (s - t), (s - 1j) / (s - t)
+        z = rng.uniform(-4.0, 4.0, 40) + 1j * rng.uniform(0.05, 3.0, 40)
+        x, y = z.real, z.imag
+        F = extend_family(p, f, z)
+        node_form = A1 * f(x + s * y) + A2 * f(x + t * y)
+        assert np.all(np.abs(F - node_form) <= 1e-14 * np.maximum(1.0, np.abs(F)))
+        d1, d2 = f.deriv(x + s * y), f.deriv(x + t * y)
+        mu = np.abs((A1 * (1 + 1j * s) * d1 + A2 * (1 + 1j * t) * d2)
+                    / (A1 * (1 - 1j * s) * d1 + A2 * (1 - 1j * t) * d2))
+        closed = dilatation_values(f, p, z)[0]
+        assert np.all(np.abs(mu - closed) <= 1e-14)  # |mu| < 1
+        assert -2.0 * (s - t) * (A1 * np.conj(A2)).imag == pytest.approx(-2.0, rel=1e-14)
 
 
 def test_family_preserves_upper_half_plane(rng):

@@ -10,8 +10,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcext.realmap import (Affine, BumpProfile, Composition, IdentityPlusBump,
-                           PowerIntegral, SampledMonotone, Tapered)
+from qcext.decompose import TOL, decompose_bilip
+from qcext.realmap import (_VALUE_TOL, Affine, BumpProfile, Composition,
+                           IdentityPlusBump, InverseMap, PowerIntegral,
+                           SampledMonotone, Tapered, bump_map)
 
 mp.mp.dps = 30
 
@@ -90,3 +92,60 @@ def test_power_integral_within_quad_tol_of_mpmath(kind, exponent):
         ref = mp_power_integral(alone.base, exponent, x)
         for f in (alone, second):
             assert abs(f(x) - ref) <= f.quad_tol, (x, f(x), ref)
+
+
+# -- inversion ---------------------------------------------------------------------
+
+INVERTED_INTEGRALS = (("bump", 0.5), ("affine-bump", -0.7), ("sampled", 2.0))
+
+
+def _targets(f):
+    """0, a table-edge value (0.75 is a coarse edge of every power-integral
+    table), values inside the bumps and values far outside them."""
+    return np.array([0.0, f(0.75), -0.4, 1.3, -40.0, 40.0])
+
+
+@pytest.mark.parametrize("kind, exponent",
+                         [(kind, None) for kind in sorted(BASES)] + list(INVERTED_INTEGRALS))
+def test_inverse_values_meet_the_value_tolerance_in_mpmath(kind, exponent):
+    base = BASES[kind]()
+    if exponent is None:
+        f, exact = base, lambda x: mp_value_and_slope(base, x)[0]
+    else:
+        f, exact = PowerIntegral(base, exponent), lambda x: mp_power_integral(
+            base, exponent, x)
+    ys = _targets(f)
+    xs = InverseMap(f)(ys)
+    for x, y in zip(xs, ys):
+        assert abs(exact(mp.mpf(float(x))) - y) <= _VALUE_TOL, (x, y)
+
+
+# -- decomposition -----------------------------------------------------------------
+
+def _dense_with_neighbours(lo, hi, kinks):
+    """An even grid of [lo, hi] with each kink and the floats next to it."""
+    kinks = np.asarray(kinks, dtype=float)
+    return np.unique(np.concatenate([np.linspace(lo, hi, 2001), kinks,
+                                     np.nextafter(kinks, -np.inf),
+                                     np.nextafter(kinks, np.inf)]))
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (bump_map(0.4, 1.5, 0.5), -6.0, 6.0),
+    (Composition(Affine(1.3, 0.4), IdentityPlusBump(
+        [BumpProfile(-0.5, 1.5, 0.4), BumpProfile(1.0, 2.0, -0.3)])), -6.0, 6.0),
+    (bump_map(50.0, 1.0, 0.3), 45.0, 55.0),
+], ids=["bump", "affine-two-bump", "bump-at-50"])
+@pytest.mark.parametrize("eps0", (0.05, 0.2))
+def test_decomposition_factors_and_recomposition_against_mpmath(f, lo, hi, eps0):
+    fac = decompose_bilip(f, eps0)
+    assert len(fac) > 1
+    xs = _dense_with_neighbours(lo, hi, f.breakpoints())
+    u = xs
+    for m in reversed(fac.factors):  # innermost first
+        assert np.all(np.abs(m.deriv(u) - 1.0) < eps0), m.to_dict()
+        u = m(u)
+    exact = np.array([float(mp_value_and_slope(f, mp.mpf(x))[0]) for x in xs])
+    assert np.max(np.abs(u - exact)) <= TOL
+    if lo > 10.0:  # decompose_bilip checks [-10, 10] only, where f is the identity
+        assert fac.recomposition_error == 0.0

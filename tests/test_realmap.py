@@ -1,5 +1,6 @@
 """Tests for the certified-monotone map algebra."""
 
+import json
 import math
 import os
 import re
@@ -785,6 +786,34 @@ def test_power_integral_builds_on_one_base_are_thread_safe():
         assert got.tobytes() == want.tobytes()
 
 
+def test_power_integral_builds_on_nested_bases_are_thread_safe():
+    # a build on the outer base holds its lock and takes the inner base's
+    # (through the inverse's table) while other threads build on the inner one
+    from concurrent.futures import ThreadPoolExecutor
+    inner_exponents = (0.6, -1.2, 1.7, 0.35)
+    outer_exponents = (0.5, -0.9, 2.0, 0.6)
+    xs = np.linspace(-8.0, 8.0, 161)
+
+    def nested(c):
+        return Composition(Affine(1.1, 0.2), InverseMap(PowerIntegral(c, 0.6)))
+
+    make = SHARED_BASES["affine-bump"]
+    serial = ([PowerIntegral(make(), e)(xs) for e in inner_exponents]
+              + [PowerIntegral(nested(make()), e)(xs) for e in outer_exponents])
+    c = make()
+    outer = nested(c)
+    jobs = ([(c, e) for e in inner_exponents] + [(outer, e) for e in outer_exponents])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parts = list(pool.map(lambda job: PowerIntegral(*job)(xs), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(parts, serial):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads VmHWM from /proc/self/status")
 def test_a_table_build_far_from_zero_has_bounded_memory():
@@ -861,6 +890,21 @@ def test_description_parts_are_shared_within_one_call_only():
     assert second is third and first is not second
     assert math.copysign(1.0, first.intercept) == -1.0
     assert math.copysign(1.0, second.intercept) == 1.0
+
+
+def test_a_part_written_twice_is_checked_once(monkeypatch):
+    bump = {"center": 0.2, "halfwidth": 1.1, "amplitude": 0.3}
+    pi = {"kind": "power-integral", "exponent": 0.5,
+          "base": {"kind": "identity-plus-bump", "bumps": [bump]}}
+    # two equal texts, not one object written twice
+    desc = {"kind": "composition",
+            "maps": [pi, {"kind": "inverse", "base": json.loads(json.dumps(pi))}]}
+    calls = counted(monkeypatch, realmap, "_checked")
+    c = map_from_dict(desc)
+    assert c.outer is c.inner.base
+    assert [args[0] for args in calls].count(pi) == 1
+    assert [args[0] for args in calls].count(bump) == 1
+    assert len(calls) == 5  # composition, power integral, bump map, bump, inverse
 
 
 def test_description_rejects_unknown_kind():
