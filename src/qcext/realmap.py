@@ -122,9 +122,11 @@ class RealMap:
         """
         return np.empty(0)
 
-    def _eval_with_slope(self, x):
+    def _eval_with_slope(self, x, inside: bool = False):
         """(f(x), f'(x)) for a flat x, or (f(x), None) where the value pass
-        samples no slope (here: always)."""
+        samples no slope (here: always).  ``inside`` says that x lies in
+        the brackets ``_inverse_start`` returned, so a kind may skip the
+        checks that those brackets already passed (here: none)."""
         return self._eval(x), None
 
     def _inverse_start(self, y: np.ndarray):
@@ -215,28 +217,15 @@ class BumpProfile:
     def sup_abs_slope(self) -> float:
         return abs(self.amplitude) / self.halfwidth * BUMP_SLOPE_MAX
 
-    def _on_support(self, x, poly):
-        """(m, poly(t[m], 1 - t[m]^2)) with m where |t| < 1, t = (x -
-        center)/halfwidth: the profile's term on its support (0 off m)."""
-        t = x - self.center
-        t /= self.halfwidth
-        m = np.abs(t) < 1.0
-        tm = t[m]
-        return m, poly(tm, 1.0 - tm * tm)
-
-    def value(self, x):
-        return self._on_support(x, lambda t, u: self.amplitude * u * u * u)
-
-    def d1(self, x):
-        return self._on_support(
-            x, lambda t, u: self.amplitude / self.halfwidth * (-6.0) * t * u * u)
-
-    def d2(self, x):
+    @property
+    def factors(self) -> tuple[float, float, float]:
+        """The factors of p, p' and p'' in the terms of ``IdentityPlusBump``:
+        amplitude, amplitude/halfwidth * (-6) and amplitude/halfwidth^2 * 6."""
         try:
             k = self.amplitude / self.halfwidth ** 2
         except (OverflowError, ZeroDivisionError):  # the square leaves the floats
             k = self.amplitude / self.halfwidth / self.halfwidth
-        return self._on_support(x, lambda t, u: k * 6.0 * u * (5.0 * t * t - 1.0))
+        return (self.amplitude, self.amplitude / self.halfwidth * (-6.0), k * 6.0)
 
 
 class IdentityPlusBump(RealMap):
@@ -262,28 +251,60 @@ class IdentityPlusBump(RealMap):
                 f"bump slopes sum to {s:.6g} >= 1; map would not be increasing")
         super().__init__(1.0 - s, 1.0 + s)
         self.bumps = bumps
+        # one row per bump, so a term below takes one numpy call for all bumps
+        self._center, self._halfwidth, self._value, self._d1, self._d2 = np.array(
+            [(b.center, b.halfwidth, *b.factors) for b in bumps]).T[:, :, None]
 
     def breakpoints(self):
         return np.array([e for b in self.bumps for e in b.support])
 
-    def _plus_bumps(self, out, term, x):
-        """``out`` plus ``term(bump, x)`` of each bump, added in order and in
-        place on each support: adding a bump's 0 off it changes no bit of an
-        ``out`` that holds no -0.0."""
-        for b in self.bumps:
-            m, v = term(b, x)
-            out[m] += v
+    def _on_support(self, x):
+        """(t, u), one row per bump: t = (x - center)/halfwidth clamped to
+        [-1, 1] and u = 1 - t^2.  Where the clamp moves t (NaN goes to -1),
+        u is 0, and so is the bump's term: the terms vanish off the
+        supports."""
+        t = x - self._center
+        t /= self._halfwidth
+        np.fmax(t, -1.0, out=t)
+        np.fmin(t, 1.0, out=t)
+        u = t * t
+        np.subtract(1.0, u, out=u)
+        return t, u
+
+    @staticmethod
+    def _plus_bumps(start, terms):
+        """``start`` plus the rows of ``terms``, one per bump, added in
+        order (addition commutes, so the first row is added to ``start``).
+        Adding a bump's 0 off its support changes no bit of a sum that holds
+        no -0.0."""
+        out = terms[0] + start
+        for row in terms[1:]:
+            out += row
         return out
 
     def _eval(self, x):
+        _, u = self._on_support(x)
+        v = self._value * u
+        v *= u
+        v *= u
         # x + 0.0 turns -0.0 into 0.0, as adding a bump's 0 off its support does
-        return self._plus_bumps(x + 0.0, BumpProfile.value, x)
+        return self._plus_bumps(x + 0.0, v)
 
     def _deriv(self, x):
-        return self._plus_bumps(np.ones_like(x), BumpProfile.d1, x)
+        t, u = self._on_support(x)
+        t *= self._d1
+        t *= u
+        t *= u
+        return self._plus_bumps(1.0, t)
 
     def _second(self, x):
-        return self._plus_bumps(np.zeros_like(x), BumpProfile.d2, x)
+        t, u = self._on_support(x)
+        # a factor may overflow for a tiny halfwidth: 0 stays 0 off the support
+        np.multiply(u, self._d2, out=u, where=u > 0.0)
+        t *= 5.0 * t
+        t -= 1.0
+        u *= t
+        return self._plus_bumps(0.0, u)
 
 
 def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusBump:
@@ -319,15 +340,17 @@ class _NodeSlopes:
         and stored.  The caller holds ``lock``."""
         key = a + 1j * b  # exact for finite edges
         keys, row, rows = self._held
-        new = keys[np.searchsorted(keys, key)] != key
-        if new.any():
+        at = keys.searchsorted(key)
+        new = keys[at] != key
+        if np.count_nonzero(new):
             samples = [panel_samples(base._deriv, a[new], b[new], n)[1]
                        for n in self.orders]
-            bits = [s.view(np.int64) for s in samples]
-            first = bits[0][:, 0]
-            one = np.logical_and.reduce([(s == first[:, None]).all(axis=1)
-                                         for s in bits])
+            first = samples[0].view(np.int64)[:, :1]
+            one = np.logical_and.reduce(samples[0].view(np.int64) == first, axis=1)
+            for s in samples[1:]:
+                one &= np.logical_and.reduce(s.view(np.int64) == first, axis=1)
             # a panel of one value equal to the one before it shares its row
+            first = first[:, 0]
             shared = np.zeros(first.size, dtype=bool)
             shared[1:] = one[1:] & one[:-1] & (first[1:] == first[:-1])
             keys = np.concatenate([keys, key[new]])
@@ -337,7 +360,8 @@ class _NodeSlopes:
                 np.concatenate([row, len(rows[0]) + np.cumsum(~shared) - 1])[order],
                 tuple(np.concatenate([h, s[~shared]]) for h, s in zip(rows, samples)))
             keys, row, rows = self._held
-        r = row[np.searchsorted(keys, key)]
+            at = keys.searchsorted(key)
+        r = row[at]
         return [held[r] for held in rows]
 
 
@@ -370,7 +394,10 @@ class PowerIntegral(RealMap):
     preimage to one panel by ``searchsorted`` on ``cum``.  A build samples
     the base through the base's ``_NodeSlopes``, so each panel is sampled
     once for every exponent on that base object, and holds the store's
-    lock, so the builds on one base run one at a time.
+    lock, so the builds on one base run one at a time.  A pass of an
+    inversion (``_eval_with_slope(x, True)``), whose points lie in the
+    panels ``_inverse_start`` found, reads the table without checking their
+    range or finiteness again.
     Certified bounds are the interval power of the base bounds.
     """
 
@@ -394,10 +421,13 @@ class PowerIntegral(RealMap):
         self.exponent = float(exponent)
         self._table = (np.zeros(1), np.zeros(1), np.full(1, np.nan))
         # the base's slopes at the table nodes and the lock of its tables,
-        # shared with every power integral on the same base object
-        # (setdefault is atomic)
-        self._slopes = vars(base).setdefault(
-            "_node_slopes", _NodeSlopes((self._ORDER, 2 * self._ORDER)))
+        # shared with every power integral on the same base object; one is
+        # made only for a base that has none (setdefault is atomic, so two
+        # racing first power integrals still share one)
+        self._slopes = vars(base).get("_node_slopes")
+        if self._slopes is None:
+            self._slopes = vars(base).setdefault(
+                "_node_slopes", _NodeSlopes((self._ORDER, 2 * self._ORDER)))
 
     def _integrand(self, t):
         return self.base._deriv(t) ** self.exponent
@@ -406,33 +436,38 @@ class PowerIntegral(RealMap):
         """``(value, check, flat)`` of the panels [a_i, b_i]: the order-16
         and order-32 values, and the order-16 node sum where the samples of
         both rules are all one value (NaN elsewhere).  The integrand is the
-        stored base slopes at the nodes raised to the exponent."""
+        stored base slopes at the nodes raised to the exponent, sampled
+        ``_CHUNK`` panels at a time, so a call holds the node samples of one
+        chunk only."""
+        if a.size > self._CHUNK:
+            return [np.concatenate(part) for part in zip(*(
+                self._rules(a[i:i + self._CHUNK], b[i:i + self._CHUNK])
+                for i in range(0, a.size, self._CHUNK)))]
         half = 0.5 * (b - a)
         d16, d32 = self._slopes.at(self.base, a, b)
         s16, s32 = d16 ** self.exponent, d32 ** self.exponent
         sum16, sum32 = panel_sums(s16), panel_sums(s32)
         c = s16[:, :1]
-        flat = np.where((s16 == c).all(axis=1) & (s32 == c).all(axis=1),
-                        sum16, np.nan)
-        return half * sum16, half * sum32, flat
+        one = np.logical_and.reduce(s16 == c, axis=1)
+        one &= np.logical_and.reduce(s32 == c, axis=1)
+        return half * sum16, half * sum32, np.where(one, sum16, np.nan)
 
     def _refine(self, a: np.ndarray, b: np.ndarray):
-        """Halve the panels [a_i, b_i] until each meets its budget; returns
-        the refined panels ``(a, b, value, flat)`` sorted by ``a``, with the
-        order-32 values, and the order-16 node sum of each panel whose
-        order-16 and order-32 samples are all one value (NaN for the others).
-        Only the new halves are integrated on each pass, ``_CHUNK`` panels
-        at a time, so a pass holds node samples of one chunk only."""
+        """Halve the sorted panels [a_i, b_i] until each meets its budget;
+        returns the refined panels ``(a, b, value, flat)`` sorted by ``a``,
+        with the order-32 values, and the order-16 node sum of each panel
+        whose order-16 and order-32 samples are all one value (NaN for the
+        others).  Only the new halves are integrated on each pass."""
         kept = []
         for _ in range(self._MAX_PASSES):
-            v, check, flat = (np.concatenate(part) for part in zip(*(
-                self._rules(a[i:i + self._CHUNK], b[i:i + self._CHUNK])
-                for i in range(0, a.size, self._CHUNK))))
+            v, check, flat = self._rules(a, b)
             budget = self.quad_tol * np.maximum(b - a, 1e-3) / self._TOL_SPAN
-            bad = ~(np.abs(v - check) <= budget)
-            kept.append((a[~bad], b[~bad], check[~bad], flat[~bad]))
-            if not bad.any():
+            good = np.abs(v - check) <= budget  # False for NaN
+            if np.count_nonzero(good) == good.size:
+                kept.append((a, b, check, flat))
                 break
+            kept.append((a[good], b[good], check[good], flat[good]))
+            bad = ~good
             a, b = a[bad], b[bad]
             if 2 * a.size > self._MAX_PANELS:
                 raise QuadratureFailure(
@@ -446,6 +481,8 @@ class PowerIntegral(RealMap):
                 f"power-integral table refinement could not reach the quadrature "
                 f"tolerance on [{a.min():.17g}, {b.max():.17g}] in "
                 f"{self._MAX_PASSES} passes")
+        if len(kept) == 1:  # the panels as given: sorted
+            return kept[0]
         a, b, v, flat = (np.concatenate(part) for part in zip(*kept))
         order = np.argsort(a)
         return a[order], b[order], v[order], flat[order]
@@ -461,29 +498,32 @@ class PowerIntegral(RealMap):
                 f"a power-integral table over [{lo:.6g}, {hi:.6g}] would need "
                 f"more than {self._MAX_PANELS} panels")
         edges, cum, flat = self._table
-        lo, hi = min(lo, float(edges[0])), max(hi, float(edges[-1]))
+        e0, e1 = float(edges[0]), float(edges[-1])  # multiples of _PANEL
+        lo, hi = min(lo, e0), max(hi, e1)
         k_lo, k_hi = math.floor(lo / self._PANEL), math.ceil(hi / self._PANEL)
+        lo, hi = k_lo * self._PANEL, k_hi * self._PANEL
         kinks = np.asarray(self.base.breakpoints(), dtype=float)
-
-        def coarse(e0, e1):  # grid multiples and kinks in [e0, e1]
-            grid = np.arange(round(e0 / self._PANEL),
-                             round(e1 / self._PANEL) + 1) * self._PANEL
-            return np.union1d(grid, kinks[(kinks > e0) & (kinks < e1)])
-
-        left = coarse(k_lo * self._PANEL, edges[0])
-        right = coarse(edges[-1], k_hi * self._PANEL)
-        a, b, v, sums = self._refine(np.concatenate([left[:-1], right[:-1]]),
-                                     np.concatenate([left[1:], right[1:]]))
-        on_left = b <= edges[0]
+        # the coarse edges, sorted: the grid multiples in [lo, e0] and in
+        # [e1, hi], and the kinks inside those ranges; a panel between two
+        # of them is new if it is not empty and lies outside (e0, e1)
+        edge = np.concatenate([
+            np.arange(k_lo, round(e0 / self._PANEL) + 1) * self._PANEL,
+            np.arange(round(e1 / self._PANEL), k_hi + 1) * self._PANEL,
+            kinks[((kinks > lo) & (kinks < e0)) | ((kinks > e1) & (kinks < hi))]])
+        edge.sort()
+        a, b = edge[:-1], edge[1:]
+        new = (a < b) & ((b <= e0) | (a >= e1))
+        a, b, v, sums = self._refine(a[new], b[new])
+        n = int(a.searchsorted(e0))  # the panels left of the table
         # cum is accumulated outward from 0 one panel at a time, so a fresh
         # build and any sequence of growths give the same bits (on the left
         # the running sum subtracts: a - b == -((-a) + b) exactly)
-        out = np.cumsum(np.concatenate([[cum[0]], -v[on_left][::-1]]))[1:]
+        left = np.concatenate([cum[:1], -v[:n][::-1]]).cumsum()[1:]
+        right = np.concatenate([cum[-1:], v[n:]]).cumsum()[1:]
         self._table = (
-            np.concatenate([a[on_left], edges, b[~on_left]]),
-            np.concatenate([out[::-1], cum,
-                            np.cumsum(np.concatenate([[cum[-1]], v[~on_left]]))[1:]]),
-            np.concatenate([sums[on_left], flat[:-1], sums[~on_left], [np.nan]]))
+            np.concatenate([a[:n], edges, b[n:]]),
+            np.concatenate([left[::-1], cum, right]),
+            np.concatenate([sums[:n], flat[:-1], sums[n:], flat[-1:]]))
 
     def _ensure_table(self, lo: float, hi: float):
         """The table, grown if needed to cover [min(lo, 0), max(hi, 0)] and
@@ -498,23 +538,29 @@ class PowerIntegral(RealMap):
     def _eval(self, x):
         return self._values(x, False)[0]
 
-    def _eval_with_slope(self, x):
-        return self._values(x, True)
+    def _eval_with_slope(self, x, inside: bool = False):
+        return self._values(x, True, inside)
 
-    def _values(self, x, slope: bool):
+    def _values(self, x, slope: bool, inside: bool = False):
         """The values, and with ``slope`` the slopes at every point where the
         rule samples the integrand at all: the points ride along in its one
         call.  Where no point needs the rule (each is at a table edge or on
-        a flat panel) nothing is sampled and the slopes are None."""
-        if x.size == 0:
-            return x.copy(), None
-        lo, hi = float(x.min()), float(x.max())  # NaN if any x is
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
-        edges, cum, flat = self._ensure_table(lo, hi)
-        idx = np.searchsorted(edges, x, side="right") - 1
-        a = edges[idx]
-        out = cum[idx] + np.where(x == a, 0.0, 0.5 * (x - a) * flat[idx])
+        a flat panel) nothing is sampled and the slopes are None.  With
+        ``inside``, x is known to be finite and inside the table held (an
+        inversion's iterates lie in the panels ``_inverse_start`` found),
+        and neither is checked."""
+        if inside:
+            edges, cum, flat = self._table
+        else:
+            if x.size == 0:
+                return x.copy(), None
+            lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
+            if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN if any x is
+                raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
+            edges, cum, flat = self._ensure_table(lo, hi)
+        idx = edges[1:].searchsorted(x, side="right")  # edges[0] <= x
+        a, c = edges[idx], cum[idx]
+        out = c + np.where(x == a, 0.0, 0.5 * (x - a) * flat[idx])
         rest = np.isnan(out).nonzero()[0]  # off the edges and flat panels
         if not rest.size:
             return out, None
@@ -525,7 +571,7 @@ class PowerIntegral(RealMap):
             at_points.append(v[t.size:])
             return v[:t.size]
 
-        out[rest] = cum[idx[rest]] + panel_integrals(
+        out[rest] = c[rest] + panel_integrals(
             nodes_then_points, a[rest], x[rest], self._ORDER)
         return out, at_points[0] if slope else None
 
@@ -555,21 +601,23 @@ class PowerIntegral(RealMap):
             slope = min(max(slope, self.deriv_lo), self.deriv_hi)
             return max(gap / slope, self._PANEL)
 
-        y0, y1 = float(y.min()), float(y.max())
+        y0, y1 = float(np.minimum.reduce(y)), float(np.maximum.reduce(y))
         edges, cum, _ = self._table
         while cum.size < 2 or cum[0] > y0 or cum[-1] < y1:
             lo = edges[0] - reach(float(cum[0]) - y0, 0) if cum[0] > y0 else 0.0
             hi = edges[-1] + reach(y1 - float(cum[-1]), -2) if cum[-1] < y1 else 0.0
             edges, cum, _ = self._ensure_table(lo, hi)
-        i = np.clip(np.searchsorted(cum, y, side="right") - 1, 0, cum.size - 2)
-        lo, hi = edges[i], edges[i + 1]
-        rise = cum[i + 1] - cum[i]  # 0 where a panel's increment underflows
-        t = np.divide(y - cum[i], rise, out=np.zeros_like(y), where=rise > 0)
-        return lo, hi, np.clip(lo + t * (hi - lo), lo, hi)
+        # the panel [edges[i], edges[i + 1]] with cum[i] <= y < cum[i + 1],
+        # the last one for y == cum[-1]
+        i = cum[1:-1].searchsorted(y, side="right")
+        lo, hi, c0 = edges[i], edges[1:][i], cum[i]
+        rise = cum[1:][i] - c0  # 0 where a panel's increment underflows
+        t = np.divide(y - c0, rise, out=np.zeros(y.shape), where=rise > 0)
+        return lo, hi, np.minimum(np.maximum(lo + t * (hi - lo), lo), hi)
 
     def _second(self, x):
-        d = self.base.deriv(x)
-        return self.exponent * d ** (self.exponent - 1.0) * self.base.second_deriv(x)
+        d = self.base._deriv(x)
+        return self.exponent * d ** (self.exponent - 1.0) * self.base._second(x)
 
 
 class InverseMap(RealMap):
@@ -591,15 +639,15 @@ class InverseMap(RealMap):
         return _invert_array(self.base, y, _VALUE_TOL)
 
     def _deriv(self, y):
-        return 1.0 / self.base.deriv(self._eval(y))
+        return 1.0 / self.base._deriv(self._eval(y))
 
     def breakpoints(self):
         return self.base(self.base.breakpoints())
 
     def _second(self, y):
         u = self._eval(y)
-        d = self.base.deriv(u)
-        return -self.base.second_deriv(u) / d ** 3
+        d = self.base._deriv(u)
+        return -self.base._second(u) / d ** 3
 
 
 class Composition(RealMap):
@@ -854,22 +902,26 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
 
     ``f._inverse_start`` supplies a certified bracket of each preimage and a
     start point.  Each pass evaluates f on the points still active, and the
-    residual's sign shrinks their brackets.  A point leaves the active set
-    when its residual r is 0, or within tol and its previous pass took a
-    Newton step with slope s that certifies one more step: the chord step
-    x - r/s needs no evaluation, and its residual r (1 - f'/s), with f' in
-    the certified bounds [b, B], is within half of tol (the other half is
-    left for the error of evaluating f) when |r| max(B/s - 1, 1 - b/s) is.
-    That step brings the residual far below tol.  The other points take f'
-    from the value pass where that pass samples it (a power integral's rule
-    does, with the points in its call), or evaluate it, and take the Newton
-    step if it lands strictly inside the bracket and is at most half as
-    long as their previous step; the length test breaks the two-cycles
-    Newton can fall into where the slope varies by a large factor.  A point
-    whose step is refused leaves with the clipped chord step if it is
-    within tol and its own slope certifies that step (where f is affine, a
-    start one ulp from the root has a Newton step that lands on the bracket
-    end, and bisection would not end); the others bisect.
+    residual's sign shrinks their brackets.  The iterates never leave their
+    brackets, so a pass tells f that they lie inside them
+    (``_eval_with_slope(x, True)``): a power integral then reads the table
+    it grew for the start without checking the points again.  A point
+    leaves the active set when its residual r is 0, or within tol and its
+    previous pass took a Newton step with slope s that certifies one more
+    step: the chord step x - r/s needs no evaluation, and its residual
+    r (1 - f'/s), with f' in the certified bounds [b, B], is within half of
+    tol (the other half is left for the error of evaluating f) when
+    |r| max(B/s - 1, 1 - b/s) is.  That step brings the residual far below
+    tol.  The other points take f' from the value pass where that pass
+    samples it (a power integral's rule does, with the points in its call),
+    or evaluate it, and take the Newton step if it lands strictly inside
+    the bracket and is at most half as long as their previous step; the
+    length test breaks the two-cycles Newton can fall into where the slope
+    varies by a large factor.  A point whose step is refused leaves with
+    the clipped chord step if it is within tol and its own slope certifies
+    that step (where f is affine, a start one ulp from the root has a
+    Newton step that lands on the bracket end, and bisection would not
+    end); the others bisect.
     """
     raise_at_first(~np.isfinite(y), y, "y must be finite, got y={}")
     if y.size == 0:
@@ -890,7 +942,7 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     act, xa, ya, la, ha = np.arange(y.size), x, y, lo, hi
     s, dx = None, hi - lo
     for _ in range(_MAX_ITER):
-        fx, d = f._eval_with_slope(xa)
+        fx, d = f._eval_with_slope(xa, True)
         r = fx - ya
         below = r < 0.0
         la, ha = np.where(below, xa, la), np.where(below, ha, xa)
@@ -903,14 +955,14 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
             if s is not None:
                 # a chord clipped to the bracket lies between x and the chord
                 # point, where f is monotone, so the bound still holds
-                step = np.clip(xd - r[done] / s[done], la[done], ha[done])
+                step = np.minimum(np.maximum(xd - r[done] / s[done], la[done]), ha[done])
                 xd = np.where(chord[done], step, xd)
             x[act[done]] = xd
-            keep = np.nonzero(~done)[0]
+            keep = (~done).nonzero()[0]
+            if not keep.size:
+                return x
             act, xa, ya, r, la, ha, dx = (v[keep] for v in (act, xa, ya, r, la, ha, dx))
             d = None if d is None else d[keep]
-            if not act.size:
-                return x
         if d is None:
             d = f._deriv(xa)
         step = r / d
@@ -921,12 +973,12 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
             continue
         done = ~newton & certified(r, d)
         if np.count_nonzero(done):
-            x[act[done]] = np.clip(xn[done], la[done], ha[done])
-            keep = np.nonzero(~done)[0]
+            x[act[done]] = np.minimum(np.maximum(xn[done], la[done]), ha[done])
+            keep = (~done).nonzero()[0]
+            if not keep.size:
+                return x
             act, xa, ya, la, ha, d, step, xn, newton = (
                 v[keep] for v in (act, xa, ya, la, ha, d, step, xn, newton))
-            if not act.size:
-                return x
         xa = np.where(newton, xn, 0.5 * (la + ha))
         dx = np.where(newton, np.abs(step), 0.5 * (ha - la))
         s = np.where(newton, d, np.nan)
@@ -1007,8 +1059,9 @@ def _checked(d: dict, fields: dict, what: str, other=("kind",)) -> dict:
     return out
 
 
-# the maps built so far by the outermost map_from_dict call, by family and text
-_PARSED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+# the state of the outermost map_from_dict call: the maps built so far, by
+# family and text number, and the numbers of the texts and of the objects
+_PARSED: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
     "qcext_parsed", default=None)
 
 
@@ -1022,15 +1075,38 @@ def map_from_dict(d: dict, family: str = "map"):
     builds one table.  Nothing is kept from one call to the next."""
     parsed = _PARSED.get()
     if parsed is None:  # the whole description: no part repeats it, so no key
-        token = _PARSED.set({})
+        token = _PARSED.set(({}, {}, {}))
         try:
             return _built(d, family)
         finally:
             _PARSED.reset(token)
-    key = (family, repr(d))
-    if key not in parsed:
-        parsed[key] = _built(d, family)
-    return parsed[key]
+    maps, texts, seen = parsed
+    key = (family, _text(d, texts, seen))
+    if key not in maps:
+        maps[key] = _built(d, family)
+    return maps[key]
+
+
+def _text(v, texts: dict, seen: dict):
+    """The text of the JSON value ``v`` (its ``repr``) as a key: the repr
+    itself where ``v`` holds no dict or list, else a number that is equal
+    for equal text.  That number is made from the keys of the items, once
+    per object (by ``id`` in ``seen``), so a part is spelled once however
+    deeply it is nested."""
+    is_dict = type(v) is dict
+    if not (is_dict or type(v) is list) or _LEAVES.issuperset(
+            map(type, v.values() if is_dict else v)):
+        return repr(v)
+    n = seen.get(id(v))
+    if n is None:  # a dict starts with the repr of its keys, a list with "["
+        parts = [repr(tuple(v)) if is_dict else "["]
+        parts += [_text(w, texts, seen) for w in (v.values() if is_dict else v)]
+        n = seen[id(v)] = texts.setdefault(tuple(parts), len(texts))
+    return n
+
+
+# the types of the JSON values other than dict and list
+_LEAVES = frozenset((str, int, float, bool, type(None)))
 
 
 def _built(d, family: str):

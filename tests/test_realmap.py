@@ -337,6 +337,21 @@ def test_fresh_inversion_of_zero_evaluates_nothing_past_the_table_build(monkeypa
     assert f._table is not None and slopes == []
 
 
+def test_an_inversion_inside_the_table_checks_the_table_at_most_once(monkeypatch):
+    # the iterates stay in the panels _inverse_start found, so no Newton
+    # pass needs to look at the table's range again
+    f = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
+    ys = f(np.linspace(-2.5, 2.5, 101)) + 1e-3
+    ensure = counted(monkeypatch, f, "_ensure_table")
+    passes = counted(monkeypatch, f, "_eval_with_slope")
+    xs = InverseMap(f)(ys)
+    assert len(passes) >= 3
+    assert len(ensure) <= 1
+    fresh = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
+    assert xs.tobytes() == InverseMap(fresh)(ys).tobytes()
+    assert np.max(np.abs(f(xs) - ys)) <= realmap._VALUE_TOL
+
+
 def test_inversion_of_empty_and_zero_d_inputs():
     for f in (PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5),
               bump_map(0.0, 1.0, 0.3)):
