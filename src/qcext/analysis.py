@@ -68,9 +68,11 @@ def half_plane_grid(x_min: float = -2.0, x_max: float = 2.0,
 
 def m_ratio(f: RealMap, x, t):
     """The two-sided quasisymmetry ratio (f(x+t) - f(x)) / (f(x) - f(x-t));
-    x and t broadcast."""
-    if not np.all(np.asarray(t) > 0):
-        raise DomainError("t must be positive")
+    x and t broadcast.  The first x that is not finite, then the first t
+    that is not positive and finite, raises DomainError."""
+    raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
+    raise_at_first(~(np.greater(t, 0.0) & np.isfinite(t)), t,
+                   "t must be positive and finite, got t={}")
     num = f(x + t) - f(x)
     den = f(x) - f(x - t)
     if np.any(den <= 0):
@@ -83,10 +85,13 @@ def estimate_m(f: RealMap, x_range=(-5.0, 5.0), t_range=(1e-3, 5.0),
     """Grid supremum of max(ratio, 1/ratio); always >= 1.
 
     For a map with certified slope bounds (b, B) the estimate never exceeds
-    B/b (mean-value bound on both increments).
+    B/b (mean-value bound on both increments).  A range end that is not
+    finite raises DomainError naming the first one.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
+    for name, ends in (("x", x_range), ("t", t_range)):
+        raise_at_first(~np.isfinite(ends), ends, f"{name} range must be finite, got {{}}")
     if not 0 < t_range[0] <= t_range[1]:
         raise DomainError("t range must be positive and increasing")
     xs = np.linspace(x_range[0], x_range[1], grid_n)

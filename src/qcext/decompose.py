@@ -23,7 +23,10 @@ chain-rule cancellation gives each factor the certified bounds
 
 The normalization f(0) = 0 is restored by an explicit affine translation
 factor (emitted only when f(0) != 0), so the full decomposition reads
-f = T o g_N o f_N o ... o f_1, outermost first.
+f = T o g_N o f_N o ... o f_1, outermost first.  The rounds factor
+``core`` = T^{-1} o f, built as the left fold of T^{-1} and the maps of f
+that a reload builds, so each factor, and the recomposition whose error is
+certified, is bit for bit the map its description reloads to.
 
 Each P_{gamma_k} is written twice in the serialized factors: as the outer
 map of f_k and inside the inverse of f_{k+1}.  Reloading the factor list as
@@ -108,7 +111,8 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = TOL) -> Factorization:
                              recomposition_error=0.0)
 
     f0 = f(0.0)
-    core = f if f0 == 0.0 else Composition(Affine(1.0, -f0), f)
+    parts = f.maps if isinstance(f, Composition) else [f]
+    core = reduce(Composition, parts if f0 == 0.0 else [Affine(1.0, -f0), *parts])
 
     L = max(B, 1.0 / b)
     if not math.log(1.0 + eps) > 0:

@@ -21,10 +21,12 @@ edge, or on a panel where the integrand is one value, is evaluated from
 the table alone.  Maps may list the points where their derivative is not
 smooth (``breakpoints``); tables put panel edges there.  Monotone inversion
 is one safeguarded Newton loop that starts from a bracket the map supplies:
-the certified slope bracket, or one table panel for a power integral.
-``map_from_dict`` builds one object for parts of one description whose
-text is equal, so a power integral written twice in it, as in a reloaded
-factorization, has one table.
+the certified slope bracket, or one table panel for a power integral.  A
+Newton pass (``_eval_with_slope``) is only made on finite points inside
+those brackets, so a power integral reads its table there unchecked.
+``map_from_dict`` keys every part of a description by its text, the whole
+too, and builds one object for equal texts, so a power integral written
+twice in it, as in a reloaded factorization, has one table.
 """
 
 from __future__ import annotations
@@ -122,11 +124,11 @@ class RealMap:
         """
         return np.empty(0)
 
-    def _eval_with_slope(self, x, inside: bool = False):
-        """(f(x), f'(x)) for a flat x, or (f(x), None) where the value pass
-        samples no slope (here: always).  ``inside`` says that x lies in
-        the brackets ``_inverse_start`` returned, so a kind may skip the
-        checks that those brackets already passed (here: none)."""
+    def _eval_with_slope(self, x):
+        """One Newton pass of ``_invert_array``: (f(x), f'(x)), or (f(x),
+        None) where the value pass samples no slope (here: always).  The
+        points are finite and lie in the brackets ``_inverse_start``
+        returned, so a kind may skip the checks those brackets passed."""
         return self._eval(x), None
 
     def _inverse_start(self, y: np.ndarray):
@@ -394,10 +396,10 @@ class PowerIntegral(RealMap):
     preimage to one panel by ``searchsorted`` on ``cum``.  A build samples
     the base through the base's ``_NodeSlopes``, so each panel is sampled
     once for every exponent on that base object, and holds the store's
-    lock, so the builds on one base run one at a time.  A pass of an
-    inversion (``_eval_with_slope(x, True)``), whose points lie in the
-    panels ``_inverse_start`` found, reads the table without checking their
-    range or finiteness again.
+    lock, so the builds on one base run one at a time.  A Newton pass of
+    an inversion (``_eval_with_slope``), whose points lie in the panels
+    ``_inverse_start`` found, reads the table without checking their range
+    or finiteness again.
     Certified bounds are the interval power of the base bounds.
     """
 
@@ -428,9 +430,6 @@ class PowerIntegral(RealMap):
         if self._slopes is None:
             self._slopes = vars(base).setdefault(
                 "_node_slopes", _NodeSlopes((self._ORDER, 2 * self._ORDER)))
-
-    def _integrand(self, t):
-        return self.base._deriv(t) ** self.exponent
 
     def _rules(self, a: np.ndarray, b: np.ndarray):
         """``(value, check, flat)`` of the panels [a_i, b_i]: the order-16
@@ -538,18 +537,18 @@ class PowerIntegral(RealMap):
     def _eval(self, x):
         return self._values(x, False)[0]
 
-    def _eval_with_slope(self, x, inside: bool = False):
-        return self._values(x, True, inside)
+    def _eval_with_slope(self, x):
+        return self._values(x, True)
 
-    def _values(self, x, slope: bool, inside: bool = False):
-        """The values, and with ``slope`` the slopes at every point where the
-        rule samples the integrand at all: the points ride along in its one
-        call.  Where no point needs the rule (each is at a table edge or on
-        a flat panel) nothing is sampled and the slopes are None.  With
-        ``inside``, x is known to be finite and inside the table held (an
-        inversion's iterates lie in the panels ``_inverse_start`` found),
-        and neither is checked."""
-        if inside:
+    def _values(self, x, newton: bool):
+        """The values at x, and for a Newton pass (``newton``) the slopes at
+        every point where the rule samples the integrand at all: the points
+        ride along in its one call.  Where no point needs the rule (each is
+        at a table edge or on a flat panel) nothing is sampled and the
+        slopes are None.  A Newton pass's points are finite and lie in the
+        panels ``_inverse_start`` found, inside the table held, so neither
+        is checked; any other x is checked and the table grown to cover it."""
+        if newton:
             edges, cum, flat = self._table
         else:
             if x.size == 0:
@@ -567,16 +566,16 @@ class PowerIntegral(RealMap):
         at_points = []
 
         def nodes_then_points(t):
-            v = self._integrand(np.concatenate([t, x]) if slope else t)
+            v = self._deriv(np.concatenate([t, x]) if newton else t)
             at_points.append(v[t.size:])
             return v[:t.size]
 
         out[rest] = c[rest] + panel_integrals(
             nodes_then_points, a[rest], x[rest], self._ORDER)
-        return out, at_points[0] if slope else None
+        return out, at_points[0] if newton else None
 
     def _deriv(self, x):
-        return self._integrand(x)
+        return self.base._deriv(x) ** self.exponent
 
     def breakpoints(self):
         return self.base.breakpoints()
@@ -621,10 +620,10 @@ class PowerIntegral(RealMap):
 
 
 class InverseMap(RealMap):
-    """Lazy monotone inverse; values come from ``_invert_array`` on the base
-    to the residual ``_VALUE_TOL``, starting from the bracket the base
-    supplies (one table panel for a power integral, the certified slope
-    bracket otherwise).  Like every kind, it is fixed by its description.
+    """Lazy monotone inverse: ``_invert_array`` on the base, to its one
+    residual ``_VALUE_TOL``, from the bracket the base supplies (one table
+    panel for a power integral, the certified slope bracket otherwise).
+    Like every kind, it is fixed by its description.
     """
 
     kind = "inverse"
@@ -636,7 +635,7 @@ class InverseMap(RealMap):
         self.base = base
 
     def _eval(self, y):
-        return _invert_array(self.base, y, _VALUE_TOL)
+        return _invert_array(self.base, y)
 
     def _deriv(self, y):
         return 1.0 / self.base._deriv(self._eval(y))
@@ -897,15 +896,16 @@ _MAX_ITER = 200     # passes of one inversion
 _VALUE_TOL = 1e-11  # residual |f(x) - y| of an inverse map's values
 
 
-def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
-    """Solve f(x) = y for a flat y to |f(x) - y| <= tol by safeguarded Newton.
+def _invert_array(f: RealMap, y: np.ndarray) -> np.ndarray:
+    """Solve f(x) = y for a flat y to |f(x) - y| <= tol by safeguarded
+    Newton, where tol is the one inversion residual ``_VALUE_TOL``.
 
     ``f._inverse_start`` supplies a certified bracket of each preimage and a
     start point.  Each pass evaluates f on the points still active, and the
-    residual's sign shrinks their brackets.  The iterates never leave their
-    brackets, so a pass tells f that they lie inside them
-    (``_eval_with_slope(x, True)``): a power integral then reads the table
-    it grew for the start without checking the points again.  A point
+    residual's sign shrinks their brackets.  The iterates are finite and
+    never leave their brackets, which is the contract of a Newton pass,
+    ``f._eval_with_slope``: a power integral then reads the table it grew
+    for the start without checking the points again.  A point
     leaves the active set when its residual r is 0, or within tol and its
     previous pass took a Newton step with slope s that certifies one more
     step: the chord step x - r/s needs no evaluation, and its residual
@@ -927,6 +927,7 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     if y.size == 0:
         return y.copy()
     b, B = f.deriv_bounds()
+    tol = _VALUE_TOL
 
     def certified(r, s):  # |r| <= tol, and the chord step with slope s is good
         ar = np.abs(r)
@@ -942,7 +943,7 @@ def _invert_array(f: RealMap, y: np.ndarray, tol: float) -> np.ndarray:
     act, xa, ya, la, ha = np.arange(y.size), x, y, lo, hi
     s, dx = None, hi - lo
     for _ in range(_MAX_ITER):
-        fx, d = f._eval_with_slope(xa, True)
+        fx, d = f._eval_with_slope(xa)
         r = fx - ya
         below = r < 0.0
         la, ha = np.where(below, xa, la), np.where(below, ha, xa)
@@ -1059,8 +1060,8 @@ def _checked(d: dict, fields: dict, what: str, other=("kind",)) -> dict:
     return out
 
 
-# the state of the outermost map_from_dict call: the maps built so far, by
-# family and text number, and the numbers of the texts and of the objects
+# the memo of the outermost map_from_dict call: the maps built so far, by
+# family and text key, and the numbers of the texts and of the objects
 _PARSED: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
     "qcext_parsed", default=None)
 
@@ -1069,22 +1070,28 @@ def map_from_dict(d: dict, family: str = "map"):
     """Build a map from its JSON-style description (see README for schema);
     ``family`` "circle-map" takes the circle-map kinds instead.
 
-    Parts of one call whose text is equal (the same ``repr``, so -0.0 is
-    not 0.0) are checked and built once and give one object, so a power
-    integral written in several places (as in a reloaded factorization)
-    builds one table.  Nothing is kept from one call to the next."""
-    parsed = _PARSED.get()
-    if parsed is None:  # the whole description: no part repeats it, so no key
-        token = _PARSED.set(({}, {}, {}))
-        try:
-            return _built(d, family)
-        finally:
+    Every part of one call, the whole description too, is keyed by its
+    text (the same ``repr``, so -0.0 is not 0.0); parts of equal text are
+    checked and built once and give one object, so a power integral
+    written in several places (as in a reloaded factorization) builds one
+    table.  Nothing is kept from one call to the next."""
+    parsed, token = _PARSED.get(), None
+    if parsed is None:  # the outermost call: it opens the memo and closes it
+        token = _PARSED.set(parsed := ({}, {}, {}))
+    try:
+        maps, texts, seen = parsed
+        key = (family, _text(d, texts, seen))
+        if key not in maps:
+            kind = d.get("kind") if isinstance(d, dict) else None
+            entry = KINDS.get(kind) if isinstance(kind, str) else None
+            if entry is None or entry[0] != family:
+                raise DomainError(
+                    f"{family} description needs a known 'kind', got {kind!r}")
+            maps[key] = entry[2](**_checked(d, entry[1], f"{family} kind {kind!r}"))
+        return maps[key]
+    finally:
+        if token is not None:
             _PARSED.reset(token)
-    maps, texts, seen = parsed
-    key = (family, _text(d, texts, seen))
-    if key not in maps:
-        maps[key] = _built(d, family)
-    return maps[key]
 
 
 def _text(v, texts: dict, seen: dict):
@@ -1107,15 +1114,6 @@ def _text(v, texts: dict, seen: dict):
 
 # the types of the JSON values other than dict and list
 _LEAVES = frozenset((str, int, float, bool, type(None)))
-
-
-def _built(d, family: str):
-    """The map of description ``d``, its fields checked."""
-    kind = d.get("kind") if isinstance(d, dict) else None
-    entry = KINDS.get(kind) if isinstance(kind, str) else None
-    if entry is None or entry[0] != family:
-        raise DomainError(f"{family} description needs a known 'kind', got {kind!r}")
-    return entry[2](**_checked(d, entry[1], f"{family} kind {kind!r}"))
 
 
 def description_from_file(path):

@@ -242,3 +242,24 @@ def test_reload_keeps_the_certified_bounds_of_every_factor():
                 reloaded.append(node.inner)
                 node = node.outer
             assert [m.deriv_bounds() for m in [node] + reloaded[::-1]] == bounds
+
+
+def test_a_factorization_is_the_tree_its_factor_file_reloads_to():
+    # f is right-nested, while a description flattens a composition into
+    # its maps and a reload folds them left: the factors must be built on
+    # that fold, or the certified recomposition is not the map the file holds
+    f = Composition(bump_map(0.2, 1.0, 0.3),
+                    Composition(bump_map(-0.5, 0.7, -0.2), Affine(1.3, 0.1)))
+    assert f(0.0) != 0.0
+    fac = decompose_bilip(f, 0.1)
+    assert len(fac) == 16
+    descs = json.loads(json.dumps(fac.to_dict()))["factors"]
+    xs = np.linspace(-8.0, 8.0, 2001)
+    for m, d in zip(fac.factors, descs):
+        reloaded = map_from_dict(d)
+        assert np.array_equal(m(xs), reloaded(xs))
+        assert np.array_equal(m.deriv(xs), reloaded.deriv(xs))
+    r = recompose(fac)
+    whole = map_from_dict({"kind": "composition", "maps": descs})
+    assert np.array_equal(r(xs), whole(xs))
+    assert np.array_equal(r.deriv(xs), whole.deriv(xs))

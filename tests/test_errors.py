@@ -12,8 +12,8 @@ import qcext.douady_earle as douady_earle
 import qcext.quadrature as quadrature
 from qcext.analysis import (CubicMap, boundary_residual, compare_dilatation,
                             dilatation_analytic, dilatation_bound,
-                            dilatation_numeric, estimate_m, pde_residual,
-                            sup_dilatation)
+                            dilatation_numeric, estimate_m, m_ratio,
+                            pde_residual, sup_dilatation)
 from qcext.beurling_ahlfors import ba_affine_naturality_residual, extend_ba
 from qcext.cli import main
 from qcext.douady_earle import (CircleMap, MobiusAutomorphism, de_defect,
@@ -132,6 +132,18 @@ LIBRARY_CHECKS = {
                                   "t range must be positive and increasing"),
     "estimate_m t_range decreasing": (lambda: estimate_m(F, t_range=(2.0, 1.0)),
                                       "t range must be positive and increasing"),
+    "estimate_m x_range NaN": (lambda: estimate_m(F, x_range=(-5.0, NAN)),
+                               "x range must be finite, got nan"),
+    "estimate_m t_range inf": (lambda: estimate_m(F, t_range=(1e-3, INF)),
+                               "t range must be finite, got inf"),
+    "m_ratio x NaN": (lambda: m_ratio(F, NAN, 1.0), "x must be finite, got x=nan"),
+    "m_ratio x inf": (lambda: m_ratio(F, INF, 1.0), "x must be finite, got x=inf"),
+    "m_ratio t inf": (lambda: m_ratio(F, 1.0, INF),
+                      "t must be positive and finite, got t=inf"),
+    "m_ratio first bad x": (lambda: m_ratio(F, np.array([0.5, -INF, NAN]), 1.0),
+                            "x must be finite, got x=-inf"),
+    "m_ratio t zero": (lambda: m_ratio(F, 0.0, np.array([1.0, 0.0])),
+                       "t must be positive and finite, got t=0.0"),
     "sup_dilatation empty grid": (lambda: sup_dilatation(F, NS, np.empty(0, complex)),
                                   "grid must be nonempty"),
     "dilatation_bound": (lambda: dilatation_bound(NS, 2.0, 1.0),

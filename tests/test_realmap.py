@@ -36,10 +36,17 @@ def counted(monkeypatch, obj, name):
     return calls
 
 
+def invert_array(f, ys, tol):
+    """f^{-1} at the flat array ys, to the residual tol: what an inverse map
+    computes, with ``realmap._VALUE_TOL`` set to the caller's tolerance."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realmap, "_VALUE_TOL", tol)
+        return _invert_array(f, ys)
+
+
 def invert(f, y, tol):
-    """f^{-1}(y) for a float y, to the residual tol: what an inverse map
-    computes, at a tolerance of the caller's choice."""
-    return _invert_array(f, np.array([y], dtype=float), tol).item()
+    """f^{-1}(y) for a float y, to the residual tol."""
+    return invert_array(f, np.array([y], dtype=float), tol).item()
 
 
 def sample_maps(rng):
@@ -252,11 +259,40 @@ def _inversion_maps():
             InverseMap(bump_map(-1.67, 0.49, -0.2629))]
 
 
+def test_every_newton_pass_lies_in_the_bracket_of_its_point(monkeypatch):
+    # the contract of _eval_with_slope, which lets a power integral read its
+    # table unchecked: finite points inside the brackets _inverse_start gave
+    # (the lists are bound per map: an inverse's own inversions of its base,
+    # another map of the list, record on the base)
+    for f in _inversion_maps() + [Affine(1.7, -0.4)]:
+        brackets, passes = [], []
+        start, newton = f._inverse_start, f._eval_with_slope
+
+        def started(y, start=start, brackets=brackets):
+            brackets.append(start(y))
+            return brackets[-1]
+
+        def passed(x, newton=newton, passes=passes):
+            passes.append(x.copy())
+            return newton(x)
+
+        monkeypatch.setattr(f, "_inverse_start", started)
+        monkeypatch.setattr(f, "_eval_with_slope", passed)
+        for y in (-30.0, -2.0, -0.37, 0.0, 1e-3, 0.9, 2.5, 40.0):
+            brackets.clear(), passes.clear()
+            x = _invert_array(f, np.array([y]))
+            (lo, hi, _), = brackets
+            assert passes and all(p.shape == (1,) for p in passes)
+            xs = np.concatenate(passes)
+            assert np.all(np.isfinite(xs)) and np.all((lo <= xs) & (xs <= hi)), (f, y)
+            assert lo <= x <= hi
+
+
 def test_inversion_residual_within_tol_at_every_point():
     ys = np.linspace(-25.0, 25.0, 2001)
     for tol in (1e-8, 1e-11):
         for f in _inversion_maps():
-            x = _invert_array(f, ys, tol)
+            x = invert_array(f, ys, tol)
             assert np.max(np.abs(f(x) - ys)) <= tol
 
 
@@ -275,7 +311,7 @@ def test_inversion_at_table_entries_zero_and_beyond_the_table():
     edges, cum, flat = f._table
     # P(edges[i]) == cum[i] bit for bit, so a table entry inverts exactly
     assert np.array_equal(f(edges), cum)
-    assert np.array_equal(_invert_array(f, cum, 1e-12), edges)
+    assert np.array_equal(invert_array(f, cum, 1e-12), edges)
     assert invert(f, 0.0, 1e-12) == 0.0
     # a preimage past the table end grows the table; the held entries stay
     y = f.deriv_hi * 40.0
@@ -358,7 +394,7 @@ def test_inversion_of_empty_and_zero_d_inputs():
         inv = InverseMap(f)
         assert inv(np.empty(0)).shape == (0,)
         assert inv(np.empty((0, 3))).shape == (0, 3)
-        assert _invert_array(f, np.empty(0), 1e-10).shape == (0,)
+        assert _invert_array(f, np.empty(0)).shape == (0,)
         x = inv(np.float64(0.4))
         assert isinstance(x, float)
         assert x == inv(np.array([0.4]))[0]
@@ -371,7 +407,7 @@ def test_inversion_round_trips_match_brentq():
     for base in (g, Composition(Affine(1.3, -0.4), g)):
         for f in (base, PowerIntegral(base, 0.7)):
             xs = np.linspace(-3.0, 3.0, 23)
-            got = _invert_array(f, f(xs), 1e-12)
+            got = invert_array(f, f(xs), 1e-12)
             for y, x in zip(f(xs), got):
                 ref = brentq(lambda t: f(t) - y, -10.0, 10.0, xtol=1e-15)
                 assert abs(x - ref) <= 2e-12 / f.deriv_lo
@@ -381,7 +417,7 @@ def test_inversion_round_trips_match_brentq():
 def test_inversion_raises_nonconvergence(monkeypatch):
     f = PowerIntegral(bump_map(0.0, 1.0, 0.3), 0.5)
     with pytest.raises(NonConvergence, match=r"tol=1e-30 in 200 iterations"):
-        _invert_array(f, np.linspace(-0.9, 0.9, 101), 1e-30)
+        invert_array(f, np.linspace(-0.9, 0.9, 101), 1e-30)
     y = f(np.array([0.37, -0.61]))
     monkeypatch.setattr(realmap, "_MAX_ITER", 1)
     with pytest.raises(NonConvergence, match=r"in 1 iterations"):
@@ -1015,5 +1051,5 @@ def test_property_power_integral_is_the_rule_from_the_edge_below(seed, kind, exp
     got = f(xs)
     edges, cum, _ = f._table
     idx = np.searchsorted(edges, xs, side="right") - 1
-    ref = cum[idx] + panel_integrals(f._integrand, edges[idx], xs, f._ORDER)
+    ref = cum[idx] + panel_integrals(f._deriv, edges[idx], xs, f._ORDER)
     assert np.array_equal(got, ref)
