@@ -111,8 +111,7 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = TOL) -> Factorization:
                              recomposition_error=0.0)
 
     f0 = f(0.0)
-    parts = f.maps if isinstance(f, Composition) else [f]
-    core = reduce(Composition, parts if f0 == 0.0 else [Affine(1.0, -f0), *parts])
+    core = reduce(Composition, f.maps if f0 == 0.0 else [Affine(1.0, -f0), *f.maps])
 
     L = max(B, 1.0 / b)
     if not math.log(1.0 + eps) > 0:

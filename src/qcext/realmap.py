@@ -17,9 +17,9 @@ table nodes (``_NodeSlopes``), kept on the base object for as long as it
 lives and shared by every power integral on it, which likewise only adds
 entries.  One lock per base object, kept with its store, guards the store
 and the tables of every power integral on that base.  A point at a table
-edge, or on a panel where the integrand is one value, is evaluated from
-the table alone.  Maps may list the points where their derivative is not
-smooth (``breakpoints``); tables put panel edges there.  Monotone inversion
+edge, or on a panel the store flags flat, is evaluated from the table
+alone.  Maps may list the points where their derivative is not smooth
+(``breakpoints``); tables put panel edges there.  Monotone inversion
 is one safeguarded Newton loop that starts from a bracket the map supplies:
 the certified slope bracket, or one table panel for a power integral.  A
 Newton pass (``_eval_with_slope``) is only made on finite points inside
@@ -161,6 +161,11 @@ class RealMap:
         for name, (field, _) in KINDS[self.kind][1].items():
             out[name] = field.encode(getattr(self, name))
         return out
+
+    @property
+    def maps(self) -> list:
+        """The factors a ``composition`` description lists for this map."""
+        return [self]
 
     def children(self) -> tuple:
         """The maps this one is built from, in the order of its fields."""
@@ -316,10 +321,11 @@ def bump_map(center: float, halfwidth: float, amplitude: float) -> IdentityPlusB
 
 class _NodeSlopes:
     """A base map's slopes at the Gauss-Legendre nodes of each power-integral
-    panel sampled on it, one row per order of ``orders``, and the lock of the
-    base.  Panels sampled one after another whose slopes are all one same
-    value (as off the supports of a bump) share one row, so the store grows
-    with the base's non-affine panels and not with a table's range.
+    panel sampled on it, one row per order (``PowerIntegral._ORDER`` and
+    twice it), flagged flat where all are one value (the base is affine
+    there, as off the supports of a bump), and the lock of the base.  Flat
+    panels sampled one after another with one same value share one row, so
+    the store grows with the base's non-affine panels, not a table's range.
 
     It is kept on the base object, so it lives as long as the base does and
     every power integral on the base shares it: a panel is sampled once for
@@ -328,43 +334,42 @@ class _NodeSlopes:
     integral on the base, so one build on the base runs at a time.
     """
 
-    def __init__(self, orders):
-        self.orders = orders
+    def __init__(self):
+        n = PowerIntegral._ORDER
         self.lock = threading.Lock()
         # the keys a + b*1j, sorted and ending in one past every finite key,
-        # the row of each key, and the rows of each order
+        # the row of each key, the rows of each order and the flag of each row
         self._held = (np.array([complex(np.inf, np.inf)]), np.zeros(1, dtype=np.intp),
-                      tuple(np.zeros((1, n)) for n in orders))
+                      (np.zeros((1, n)), np.zeros((1, 2 * n))), np.zeros(1, dtype=bool))
 
     def at(self, base, a: np.ndarray, b: np.ndarray):
         """``base._deriv`` at the nodes of the panels [a_i, b_i], one array
-        per order with one row per panel; only panels not held are sampled,
-        and stored.  The caller holds ``lock``."""
+        per order with one row per panel, and the panels' flat flags; only
+        panels not held are sampled, and stored.  The caller holds ``lock``."""
         key = a + 1j * b  # exact for finite edges
-        keys, row, rows = self._held
+        keys, row, rows, flat = self._held
         at = keys.searchsorted(key)
         new = keys[at] != key
         if np.count_nonzero(new):
-            samples = [panel_samples(base._deriv, a[new], b[new], n)[1]
-                       for n in self.orders]
-            first = samples[0].view(np.int64)[:, :1]
-            one = np.logical_and.reduce(samples[0].view(np.int64) == first, axis=1)
-            for s in samples[1:]:
-                one &= np.logical_and.reduce(s.view(np.int64) == first, axis=1)
+            samples = [panel_samples(base._deriv, a[new], b[new], held.shape[1])[1]
+                       for held in rows]
+            bits = np.concatenate(samples, axis=1).view(np.int64)
+            first = bits[:, 0]
+            one = np.logical_and.reduce(bits == first[:, None], axis=1)
             # a panel of one value equal to the one before it shares its row
-            first = first[:, 0]
             shared = np.zeros(first.size, dtype=bool)
             shared[1:] = one[1:] & one[:-1] & (first[1:] == first[:-1])
             keys = np.concatenate([keys, key[new]])
             order = np.argsort(keys, kind="stable")  # merges two sorted runs
             self._held = (
                 keys[order],
-                np.concatenate([row, len(rows[0]) + np.cumsum(~shared) - 1])[order],
-                tuple(np.concatenate([h, s[~shared]]) for h, s in zip(rows, samples)))
-            keys, row, rows = self._held
+                np.concatenate([row, flat.size + np.cumsum(~shared) - 1])[order],
+                tuple(np.concatenate([h, s[~shared]]) for h, s in zip(rows, samples)),
+                np.concatenate([flat, one[~shared]]))
+            keys, row, rows, flat = self._held
             at = keys.searchsorted(key)
         r = row[at]
-        return [held[r] for held in rows]
+        return [held[r] for held in rows], flat[r]
 
 
 class PowerIntegral(RealMap):
@@ -374,8 +379,8 @@ class PowerIntegral(RealMap):
     the integral from 0 to ``edges[i]``, plus one order-16 Gauss-Legendre
     rule from the nearest edge at or below x.  ``flat[i]`` is the rule's
     weighted node sum on the panel ``[edges[i], edges[i+1]]`` when the
-    build's order-16 and order-32 samples there are all one value (the base
-    is affine there, as off the supports of a bump), and NaN otherwise and
+    base's slope store flags that panel flat (its base slopes at the build's
+    order-16 and order-32 nodes are all one value), and NaN otherwise and
     at the last edge.  A point at an edge then costs no quadrature (the rule
     adds 0 there), nor does a point x on a flat panel, whose rule from the
     edge a adds ``0.5 * (x - a) * flat[i]``; both are the rule's bits.
@@ -389,8 +394,9 @@ class PowerIntegral(RealMap):
     on each side of 0, and it grows outward on demand by appending panels
     and accumulating ``cum`` outward from 0, so growing never changes an
     entry it holds and a value does not depend on what was evaluated before.
-    A call grows it to the coarse edges around the range the call asks for,
-    and the ``_MAX_PANELS`` limit applies to that range alone, so what was
+    A call grows it to the coarse edges around the range it asks for, with
+    ``[-_PANEL, _PANEL]``, and the ``_MAX_PANELS`` limit applies to that
+    range alone, so what was
     evaluated before does not decide whether a call is refused either.
     ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
     preimage to one panel by ``searchsorted`` on ``cum``.  A build samples
@@ -428,35 +434,30 @@ class PowerIntegral(RealMap):
         # racing first power integrals still share one)
         self._slopes = vars(base).get("_node_slopes")
         if self._slopes is None:
-            self._slopes = vars(base).setdefault(
-                "_node_slopes", _NodeSlopes((self._ORDER, 2 * self._ORDER)))
+            self._slopes = vars(base).setdefault("_node_slopes", _NodeSlopes())
 
     def _rules(self, a: np.ndarray, b: np.ndarray):
         """``(value, check, flat)`` of the panels [a_i, b_i]: the order-16
-        and order-32 values, and the order-16 node sum where the samples of
-        both rules are all one value (NaN elsewhere).  The integrand is the
-        stored base slopes at the nodes raised to the exponent, sampled
-        ``_CHUNK`` panels at a time, so a call holds the node samples of one
-        chunk only."""
+        and order-32 values, and the order-16 node sum on the panels the
+        slope store flags flat (NaN elsewhere).  The integrand is the stored
+        base slopes at the nodes raised to the exponent, sampled ``_CHUNK``
+        panels at a time, so a call holds the node samples of one chunk
+        only."""
         if a.size > self._CHUNK:
             return [np.concatenate(part) for part in zip(*(
                 self._rules(a[i:i + self._CHUNK], b[i:i + self._CHUNK])
                 for i in range(0, a.size, self._CHUNK)))]
         half = 0.5 * (b - a)
-        d16, d32 = self._slopes.at(self.base, a, b)
-        s16, s32 = d16 ** self.exponent, d32 ** self.exponent
-        sum16, sum32 = panel_sums(s16), panel_sums(s32)
-        c = s16[:, :1]
-        one = np.logical_and.reduce(s16 == c, axis=1)
-        one &= np.logical_and.reduce(s32 == c, axis=1)
-        return half * sum16, half * sum32, np.where(one, sum16, np.nan)
+        (d16, d32), flat = self._slopes.at(self.base, a, b)
+        sum16 = panel_sums(d16 ** self.exponent)
+        check = half * panel_sums(d32 ** self.exponent)
+        return half * sum16, check, np.where(flat, sum16, np.nan)
 
     def _refine(self, a: np.ndarray, b: np.ndarray):
         """Halve the sorted panels [a_i, b_i] until each meets its budget;
         returns the refined panels ``(a, b, value, flat)`` sorted by ``a``,
-        with the order-32 values, and the order-16 node sum of each panel
-        whose order-16 and order-32 samples are all one value (NaN for the
-        others).  Only the new halves are integrated on each pass."""
+        with the order-32 values and the ``flat`` sums of ``_rules``.  Only
+        the new halves are integrated on each pass."""
         kept = []
         for _ in range(self._MAX_PASSES):
             v, check, flat = self._rules(a, b)
@@ -487,11 +488,10 @@ class PowerIntegral(RealMap):
         return a[order], b[order], v[order], flat[order]
 
     def _build_table(self, lo: float, hi: float):
-        """Grow the table outward until it covers [lo, hi] and at least one
-        coarse panel on each side of 0; both new sides are refined together.
+        """Grow the table outward until it covers [lo, hi], lo < 0 < hi, to
+        the coarse edges around it; both new sides are refined together.
         The panel limit applies to that range alone, as on a fresh map, not
         to its union with the table held."""
-        lo, hi = float(min(lo, -self._PANEL)), float(max(hi, self._PANEL))
         if not hi - lo <= self._MAX_PANELS * self._PANEL:  # inf and nan too
             raise QuadratureFailure(
                 f"a power-integral table over [{lo:.6g}, {hi:.6g}] would need "
@@ -525,12 +525,14 @@ class PowerIntegral(RealMap):
             np.concatenate([sums[:n], flat[:-1], sums[n:], flat[-1:]]))
 
     def _ensure_table(self, lo: float, hi: float):
-        """The table, grown if needed to cover [min(lo, 0), max(hi, 0)] and
-        no further than ``_build_table`` rounds that range out."""
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
+        """The table, grown if needed to cover [lo, hi] with [-_PANEL, _PANEL],
+        the one place that widens a request; a fresh table's one edge, 0,
+        lies inside, so its first call builds.  ``_build_table`` rounds the
+        range out to the coarse edges."""
+        lo, hi = float(min(lo, -self._PANEL)), float(max(hi, self._PANEL))
         with self._slopes.lock:
             edges = self._table[0]
-            if edges.size < 2 or edges[0] > lo or edges[-1] < hi:
+            if edges[0] > lo or edges[-1] < hi:
                 self._build_table(lo, hi)
             return self._table
 
@@ -707,8 +709,7 @@ class Composition(RealMap):
     @property
     def maps(self) -> list:
         """The factors, outermost first, with nested compositions flattened."""
-        return [m for part in (self.outer, self.inner)
-                for m in (part.maps if isinstance(part, Composition) else [part])]
+        return [*self.outer.maps, *self.inner.maps]
 
     def children(self):
         return (self.outer, self.inner)
