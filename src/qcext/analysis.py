@@ -68,15 +68,27 @@ def half_plane_grid(x_min: float = -2.0, x_max: float = 2.0,
 
 def m_ratio(f: RealMap, x, t):
     """The two-sided quasisymmetry ratio (f(x+t) - f(x)) / (f(x) - f(x-t));
-    x and t broadcast.  The first x that is not finite, then the first t
-    that is not positive and finite, raises DomainError."""
+    x and t broadcast.  DomainError names the first bad x, or t, in C order:
+    an x that is not finite, a t that is not positive and finite, then an
+    x where x + t or x - t overflows, or rounds to x, where f or its
+    increments overflow, and where f does not increase in floats."""
     raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
     raise_at_first(~(np.greater(t, 0.0) & np.isfinite(t)), t,
                    "t must be positive and finite, got t={}")
-    num = f(x + t) - f(x)
-    den = f(x) - f(x - t)
-    if np.any(den <= 0):
-        raise DomainError("non-positive denominator: map is not increasing")
+    with np.errstate(over="ignore"):  # refused below
+        right, left = np.add(x, t), np.subtract(x, t)
+    at = np.broadcast_to(x, np.shape(right))
+    raise_at_first(~(np.isfinite(right) & np.isfinite(left)), at,
+                   "x + t or x - t overflows in floating point at x={}")
+    raise_at_first((right == at) | (left == at), at,
+                   "x + t or x - t rounds to x in floating point at x={}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        fx = f(x)
+        num, den = f(right) - fx, fx - f(left)
+    raise_at_first(~(np.isfinite(num) & np.isfinite(den)), at,
+                   "f or its increments overflow in floating point at x={}")
+    raise_at_first((num <= 0) | (den <= 0), at,
+                   "f is not increasing in floating point at x={}")
     return num / den
 
 
@@ -86,12 +98,16 @@ def estimate_m(f: RealMap, x_range=(-5.0, 5.0), t_range=(1e-3, 5.0),
 
     For a map with certified slope bounds (b, B) the estimate never exceeds
     B/b (mean-value bound on both increments).  A range end that is not
-    finite raises DomainError naming the first one.
+    finite raises DomainError naming the first one, and so does an x range
+    whose width overflows; ``m_ratio`` names a grid point it cannot take.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
     for name, ends in (("x", x_range), ("t", t_range)):
         raise_at_first(~np.isfinite(ends), ends, f"{name} range must be finite, got {{}}")
+    if not math.isfinite(x_range[1] - x_range[0]):
+        raise DomainError(f"x range [{x_range[0]:g}, {x_range[1]:g}] is wider "
+                          "than the floats")
     if not 0 < t_range[0] <= t_range[1]:
         raise DomainError("t range must be positive and increasing")
     xs = np.linspace(x_range[0], x_range[1], grid_n)

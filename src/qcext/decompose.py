@@ -24,8 +24,9 @@ chain-rule cancellation gives each factor the certified bounds
 The normalization f(0) = 0 is restored by an explicit affine translation
 factor (emitted only when f(0) != 0), so the full decomposition reads
 f = T o g_N o f_N o ... o f_1, outermost first.  The rounds factor
-``core`` = T^{-1} o f, built as the left fold of T^{-1} and the maps of f
-that a reload builds, so each factor, and the recomposition whose error is
+``core`` = T^{-1} o f, the left fold of T^{-1} and the factors f lists
+(``f.maps``), which a factor's description lists again.  Every description
+reloads to its tree, so each factor, and the recomposition whose error is
 certified, is bit for bit the map its description reloads to.
 
 Each P_{gamma_k} is written twice in the serialized factors: as the outer

@@ -26,7 +26,8 @@ Newton pass (``_eval_with_slope``) is only made on finite points inside
 those brackets, so a power integral reads its table there unchecked.
 ``map_from_dict`` keys every part of a description by its text, the whole
 too, and builds one object for equal texts, so a power integral written
-twice in it, as in a reloaded factorization, has one table.
+twice in it, as in a reloaded factorization, has one table.  Each map lists
+its own factors (``maps``), so every description reloads to its tree.
 """
 
 from __future__ import annotations
@@ -394,9 +395,8 @@ class PowerIntegral(RealMap):
     on each side of 0, and it grows outward on demand by appending panels
     and accumulating ``cum`` outward from 0, so growing never changes an
     entry it holds and a value does not depend on what was evaluated before.
-    A call grows it to the coarse edges around the range it asks for, with
-    ``[-_PANEL, _PANEL]``, and the ``_MAX_PANELS`` limit applies to that
-    range alone, so what was
+    A call grows it to the coarse edges around the range the call asks for,
+    and the ``_MAX_PANELS`` limit applies to that range alone, so what was
     evaluated before does not decide whether a call is refused either.
     ``P(edges[i]) == cum[i]`` bit for bit, which lets inversion bracket a
     preimage to one panel by ``searchsorted`` on ``cum``.  A build samples
@@ -708,8 +708,9 @@ class Composition(RealMap):
 
     @property
     def maps(self) -> list:
-        """The factors, outermost first, with nested compositions flattened."""
-        return [*self.outer.maps, *self.inner.maps]
+        """The factors, outermost first: the outer map's, then the inner map,
+        whose left fold is this tree, so a description reloads to it."""
+        return [*self.outer.maps, self.inner]
 
     def children(self):
         return (self.outer, self.inner)

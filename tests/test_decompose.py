@@ -245,9 +245,8 @@ def test_reload_keeps_the_certified_bounds_of_every_factor():
 
 
 def test_a_factorization_is_the_tree_its_factor_file_reloads_to():
-    # f is right-nested, while a description flattens a composition into
-    # its maps and a reload folds them left: the factors must be built on
-    # that fold, or the certified recomposition is not the map the file holds
+    # f is right-nested: the factors must be built on the tree a reload
+    # builds, or the certified recomposition is not the map the file holds
     f = Composition(bump_map(0.2, 1.0, 0.3),
                     Composition(bump_map(-0.5, 0.7, -0.2), Affine(1.3, 0.1)))
     assert f(0.0) != 0.0
@@ -263,3 +262,17 @@ def test_a_factorization_is_the_tree_its_factor_file_reloads_to():
     whole = map_from_dict({"kind": "composition", "maps": descs})
     assert np.array_equal(r(xs), whole(xs))
     assert np.array_equal(r.deriv(xs), whole.deriv(xs))
+
+
+def test_a_single_factor_reloads_to_its_own_tree():
+    # a near-identity map is returned as given: its description, nested
+    # compositions included, must reload to that map, bounds and all
+    f = Composition(bump_map(0.2, 1.0, 0.03),
+                    Composition(bump_map(-0.5, 0.7, -0.02), Affine(1.01, 0.1)))
+    fac = decompose_bilip(f, 0.2)
+    assert fac.factors == (f,) and fac.recomposition_error == 0.0
+    reloaded = map_from_dict(json.loads(json.dumps(fac.to_dict()))["factors"][0])
+    xs = np.linspace(-8.0, 8.0, 2001)
+    assert np.array_equal(f(xs), reloaded(xs))
+    assert np.array_equal(f.deriv(xs), reloaded.deriv(xs))
+    assert reloaded.deriv_bounds() == f.deriv_bounds()

@@ -144,6 +144,28 @@ LIBRARY_CHECKS = {
                             "x must be finite, got x=-inf"),
     "m_ratio t zero": (lambda: m_ratio(F, 0.0, np.array([1.0, 0.0])),
                        "t must be positive and finite, got t=0.0"),
+    # x +- t and f(x +- t) past the floats, or rounded onto x and f(x)
+    "m_ratio x + t overflows": (lambda: m_ratio(F, 1e308, 1e308),
+                                "x + t or x - t overflows in floating point at x=1e+308"),
+    "m_ratio x - t overflows": (lambda: m_ratio(F, -1e308, 1e308),
+                                "x + t or x - t overflows in floating point at x=-1e+308"),
+    "m_ratio first x that overflows": (
+        lambda: m_ratio(F, np.array([0.0, 1e308, -1e308]), 1e308),
+        "x + t or x - t overflows in floating point at x=1e+308"),
+    "m_ratio x + t rounds to x": (lambda: m_ratio(F, 1e308, 5.0),
+                                  "x + t or x - t rounds to x in floating point at x=1e+308"),
+    "m_ratio first x that rounds": (
+        lambda: m_ratio(F, np.array([1.0, 1e20, 1e308]), np.array([[1.0], [2.0]])),
+        "x + t or x - t rounds to x in floating point at x=1e+20"),
+    "m_ratio f overflows": (lambda: m_ratio(Affine(2.0), np.array([1.0, 1e308]), 1e300),
+                            "f or its increments overflow in floating point at x=1e+308"),
+    "m_ratio f flat in floats": (lambda: m_ratio(Affine(0.7), np.array([1.0, 1.6]), 2.0 ** -52),
+                                 "f is not increasing in floating point at x=1.6"),
+    "estimate_m x range too wide": (lambda: estimate_m(F, x_range=(-1e308, 1e308)),
+                                    "x range [-1e+308, 1e+308] is wider than the floats"),
+    "estimate_m x range past rounding": (
+        lambda: estimate_m(F, x_range=(1e308, 1.7e308)),
+        "x + t or x - t rounds to x in floating point at x=1e+308"),
     "sup_dilatation empty grid": (lambda: sup_dilatation(F, NS, np.empty(0, complex)),
                                   "grid must be nonempty"),
     "dilatation_bound": (lambda: dilatation_bound(NS, 2.0, 1.0),
