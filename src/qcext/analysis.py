@@ -160,7 +160,7 @@ def dilatation_values(f: RealMap, p: ExtParams, z):
             theta = np.ones_like(val)
     raise_at_first(ok & ~np.isfinite(val), np.asarray(z, dtype=complex),
                    "dilatation at z={} overflows in floating point")
-    return np.where(ok, val, np.nan), theta
+    return scalar_or_array(np.where(ok, val, np.nan)), scalar_or_array(theta)
 
 
 def dilatation_analytic(f: RealMap, p: ExtParams, z) -> SimpleNamespace:
@@ -170,7 +170,7 @@ def dilatation_analytic(f: RealMap, p: ExtParams, z) -> SimpleNamespace:
     val, theta = dilatation_values(f, p, z)
     raise_at_first(np.isnan(val), np.asarray(z, dtype=complex),
                    "derivative must be positive on evaluation points, not at z={}")
-    return SimpleNamespace(analytic=scalar_or_array(val), theta=scalar_or_array(theta))
+    return SimpleNamespace(analytic=val, theta=theta)
 
 
 def _stencil_points(z, h, what: str):

@@ -209,7 +209,15 @@ def _suite_dilatation(cfg, rng):
         else:
             f = map_kind if isinstance(map_kind, RealMap) \
                 else random_bump_map(rng, with_affine=False)
-            grid = analysis.half_plane_grid(-0.9, 0.9, 1.0, 200.0, 15, 40)
+            # along the characteristics u = x + a y, where the dilatation
+            # tends to 1 as y grows wherever f'' != 0: u over the hull of the
+            # finite breakpoints in convex steps (no overflow), y geometric
+            kinks = f.breakpoints()
+            kinks = kinks[np.isfinite(kinks)]
+            lo, hi = (kinks.min(), kinks.max()) if kinks.size else (-0.9, 0.9)
+            t = np.linspace(0.0, 1.0, 60)
+            u, ys = lo * (1.0 - t) + hi * t, np.geomspace(1.0, 1e4, 40)
+            grid = ((u[None, :] - p.a * ys[:, None]) + 1j * ys[:, None]).ravel()
             sup = analysis.sup_dilatation(f, p, grid)
         row = _check(f"supremum (expected not quasiconformal, alpha={p.alpha:g})",
                      sup, cfg["threshold"], invert=True)

@@ -22,7 +22,7 @@ alone.  Maps may list the points where their derivative is not smooth
 (``breakpoints``); tables put panel edges there.  Monotone inversion
 is one safeguarded Newton loop that starts from a bracket the map supplies:
 the certified slope bracket, or one table panel for a power integral.  A
-Newton pass (``_eval_with_slope``) is only made on finite points inside
+Newton pass (``_newton_eval``) is only made on finite points inside
 those brackets, so a power integral reads its table there unchecked.
 ``map_from_dict`` keys every part of a description by its text, the whole
 too, and builds one object for equal texts, so a power integral written
@@ -59,6 +59,14 @@ def _interval_power(lo: float, hi: float, exponent: float, what: str):
     except OverflowError:
         raise DomainError(f"{what} {exponent:g} overflows the certified slope "
                           f"bounds [{lo:.6g}, {hi:.6g}]") from None
+
+
+def _finite(what: str, v) -> float:
+    """``v`` as a float; DomainError naming ``what`` if it is not finite, as
+    a description of it would be refused."""
+    if not math.isfinite(v):
+        raise DomainError(f"{what} must be finite, got {v}")
+    return float(v)
 
 
 def _same_map(f: "RealMap", g: "RealMap") -> bool:
@@ -125,12 +133,11 @@ class RealMap:
         """
         return np.empty(0)
 
-    def _eval_with_slope(self, x):
-        """One Newton pass of ``_invert_array``: (f(x), f'(x)), or (f(x),
-        None) where the value pass samples no slope (here: always).  The
-        points are finite and lie in the brackets ``_inverse_start``
-        returned, so a kind may skip the checks those brackets passed."""
-        return self._eval(x), None
+    def _newton_eval(self, x):
+        """One Newton pass of ``_invert_array``: f(x) at points that are
+        finite and lie in the brackets ``_inverse_start`` returned, so a
+        kind may skip the checks those brackets passed."""
+        return self._eval(x)
 
     def _inverse_start(self, y: np.ndarray):
         """(lo, hi, x0) for a flat finite y: a certified bracket
@@ -189,7 +196,7 @@ class Affine(RealMap):
             raise DomainError(f"affine slope must be positive, got {slope}")
         super().__init__(slope, slope)
         self.slope = float(slope)
-        self.intercept = float(intercept)
+        self.intercept = _finite("affine intercept", intercept)
 
     def _eval(self, x):
         return self.slope * x + self.intercept
@@ -213,9 +220,9 @@ class BumpProfile:
     def __init__(self, center: float, halfwidth: float, amplitude: float):
         if not halfwidth > 0:
             raise DomainError(f"bump halfwidth must be positive, got {halfwidth}")
-        self.center = float(center)
-        self.halfwidth = float(halfwidth)
-        self.amplitude = float(amplitude)
+        self.center = _finite("bump center", center)
+        self.halfwidth = _finite("bump halfwidth", halfwidth)
+        self.amplitude = _finite("bump amplitude", amplitude)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -403,7 +410,7 @@ class PowerIntegral(RealMap):
     the base through the base's ``_NodeSlopes``, so each panel is sampled
     once for every exponent on that base object, and holds the store's
     lock, so the builds on one base run one at a time.  A Newton pass of
-    an inversion (``_eval_with_slope``), whose points lie in the panels
+    an inversion (``_newton_eval``), whose points lie in the panels
     ``_inverse_start`` found, reads the table without checking their range
     or finiteness again.
     Certified bounds are the interval power of the base bounds.
@@ -422,11 +429,11 @@ class PowerIntegral(RealMap):
     def __init__(self, base: RealMap, exponent: float):
         if not base.bilipschitz:
             raise DomainError("power integral requires a bi-Lipschitz base map")
+        self.exponent = _finite("power-integral exponent", exponent)
         lo, hi = _interval_power(base.deriv_lo, base.deriv_hi, exponent,
                                  "power-integral exponent")
         super().__init__(lo, hi)
         self.base = base
-        self.exponent = float(exponent)
         self._table = (np.zeros(1), np.zeros(1), np.full(1, np.nan))
         # the base's slopes at the table nodes and the lock of its tables,
         # shared with every power integral on the same base object; one is
@@ -537,44 +544,33 @@ class PowerIntegral(RealMap):
             return self._table
 
     def _eval(self, x):
-        return self._values(x, False)[0]
+        """The values at x, checked finite, with the table grown to cover x."""
+        if x.size == 0:
+            return x.copy()
+        lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN if any x is
+            raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
+        return self._read(x, self._ensure_table(lo, hi))
 
-    def _eval_with_slope(self, x):
-        return self._values(x, True)
+    def _newton_eval(self, x):
+        """A Newton pass's points are finite and lie in the panels
+        ``_inverse_start`` found, inside the table held, so neither is
+        checked."""
+        return self._read(x, self._table)
 
-    def _values(self, x, newton: bool):
-        """The values at x, and for a Newton pass (``newton``) the slopes at
-        every point where the rule samples the integrand at all: the points
-        ride along in its one call.  Where no point needs the rule (each is
-        at a table edge or on a flat panel) nothing is sampled and the
-        slopes are None.  A Newton pass's points are finite and lie in the
-        panels ``_inverse_start`` found, inside the table held, so neither
-        is checked; any other x is checked and the table grown to cover it."""
-        if newton:
-            edges, cum, flat = self._table
-        else:
-            if x.size == 0:
-                return x.copy(), None
-            lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
-            if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN if any x is
-                raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
-            edges, cum, flat = self._ensure_table(lo, hi)
+    def _read(self, x, table):
+        """The values at x from ``table``, which covers x: the rule from the
+        edge at or below each point, sampled only off the edges and flat
+        panels."""
+        edges, cum, flat = table
         idx = edges[1:].searchsorted(x, side="right")  # edges[0] <= x
         a, c = edges[idx], cum[idx]
         out = c + np.where(x == a, 0.0, 0.5 * (x - a) * flat[idx])
         rest = np.isnan(out).nonzero()[0]  # off the edges and flat panels
-        if not rest.size:
-            return out, None
-        at_points = []
-
-        def nodes_then_points(t):
-            v = self._deriv(np.concatenate([t, x]) if newton else t)
-            at_points.append(v[t.size:])
-            return v[:t.size]
-
-        out[rest] = c[rest] + panel_integrals(
-            nodes_then_points, a[rest], x[rest], self._ORDER)
-        return out, at_points[0] if newton else None
+        if rest.size:
+            out[rest] = c[rest] + panel_integrals(
+                self._deriv, a[rest], x[rest], self._ORDER)
+        return out
 
     def _deriv(self, x):
         return self.base._deriv(x) ** self.exponent
@@ -906,24 +902,22 @@ def _invert_array(f: RealMap, y: np.ndarray) -> np.ndarray:
     start point.  Each pass evaluates f on the points still active, and the
     residual's sign shrinks their brackets.  The iterates are finite and
     never leave their brackets, which is the contract of a Newton pass,
-    ``f._eval_with_slope``: a power integral then reads the table it grew
-    for the start without checking the points again.  A point
-    leaves the active set when its residual r is 0, or within tol and its
+    ``f._newton_eval``: a power integral then reads the table it grew for
+    the start without checking the points again.  A point leaves the
+    active set when its residual r is 0, or within tol and its
     previous pass took a Newton step with slope s that certifies one more
     step: the chord step x - r/s needs no evaluation, and its residual
     r (1 - f'/s), with f' in the certified bounds [b, B], is within half of
     tol (the other half is left for the error of evaluating f) when
     |r| max(B/s - 1, 1 - b/s) is.  That step brings the residual far below
-    tol.  The other points take f' from the value pass where that pass
-    samples it (a power integral's rule does, with the points in its call),
-    or evaluate it, and take the Newton step if it lands strictly inside
-    the bracket and is at most half as long as their previous step; the
-    length test breaks the two-cycles Newton can fall into where the slope
-    varies by a large factor.  A point whose step is refused leaves with
-    the clipped chord step if it is within tol and its own slope certifies
-    that step (where f is affine, a start one ulp from the root has a
-    Newton step that lands on the bracket end, and bisection would not
-    end); the others bisect.
+    tol.  The other points evaluate f' and take the Newton step if it lands
+    strictly inside the bracket and is at most half as long as their
+    previous step; the length test breaks the two-cycles Newton can fall
+    into where the slope varies by a large factor.  A point whose step is
+    refused leaves with the clipped chord step if it is within tol and its
+    own slope certifies that step (where f is affine, a start one ulp from
+    the root has a Newton step that lands on the bracket end, and bisection
+    would not end); the others bisect.
     """
     raise_at_first(~np.isfinite(y), y, "y must be finite, got y={}")
     if y.size == 0:
@@ -945,7 +939,7 @@ def _invert_array(f: RealMap, y: np.ndarray) -> np.ndarray:
     act, xa, ya, la, ha = np.arange(y.size), x, y, lo, hi
     s, dx = None, hi - lo
     for _ in range(_MAX_ITER):
-        fx, d = f._eval_with_slope(xa)
+        fx = f._newton_eval(xa)
         r = fx - ya
         below = r < 0.0
         la, ha = np.where(below, xa, la), np.where(below, ha, xa)
@@ -965,9 +959,7 @@ def _invert_array(f: RealMap, y: np.ndarray) -> np.ndarray:
             if not keep.size:
                 return x
             act, xa, ya, r, la, ha, dx = (v[keep] for v in (act, xa, ya, r, la, ha, dx))
-            d = None if d is None else d[keep]
-        if d is None:
-            d = f._deriv(xa)
+        d = f._deriv(xa)
         step = r / d
         xn = xa - step
         newton = (xn > la) & (xn < ha) & (np.abs(step) <= 0.5 * dx)

@@ -358,6 +358,16 @@ def test_verify_dilatation_cubic_expected_failure(tmp_path, capsys):
     assert "not quasiconformal" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_dilatation_flags_every_random_map_at_alpha_zero(tmp_path, capsys, seed):
+    # the alpha = 0 member is never quasiconformal; the grid follows the
+    # characteristics through the bumps out to large y
+    cfg = write_json(tmp_path / "cfg.json", {"seed": seed, "expect": "not-quasiconformal"})
+    assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("flag: not quasiconformal") and "1/1 checks passed" in out
+
+
 def test_verify_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -640,12 +650,14 @@ def test_decompose_where_a_table_panel_underflows_is_silent(tmp_path, capsys):
 
 
 # bumps whose halfwidth squared leaves the float range, though amplitude /
-# halfwidth ** 2, their second derivative's scale, does not
+# halfwidth ** 2, their second derivative's scale, does not; the last one's
+# support ends past the floats, at inf
 FAR_BUMPS = [{"center": 0.0, "halfwidth": 1e-200, "amplitude": 1e-201},
-             {"center": 0.0, "halfwidth": 1e200, "amplitude": 1e199}]
+             {"center": 0.0, "halfwidth": 1e200, "amplitude": 1e199},
+             {"center": 1e308, "halfwidth": 1e308, "amplitude": 1e307}]
 
 
-@pytest.mark.parametrize("bump", FAR_BUMPS, ids=["narrow", "wide"])
+@pytest.mark.parametrize("bump", FAR_BUMPS, ids=["narrow", "wide", "unbounded"])
 def test_bump_with_overflowing_square_halfwidth_has_finite_cells(tmp_path, capsys, bump):
     desc = {"kind": "identity-plus-bump", "bumps": [bump]}
     assert math.isfinite(map_from_dict(desc).second_deriv(bump["center"]))
@@ -655,10 +667,15 @@ def test_bump_with_overflowing_square_halfwidth_has_finite_cells(tmp_path, capsy
     assert all(math.isfinite(float(cell)) for row in read_csv_rows(out) for cell in row)
     config = write_json(tmp_path / "cfg.json", {"trials": 1, "map": desc,
                                                 "expect": "not-quasiconformal"})
-    assert main(["verify", "--suite", "dilatation", "--config", config]) == 1
+    # the narrow bump bends, so its alpha = 0 member is not quasiconformal;
+    # the others' f'' (amplitude / halfwidth ** 2) is too small to show it
+    code = 0 if bump["halfwidth"] < 1.0 else 1
+    assert main(["verify", "--suite", "dilatation", "--config", config]) == code
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert math.isfinite(float(captured.out.split(": ")[1].split()[0]))
+    row, = (line for line in captured.out.splitlines()
+            if line.startswith(("PASS", "FAIL")))
+    assert math.isfinite(float(row.split(": ")[1].split()[0]))
 
 
 def test_decompose_subcommand_writes_factors(tmp_path):

@@ -12,8 +12,8 @@ import qcext.douady_earle as douady_earle
 import qcext.quadrature as quadrature
 from qcext.analysis import (CubicMap, boundary_residual, compare_dilatation,
                             dilatation_analytic, dilatation_bound,
-                            dilatation_numeric, estimate_m, m_ratio,
-                            pde_residual, sup_dilatation)
+                            dilatation_numeric, dilatation_values, estimate_m,
+                            m_ratio, pde_residual, sup_dilatation)
 from qcext.beurling_ahlfors import ba_affine_naturality_residual, extend_ba
 from qcext.cli import main
 from qcext.douady_earle import (CircleMap, MobiusAutomorphism, de_defect,
@@ -21,8 +21,8 @@ from qcext.douady_earle import (CircleMap, MobiusAutomorphism, de_defect,
 from qcext.errors import DomainError, NonConvergence, QuadratureFailure
 from qcext.extensions import ExtParams, extend_ns
 from qcext.quadrature import adaptive_integral
-from qcext.realmap import (Affine, InverseMap, PowerIntegral, SampledMonotone,
-                           bump_map)
+from qcext.realmap import (Affine, BumpProfile, InverseMap, PowerIntegral,
+                           SampledMonotone, bump_map)
 
 F = bump_map(0.0, 1.0, 0.3)
 NS = ExtParams(1.0, 2.0)
@@ -109,6 +109,10 @@ ZERO_D = {
     "theta": (lambda: dilatation_analytic(F, NS, 0.3 + 0.5j).theta, float),
     "alpha 0 theta": (lambda: dilatation_analytic(F, ExtParams(0.0, 0.0),
                                                   0.3 + 0.5j).theta, float),
+    "dilatation value": (lambda: dilatation_values(F, NS, 0.3 + 0.5j)[0], float),
+    "dilatation value theta": (lambda: dilatation_values(F, NS, 0.3 + 0.5j)[1], float),
+    "alpha 0 dilatation value": (lambda: dilatation_values(F, ExtParams(0.0, 0.0),
+                                                           0.3 + 0.5j)[0], float),
     "numeric dilatation": (lambda: _numeric(0.3 + 0.5j), float),
     "dilatation gap": (lambda: compare_dilatation(F, NS, 0.3 + 0.5j, 1e-3).gap, float),
     "boundary residual": (lambda: boundary_residual(NS, F, y=0.1), float),
@@ -175,6 +179,17 @@ LIBRARY_CHECKS = {
     "de_naturality_residual mode": (lambda: de_naturality_residual(
         DISK, MobiusAutomorphism(0.3, 0.2 + 0.1j), 0.1j, mode="both"),
         "mode must be 'pre' or 'post', got 'both'"),
+    # a number a description would refuse, refused by the constructor too
+    "affine intercept NaN": (lambda: Affine(1.0, NAN),
+                             "affine intercept must be finite, got nan"),
+    "bump center inf": (lambda: bump_map(INF, 1.0, 0.3),
+                        "bump center must be finite, got inf"),
+    "bump halfwidth inf": (lambda: BumpProfile(0.0, INF, 0.3),
+                           "bump halfwidth must be finite, got inf"),
+    "bump amplitude NaN": (lambda: bump_map(0.0, 1.0, NAN),
+                           "bump amplitude must be finite, got nan"),
+    "power-integral exponent NaN": (lambda: PowerIntegral(Affine(1.0), NAN),
+                                    "power-integral exponent must be finite, got nan"),
     # accepted, not refused: no point in, no point out
     "power integral of no points": (lambda: PowerIntegral(F, 0.5)(np.empty(0)), None),
 }

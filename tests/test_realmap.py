@@ -260,13 +260,13 @@ def _inversion_maps():
 
 
 def test_every_newton_pass_lies_in_the_bracket_of_its_point(monkeypatch):
-    # the contract of _eval_with_slope, which lets a power integral read its
+    # the contract of _newton_eval, which lets a power integral read its
     # table unchecked: finite points inside the brackets _inverse_start gave
     # (the lists are bound per map: an inverse's own inversions of its base,
     # another map of the list, record on the base)
     for f in _inversion_maps() + [Affine(1.7, -0.4)]:
         brackets, passes = [], []
-        start, newton = f._inverse_start, f._eval_with_slope
+        start, newton = f._inverse_start, f._newton_eval
 
         def started(y, start=start, brackets=brackets):
             brackets.append(start(y))
@@ -277,7 +277,7 @@ def test_every_newton_pass_lies_in_the_bracket_of_its_point(monkeypatch):
             return newton(x)
 
         monkeypatch.setattr(f, "_inverse_start", started)
-        monkeypatch.setattr(f, "_eval_with_slope", passed)
+        monkeypatch.setattr(f, "_newton_eval", passed)
         for y in (-30.0, -2.0, -0.37, 0.0, 1e-3, 0.9, 2.5, 40.0):
             brackets.clear(), passes.clear()
             x = _invert_array(f, np.array([y]))
@@ -346,12 +346,12 @@ def test_inversion_leaves_a_start_within_tol_on_an_affine_piece(monkeypatch):
     # within one ulp, and its Newton step lands on the bracket end
     y = 1.9090909090909092
     f = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
-    passes = counted(monkeypatch, f, "_eval_with_slope")
+    passes = counted(monkeypatch, f, "_newton_eval")
     x = InverseMap(f)(y)
     assert len(passes) == 1
     assert abs(f(x) - y) <= 1e-11
     g = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
-    passes = counted(monkeypatch, g, "_eval_with_slope")
+    passes = counted(monkeypatch, g, "_newton_eval")
     ys = np.linspace(-3.0, 3.0, 100)
     xs = InverseMap(g)(ys)
     assert len(passes) == 4
@@ -379,7 +379,7 @@ def test_an_inversion_inside_the_table_checks_the_table_at_most_once(monkeypatch
     f = PowerIntegral(bump_map(0.2, 1.1, 0.3), 0.5)
     ys = f(np.linspace(-2.5, 2.5, 101)) + 1e-3
     ensure = counted(monkeypatch, f, "_ensure_table")
-    passes = counted(monkeypatch, f, "_eval_with_slope")
+    passes = counted(monkeypatch, f, "_newton_eval")
     xs = InverseMap(f)(ys)
     assert len(passes) >= 3
     assert len(ensure) <= 1
@@ -1090,3 +1090,34 @@ def test_property_power_integral_is_the_rule_from_the_edge_below(seed, kind, exp
     idx = np.searchsorted(edges, xs, side="right") - 1
     ref = cum[idx] + panel_integrals(f._deriv, edges[idx], xs, f._ORDER)
     assert np.array_equal(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["bump", "sampled", "taper"]),
+       exponent=st.floats(-2.5, 2.5),
+       us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_property_newton_read_has_the_bits_of_the_checked_read(seed, kind, exponent, us):
+    # the unchecked read of a Newton pass, at points inside the table held
+    # (edges, their neighbours and flat panels too), is the checked read
+    rng = np.random.default_rng(seed)
+    if kind == "sampled":
+        xs = np.linspace(-3.0, 3.0, int(rng.integers(4, 16)))
+        base = SampledMonotone(xs, xs + rng.uniform(-0.4, 0.4)
+                               * np.sin(rng.uniform(0.5, 2.0) * xs))
+    elif kind == "taper":
+        base = Tapered(Composition(Affine(1.05, 0.1),
+                                   make_bump_map(rng, affine_prob=0.0, slope_budget=0.3)),
+                       float(rng.uniform(1.5, 4.0)))
+    else:
+        base = make_bump_map(rng)
+    f = PowerIntegral(base, exponent)
+    f(np.array([-8.0, 8.0]))
+    held = table_bits(f)
+    edges, _, flat = f._table
+    i = np.flatnonzero(~np.isnan(flat))
+    xs = np.concatenate([edges[0] + (edges[-1] - edges[0]) * np.asarray(us), edges,
+                         np.nextafter(edges[:-1], np.inf), np.nextafter(edges[1:], -np.inf),
+                         0.5 * (edges[i] + edges[i + 1])])
+    got = f._newton_eval(xs)
+    assert table_bits(f) == held
+    assert got.tobytes() == f(xs).tobytes()
