@@ -12,15 +12,16 @@ componentwise and take moduli by hypot, as Python's complex arithmetic does).
 For alpha > 0 the modulus of the Beltrami quotient of F = E_{a,alpha} f is
 
     |1 - theta| / |1 - e^{i sigma} theta|,
-    theta = f'(x - (alpha - a) y) / f'(x + a y),
+    theta = f'(x + (a - alpha) y) / f'(x + a y),
 
 with the unit-modulus factor e^{i sigma} depending only on (a, alpha).  At
 alpha = 0 the quotient degenerates to the limiting closed form
 
     (1 + a^2) |y f''(u)| / |2 f'(u) + i (1 + a^2) y f''(u)|,  u = x + a y,
 
-whose supremum over the half-plane equals 1 for every non-affine C^2 map:
-the alpha = 0 member is a diffeomorphism but never quasiconformal.
+(divided through by a^2 where 1 + a^2 overflows), whose supremum over the
+half-plane equals 1 for every non-affine C^2 map: the alpha = 0 member is a
+diffeomorphism but never quasiconformal.
 """
 
 from __future__ import annotations
@@ -143,20 +144,21 @@ def dilatation_values(f: RealMap, p: ExtParams, z):
     a, al = p.a, p.alpha
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         if al > 0:
-            d1 = f.deriv(x + a * y)
-            d2 = f.deriv(x - (al - a) * y)
+            d1, d2 = (f.deriv(x + t * y) for t in p.nodes)
             ok = (d1 > 0) & (d2 >= 0)
             theta = d2 / np.where(ok, d1, 1.0)
             sig = sigma_factor(p)
             val = np.abs(1.0 - theta) / np.abs(1.0 - sig * theta)
         else:
             u = x + a * y
-            d1 = f.deriv(u)
+            d1, d2 = f.deriv(u), f.second_deriv(u)
             ok = d1 > 0
-            d2 = f.second_deriv(u)
-            scale = 1.0 + a * a
-            val = (scale * np.abs(y * d2)
-                   / np.abs(2.0 * np.where(ok, d1, 1.0) + 1j * scale * y * d2))
+            d1, scale = np.where(ok, d1, 1.0), 1.0 + a * a
+            if math.isinf(scale):  # divide through by a * a; 0 where y f'' = 0
+                w = y * d2
+                val = np.where(w == 0.0, 0.0, np.abs(w) / np.abs(2.0 * d1 / a / a + 1j * w))
+            else:
+                val = scale * np.abs(y * d2) / np.abs(2.0 * d1 + 1j * scale * y * d2)
             theta = np.ones_like(val)
     raise_at_first(ok & ~np.isfinite(val), np.asarray(z, dtype=complex),
                    "dilatation at z={} overflows in floating point")

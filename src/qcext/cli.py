@@ -76,27 +76,20 @@ def random_group_params(rng: np.random.Generator,
 _NAN = {"csv": "", "json": "null"}
 
 
-def _cell_texts(v: np.ndarray, nan: str | None = None) -> list:
-    """The repr of each float of v, with ``nan``, when given, for a NaN: one
-    repr per distinct bit pattern (so -0.0 keeps its sign), since a column
-    of a locally affine map repeats many values."""
-    bits, where = np.unique(np.ascontiguousarray(v).view(np.int64),
-                            return_inverse=True)
-    texts = list(map(repr, bits.view(np.float64).tolist()))
-    if nan is not None:
-        texts = [nan if t == "nan" else t for t in texts]
-    return np.array(texts, dtype=object)[where].tolist()
-
-
 def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
                 fmt: str):
     """Write the columns (x + iy, re + i im, dilatation) of the rows to
     out_path, or to stdout if it is None, as the bytes csv.writer over repr
     cells (fmt "csv") or json.dumps(rows, indent=1) and a newline (fmt
-    "json") would write, one f-string per row."""
-    rows = zip(_cell_texts(zs.real), _cell_texts(zs.imag),
-               _cell_texts(vals.real), _cell_texts(vals.imag),
-               _cell_texts(dil, _NAN[fmt]))
+    "json") would write, one f-string per row.  Each distinct bit pattern
+    of the cells is spelled once (so -0.0 keeps its sign), since the columns
+    of a locally affine map repeat many values."""
+    cells = np.column_stack([zs.real, zs.imag, vals.real, vals.imag, dil])
+    bits, where = np.unique(cells.view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64)
+    texts = np.array(list(map(repr, floats.tolist())), dtype=object)
+    texts[np.isnan(floats)] = _NAN[fmt]  # only the dilatation column holds NaN
+    rows = texts[where].reshape(cells.shape).tolist()
     if fmt == "csv":
         text = "x,y,re,im,dilatation\r\n" + "".join(
             [f"{x},{y},{re},{im},{d}\r\n" for x, y, re, im, d in rows])
@@ -197,28 +190,23 @@ def _suite_boundary(cfg, rng):
 
 def _suite_dilatation(cfg, rng):
     if cfg["expect"] == "not-quasiconformal":
-        map_kind = cfg["map"]
-        # any map but the cubic is checked at alpha = 0
-        p = ExtParams(cfg["a"], cfg["alpha"] if map_kind == "cubic" else 0.0)
-        if map_kind == "cubic":
-            ys = np.geomspace(0.05, 1.0, 12)
-            offs = np.linspace(-0.02, 0.02, 9)
-            grid = (ys[:, None] * (1.0 + offs[None, :])
-                    + 1j * ys[:, None]).ravel()
-            sup = analysis.sup_dilatation(analysis.CubicMap(), p, grid)
-        else:
-            f = map_kind if isinstance(map_kind, RealMap) \
-                else random_bump_map(rng, with_affine=False)
-            # along the characteristics u = x + a y, where the dilatation
-            # tends to 1 as y grows wherever f'' != 0: u over the hull of the
-            # finite breakpoints in convex steps (no overflow), y geometric
-            kinks = f.breakpoints()
-            kinks = kinks[np.isfinite(kinks)]
-            lo, hi = (kinks.min(), kinks.max()) if kinks.size else (-0.9, 0.9)
-            t = np.linspace(0.0, 1.0, 60)
-            u, ys = lo * (1.0 - t) + hi * t, np.geomspace(1.0, 1e4, 40)
-            grid = ((u[None, :] - p.a * ys[:, None]) + 1j * ys[:, None]).ravel()
-            sup = analysis.sup_dilatation(f, p, grid)
+        f = cfg["map"] if isinstance(cfg["map"], RealMap) \
+            else random_bump_map(rng, with_affine=False)
+        # a bi-Lipschitz map is checked at alpha = 0, any other (the cubic)
+        # at (a, alpha).  The grid follows the characteristics x = u - t y of
+        # each node t, where the dilatation tends to 1 as y grows wherever f
+        # bends: u over the hull of the finite breakpoints in convex steps
+        # (no overflow), y geometric.  A point where f' = 0 (the cubic at 0)
+        # has no dilatation and is left out of the supremum
+        p = ExtParams(cfg["a"], 0.0 if f.bilipschitz else cfg["alpha"])
+        kinks = f.breakpoints()
+        kinks = kinks[np.isfinite(kinks)]
+        lo, hi = (kinks.min(), kinks.max()) if kinks.size else (-0.9, 0.9)
+        t = np.linspace(0.0, 1.0, 60)
+        u, ys = lo * (1.0 - t) + hi * t, np.geomspace(1.0, 1e4, 40)[:, None]
+        nodes = np.unique(p.nodes)[:, None, None]
+        dil, _ = analysis.dilatation_values(f, p, ((u - nodes * ys) + 1j * ys).ravel())
+        sup = float(np.nanmax(dil))
         row = _check(f"supremum (expected not quasiconformal, alpha={p.alpha:g})",
                      sup, cfg["threshold"], invert=True)
         if row[3]:
@@ -337,8 +325,9 @@ _CONFIG = {
     "trials": (_TRIALS, REQUIRED),  # the suite's default is filled in first
     "seed": (_COUNT, 0),
     "map": (Field('"random", "cubic" or a map description',
-                  lambda v: v if v in ("random", "cubic") else MAP.check(v), None),
-             "random"),
+                  lambda v: v if v == "random"
+                  else MAP.check({"kind": v} if v == "cubic" else v), None),
+            "random"),
     "expect": (Field(" or ".join(map(repr, _EXPECT)),
                      lambda v: v if v in _EXPECT else None, None), "quasiconformal"),
     "a": (NUMBER, 1.0),
@@ -355,10 +344,10 @@ def _fields_read(suite: str, cfg: dict) -> tuple[tuple, str]:
         return ("trials", "seed") + (("eps0",) if suite == "decompose" else ()), ""
     if cfg["expect"] == "quasiconformal":
         return ("trials", "seed", "expect"), " under expect 'quasiconformal'"
-    if cfg["map"] == "cubic":
-        return ("trials", "seed", "expect", "map", "a", "alpha", "threshold"), ""
-    return (("trials", "seed", "expect", "map", "a", "threshold"),
-            " for a map other than 'cubic', which is checked at alpha = 0")
+    read = ("trials", "seed", "expect", "map", "a", "threshold")
+    if cfg["map"] != "random" and not cfg["map"].bilipschitz:
+        return read + ("alpha",), ""
+    return read, " for a bi-Lipschitz map, which is checked at alpha = 0"
 
 
 def _load_config(args, default_trials: int) -> dict:

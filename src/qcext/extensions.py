@@ -1,8 +1,8 @@
 """The two-parameter shear-extension family on the upper half-plane.
 
 ``extend_family`` evaluates the operator with parameters (a, alpha): for
-alpha > 0 it averages boundary values at x + a*y and x - (alpha - a)*y with
-complex weights; alpha = 0 is the limiting first-order form using f'.  The
+alpha > 0 it averages f at x + t*y, t = a and a - alpha, with complex
+weights; alpha = 0 is the limiting first-order form using f'.  The
 parameter pairs with alpha > 0 form a group under
 (a, alpha) . (b, beta) = (a + alpha*b, alpha*beta), acting on any extension
 operator by conjugation with the shears S(z) = x + a*y + i*alpha*y; the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, raise_at_first
+from .errors import DomainError, raise_at_first, scalar_or_array
 from .realmap import RealMap
 
 
@@ -52,6 +52,12 @@ class ExtParams:
         if self.alpha < 0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
+    @property
+    def nodes(self) -> tuple[float, float]:
+        """The nodes t = a and a - alpha: the member samples f at x + t*y,
+        at one point twice when alpha = 0."""
+        return (self.a, self.a - self.alpha)
+
     def require_group(self) -> None:
         if not self.alpha > 0:
             raise DomainError("group operations require alpha > 0")
@@ -61,8 +67,7 @@ def shear(a: float, alpha: float, z):
     """S(z) = (x + a*y) + i*alpha*y; preserves the upper half-plane."""
     if not alpha > 0:
         raise DomainError(f"shear requires alpha > 0, got {alpha}")
-    require_upper_half(z)
-    return _shear_value(a, alpha, z)
+    return scalar_or_array(_shear_value(a, alpha, np.asarray(require_upper_half(z))))
 
 
 def _shear_value(a: float, alpha: float, w):
@@ -84,9 +89,9 @@ def group_inv(g: ExtParams) -> ExtParams:
 def extend_family(p: ExtParams, f: RealMap, z):
     """Evaluate the (a, alpha) extension of f at z (scalar or ndarray).
 
-    alpha > 0:
-        (1 - a/alpha) f(x + a y) + (a/alpha) f(x - (alpha - a) y)
-        + (i/alpha) [f(x + a y) - f(x - (alpha - a) y)]
+    alpha > 0, at the nodes (a, a - alpha):
+        (1 - a/alpha) f(x + a y) + (a/alpha) f(x + (a - alpha) y)
+        + (i/alpha) [f(x + a y) - f(x + (a - alpha) y)]
     alpha = 0 (limiting case):
         f(x + a y) - a y f'(x + a y) + i y f'(x + a y)
 
@@ -99,8 +104,7 @@ def extend_family(p: ExtParams, f: RealMap, z):
     a, alpha = p.a, p.alpha
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         if alpha > 0:
-            fu1 = f(x + a * y)
-            fu2 = f(x - (alpha - a) * y)
+            fu1, fu2 = (f(x + t * y) for t in p.nodes)
             re = (1.0 - a / alpha) * fu1 + (a / alpha) * fu2
             out = re + 1j * ((fu1 - fu2) / alpha)
         else:

@@ -271,7 +271,8 @@ class IdentityPlusBump(RealMap):
             [(b.center, b.halfwidth, *b.factors) for b in bumps]).T[:, :, None]
 
     def breakpoints(self):
-        return np.array([e for b in self.bumps for e in b.support])
+        """The support ends that are floats (an end may leave the range)."""
+        return np.array([e for b in self.bumps for e in b.support if math.isfinite(e)])
 
     def _on_support(self, x):
         """(t, u), one row per bump: t = (x - center)/halfwidth clamped to

@@ -343,19 +343,29 @@ def test_verify_suite_report_at_two_trials(capsys, suite):
 
 
 def test_verify_dilatation_cubic_expected_failure(tmp_path, capsys):
-    cfg = write_json(tmp_path / "cfg.json",
-                     {"map": "cubic", "a": 1.0, "alpha": 2.0,
-                      "expect": "not-quasiconformal"})
-    code = main(["verify", "--suite", "dilatation", "--config", cfg])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "not quasiconformal" in out
-    # a map other than the cubic is checked at alpha = 0, which reads a
+    # the cubic is not bi-Lipschitz, so it is checked at its own (a, alpha),
+    # along the characteristics of both nodes; at alpha = 0.9 one grid point
+    # lands on f' = 0, where the dilatation is undefined
+    for a, alpha in [(1.0, 2.0), (0.5, 3.0), (-1.0, 0.5), (0.0, 0.0), (2.0, 0.3),
+                     (1.0, 0.9)]:
+        cfg = write_json(tmp_path / "cfg.json", {"map": "cubic", "a": a, "alpha": alpha,
+                                                 "expect": "not-quasiconformal"})
+        assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0, (a, alpha)
+        out = capsys.readouterr().out
+        assert out.startswith("flag: not quasiconformal") and "1/1 checks passed" in out
+    # a bi-Lipschitz map is checked at alpha = 0, which reads a
     cfg = write_json(tmp_path / "cfg.json",
                      {"map": BUMP, "a": 0.5, "threshold": 0.9,
                       "expect": "not-quasiconformal"})
     assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0
     assert "not quasiconformal" in capsys.readouterr().out
+
+
+def test_verify_dilatation_at_alpha_zero_past_the_square_of_a(tmp_path, capsys):
+    # 1 + a * a overflows; the closed form divided through by a * a does not
+    cfg = write_json(tmp_path / "cfg.json", {"expect": "not-quasiconformal", "a": 1e300})
+    assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("flag: not quasiconformal")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -538,7 +548,7 @@ BAD_INPUTS = [
      {"expect": "not-quasiconformal", "alpha": 1.0}, ["'alpha'", "alpha = 0"]),
     (["verify", "--suite", "dilatation", "--config", "@config"],
      {"map": {"kind": "affine", "slope": 2.0}, "expect": "not-quasiconformal",
-      "alpha": 2.0}, ["'alpha'", "cubic"]),
+      "alpha": 2.0}, ["'alpha'", "bi-Lipschitz"]),
     # a circle-map file cut short, read like any other map file
     (["extend", "--method", "de", "--map", "@cut", *DISK_GRID], None,
      ["invalid JSON map description"]),

@@ -3,6 +3,7 @@ raises DomainError naming the first one in C order, and a 0-d result is a
 Python float or complex.  And a solver that runs out of budget raises a
 typed error naming the point or the interval."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from qcext.cli import main
 from qcext.douady_earle import (CircleMap, MobiusAutomorphism, de_defect,
                                 de_naturality_residual, extend_de)
 from qcext.errors import DomainError, NonConvergence, QuadratureFailure
-from qcext.extensions import ExtParams, extend_ns
+from qcext.extensions import ExtParams, act, extend_family, extend_ns, shear
 from qcext.quadrature import adaptive_integral
 from qcext.realmap import (Affine, BumpProfile, InverseMap, PowerIntegral,
                            SampledMonotone, bump_map)
@@ -91,6 +92,12 @@ def test_the_first_bad_point_is_named_exactly(case):
 
 
 ZERO_D = {
+    "shear": (lambda: shear(0.5, 2.0, np.array(0.3 + 0.7j)), complex),
+    "act": (lambda: act(NS, functools.partial(extend_family, ExtParams(0.0, 1.0)), F,
+                        np.array(0.3 + 0.5j)), complex),
+    "extend_family": (lambda: extend_family(ExtParams(-0.5, 1.5), F, np.array(0.3 + 0.5j)),
+                      complex),
+    "extend_ns": (lambda: extend_ns(F, np.array(0.3 + 0.5j)), complex),
     "map value": (lambda: F(0.3), float),
     "map slope": (lambda: F.deriv(np.float64(0.3)), float),
     "map second derivative": (lambda: F.second_deriv(np.array(0.3)), float),

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcext.analysis import boundary_constant, dilatation_values, half_plane_grid
+from qcext.analysis import (boundary_constant, dilatation_values, half_plane_grid,
+                            sigma_factor)
 from qcext.errors import DomainError
 from qcext.extensions import (ExtParams, act, extend_family, extend_ns,
                               group_inv, group_mul, shear)
-from qcext.realmap import Affine, bump_map
+from qcext.realmap import Affine, BumpProfile, Composition, IdentityPlusBump, bump_map
 from conftest import make_bump_map, make_params
 
 
@@ -300,3 +301,59 @@ def test_property_group_inverse_cancels(a, alpha, b, beta):
     prod = group_mul(group_mul(g1, g2), group_inv(g2))
     assert prod.a == pytest.approx(g1.a, rel=1e-9, abs=1e-9)
     assert prod.alpha == pytest.approx(g1.alpha, rel=1e-9)
+
+
+# -- the nodes own the sample points, bit for bit ---------------------------------
+
+def _written_out_family(p, f, z):
+    """extend_family as written before the nodes (a, a - alpha) chose the
+    sample points: x + a y and x - (alpha - a) y."""
+    x, y, a, alpha = z.real, z.imag, p.a, p.alpha
+    if alpha > 0:
+        fu1, fu2 = f(x + a * y), f(x - (alpha - a) * y)
+        return (1.0 - a / alpha) * fu1 + (a / alpha) * fu2 + 1j * ((fu1 - fu2) / alpha)
+    u = x + a * y
+    d = f.deriv(u)
+    return f(u) - a * y * d + 1j * y * d
+
+
+def _written_out_dilatation(p, f, z):
+    """dilatation_values as written before the nodes chose the sample points."""
+    x, y, a, al = z.real, z.imag, p.a, p.alpha
+    if al > 0:
+        d1, d2 = f.deriv(x + a * y), f.deriv(x - (al - a) * y)
+        ok = (d1 > 0) & (d2 >= 0)
+        theta = d2 / np.where(ok, d1, 1.0)
+        val = np.abs(1.0 - theta) / np.abs(1.0 - sigma_factor(p) * theta)
+    else:
+        u = x + a * y
+        d1 = f.deriv(u)
+        ok = d1 > 0
+        d2 = f.second_deriv(u)
+        scale = 1.0 + a * a
+        val = (scale * np.abs(y * d2)
+               / np.abs(2.0 * np.where(ok, d1, 1.0) + 1j * scale * y * d2))
+        theta = np.ones_like(val)
+    return np.where(ok, val, np.nan), theta
+
+
+NODE_MAP = Composition(Affine(1.3, -0.2), IdentityPlusBump(
+    [BumpProfile(-0.7, 0.9, 0.12), BumpProfile(0.8, 1.4, -0.2)]))
+NODE_GRID = half_plane_grid(-2.5, 2.5, 1e-3, 3.0, 9, 7)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-1e3, 1e3),
+       alpha=st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-3, 2.0)))
+def test_property_nodes_keep_the_family_and_its_dilatation_bit_for_bit(a, alpha):
+    p = ExtParams(a, alpha)
+    assert p.nodes == (a, a - alpha)
+    assert _bits(extend_family(p, NODE_MAP, NODE_GRID)) == _bits(
+        _written_out_family(p, NODE_MAP, NODE_GRID))
+    for got, ref in zip(dilatation_values(NODE_MAP, p, NODE_GRID),
+                        _written_out_dilatation(p, NODE_MAP, NODE_GRID)):
+        assert _bits(got) == _bits(ref)

@@ -10,7 +10,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qcext.analysis import dilatation_values
 from qcext.decompose import TOL, decompose_bilip
+from qcext.extensions import ExtParams
 from qcext.realmap import (_VALUE_TOL, Affine, BumpProfile, Composition,
                            IdentityPlusBump, InverseMap, PowerIntegral,
                            SampledMonotone, Tapered, bump_map)
@@ -149,3 +151,25 @@ def test_decomposition_factors_and_recomposition_against_mpmath(f, lo, hi, eps0)
     assert np.max(np.abs(u - exact)) <= TOL
     if lo > 10.0:  # decompose_bilip checks [-10, 10] only, where f is the identity
         assert fac.recomposition_error == 0.0
+
+
+def test_alpha_zero_dilatation_past_the_square_of_a_against_mpmath():
+    # 1 + a * a overflows at a = 2e154: the dilatation is 0 where f'' is 0
+    # (x + a y past the support) and about 1 where it is not (x + a y = 0)
+    c, h, amp, a = 0.2, 1.0, 0.3, 2e154
+    zs = [0.5 + 1j, 3.0 + 1j, complex(-a, 1.0), complex(-a * 0.5, 0.5)]
+    got = dilatation_values(bump_map(c, h, amp), ExtParams(a, 0.0), zs)[0]
+
+    def exact(z):  # (1 + a^2) |y f''(u)| / |2 f'(u) + i (1 + a^2) y f''(u)|, u = x + a y
+        x, y = mp.mpf(z.real), mp.mpf(z.imag)
+        t = (x + a * y - c) / h
+        d1, d2 = mp.mpf(1), mp.mpf(0)
+        if abs(t) < 1:
+            d1 += amp / h * -6 * t * (1 - t * t) ** 2
+            d2 = amp / h ** 2 * -6 * (1 - t * t) * (1 - 5 * t * t)
+        s = 1 + mp.mpf(a) ** 2
+        return s * abs(y * d2) / abs(2 * d1 + 1j * s * y * d2)
+
+    ref = [float(exact(z)) for z in zs]
+    assert ref[:2] == [0.0, 0.0] and ref[2:] == [1.0, 1.0]
+    assert got.tolist() == ref

@@ -603,6 +603,14 @@ def test_breakpoints_list_the_kinks():
     assert SampledMonotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1]).breakpoints().size == 0
 
 
+def test_bump_breakpoints_list_only_the_support_ends_that_are_floats():
+    # center + halfwidth (or center - halfwidth) past the float range is not a kink
+    assert bump_map(1e308, 1e308, 1e307).breakpoints().tolist() == [0.0]
+    assert bump_map(-1e308, 1e308, 1e307).breakpoints().tolist() == [0.0]
+    two = IdentityPlusBump([BumpProfile(0.0, 1.0, 0.1), BumpProfile(1e308, 1e308, 1e307)])
+    assert two.breakpoints().tolist() == [-1.0, 1.0, 0.0]
+
+
 def test_power_integral_within_quad_tol_of_scipy_at_the_kinks():
     from scipy.integrate import quad
     xs = sampled = np.linspace(-3.0, 3.0, 25)
