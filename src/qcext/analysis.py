@@ -19,9 +19,9 @@ alpha = 0 the quotient degenerates to the limiting closed form
 
     (1 + a^2) |y f''(u)| / |2 f'(u) + i (1 + a^2) y f''(u)|,  u = x + a y,
 
-(divided through by a^2 where 1 + a^2 overflows), whose supremum over the
-half-plane equals 1 for every non-affine C^2 map: the alpha = 0 member is a
-diffeomorphism but never quasiconformal.
+(divided through by 1 + a^2 where it overflows, by a^2 where 1 + a^2 does),
+whose supremum over the half-plane equals 1 for every non-affine C^2 map:
+the alpha = 0 member is a diffeomorphism but never quasiconformal.
 """
 
 from __future__ import annotations
@@ -153,12 +153,12 @@ def dilatation_values(f: RealMap, p: ExtParams, z):
             u = x + a * y
             d1, d2 = f.deriv(u), f.second_deriv(u)
             ok = d1 > 0
-            d1, scale = np.where(ok, d1, 1.0), 1.0 + a * a
-            if math.isinf(scale):  # divide through by a * a; 0 where y f'' = 0
-                w = y * d2
-                val = np.where(w == 0.0, 0.0, np.abs(w) / np.abs(2.0 * d1 / a / a + 1j * w))
-            else:
-                val = scale * np.abs(y * d2) / np.abs(2.0 * d1 + 1j * scale * y * d2)
+            d1, w, scale = np.where(ok, d1, 1.0), y * d2, 1.0 + a * a
+            val = scale * np.abs(w) / np.abs(2.0 * d1 + 1j * scale * y * d2)
+            # where it overflows, divided through by scale (a * a if scale overflows)
+            small = 2.0 * d1 / a / a if math.isinf(scale) else 2.0 * d1 / scale
+            val = np.where(np.isfinite(val), val, np.where(  # 0 where y f'' = 0
+                w == 0.0, 0.0, np.abs(w) / np.abs(small + 1j * w)))
             theta = np.ones_like(val)
     raise_at_first(ok & ~np.isfinite(val), np.asarray(z, dtype=complex),
                    "dilatation at z={} overflows in floating point")

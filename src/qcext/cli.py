@@ -200,7 +200,6 @@ def _suite_dilatation(cfg, rng):
         # has no dilatation and is left out of the supremum
         p = ExtParams(cfg["a"], 0.0 if f.bilipschitz else cfg["alpha"])
         kinks = f.breakpoints()
-        kinks = kinks[np.isfinite(kinks)]
         lo, hi = (kinks.min(), kinks.max()) if kinks.size else (-0.9, 0.9)
         t = np.linspace(0.0, 1.0, 60)
         u, ys = lo * (1.0 - t) + hi * t, np.geomspace(1.0, 1e4, 40)[:, None]

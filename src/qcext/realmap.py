@@ -125,12 +125,16 @@ class RealMap:
         return (self.deriv_lo, self.deriv_hi)
 
     def breakpoints(self) -> np.ndarray:
-        """Points where the derivative may fail to be smooth.
+        """The points where the derivative may fail to be smooth, as float64:
+        the finite ones of the kind's ``_kinks``, in its order (overflow and
+        NaN are silenced there).  A hint for power-integral tables, which put
+        panel edges there; it may be incomplete, since refinement still meets
+        the tolerance (a missing point costs time, never accuracy)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            kinks = np.asarray(self._kinks(), dtype=float)
+        return kinks[np.isfinite(kinks)]
 
-        A hint for power-integral tables, which put panel edges there; it may
-        be incomplete, since refinement still meets the tolerance (a missing
-        point costs time, never accuracy).  The default lists none.
-        """
+    def _kinks(self):  # the kind's kinks, inf among them; none here
         return np.empty(0)
 
     def _newton_eval(self, x):
@@ -247,7 +251,8 @@ class IdentityPlusBump(RealMap):
     """Identity plus a finite sum of bump profiles; equals Id off the supports.
 
     Certified bounds: 1 +/- S where S is the max of the per-bump slope sups
-    for pairwise disjoint supports, and their sum otherwise.
+    for pairwise disjoint supports, and their sum otherwise.  The kinks are
+    the support ends, bump by bump; an end past the floats is no breakpoint.
     """
 
     kind = "identity-plus-bump"
@@ -270,9 +275,8 @@ class IdentityPlusBump(RealMap):
         self._center, self._halfwidth, self._value, self._d1, self._d2 = np.array(
             [(b.center, b.halfwidth, *b.factors) for b in bumps]).T[:, :, None]
 
-    def breakpoints(self):
-        """The support ends that are floats (an end may leave the range)."""
-        return np.array([e for b in self.bumps for e in b.support if math.isfinite(e)])
+    def _kinks(self):
+        return np.array([e for b in self.bumps for e in b.support])
 
     def _on_support(self, x):
         """(t, u), one row per bump: t = (x - center)/halfwidth clamped to
@@ -509,7 +513,7 @@ class PowerIntegral(RealMap):
         lo, hi = min(lo, e0), max(hi, e1)
         k_lo, k_hi = math.floor(lo / self._PANEL), math.ceil(hi / self._PANEL)
         lo, hi = k_lo * self._PANEL, k_hi * self._PANEL
-        kinks = np.asarray(self.base.breakpoints(), dtype=float)
+        kinks = self.base.breakpoints()
         # the coarse edges, sorted: the grid multiples in [lo, e0] and in
         # [e1, hi], and the kinks inside those ranges; a panel between two
         # of them is new if it is not empty and lies outside (e0, e1)
@@ -576,8 +580,8 @@ class PowerIntegral(RealMap):
     def _deriv(self, x):
         return self.base._deriv(x) ** self.exponent
 
-    def breakpoints(self):
-        return self.base.breakpoints()
+    def _kinks(self):
+        return self.base._kinks()
 
     def _inverse_start(self, y):
         """One table panel per point: grow the table until ``cum`` brackets y,
@@ -639,7 +643,8 @@ class InverseMap(RealMap):
     def _deriv(self, y):
         return 1.0 / self.base._deriv(self._eval(y))
 
-    def breakpoints(self):
+    def _kinks(self):
+        """The base's values at its finite kinks."""
         return self.base(self.base.breakpoints())
 
     def _second(self, y):
@@ -652,6 +657,7 @@ class Composition(RealMap):
     """outer(inner(x)); bounds by interval product, tightened when the pair
     is a power integral composed with the inverse of a power integral of the
     same base (the chain rule cancels to a single power of the base slope).
+    Its kinks come from its parts' ``_kinks``, unfiltered, at any depth.
     """
 
     kind = "composition"
@@ -684,12 +690,12 @@ class Composition(RealMap):
     def _eval(self, x):
         return self.outer._eval(self.inner._eval(x))
 
-    def breakpoints(self):
+    def _kinks(self):
         """The inner map's, or the outer map's pulled back through an affine
         inner map; an outer kink behind a non-affine inner map is not listed."""
         if isinstance(self.inner, Affine):
-            return (self.outer.breakpoints() - self.inner.intercept) / self.inner.slope
-        return self.inner.breakpoints()
+            return (self.outer._kinks() - self.inner.intercept) / self.inner.slope
+        return self.inner._kinks()
 
     def _deriv(self, x):
         di = self.inner._deriv(x)
@@ -763,9 +769,9 @@ class Tapered(RealMap):
             slope = 6.0 * u * (1.0 - u) / T
         return np.where(on_ramp, -np.sign(x) * slope, 0.0)
 
-    def breakpoints(self):
+    def _kinks(self):
         T = self.plateau
-        return np.concatenate([self.base.breakpoints(), [-2.0 * T, -T, T, 2.0 * T]])
+        return np.concatenate([self.base._kinks(), [-2.0 * T, -T, T, 2.0 * T]])
 
     def _eval(self, x):
         return x + (self.base._eval(x) - x) * self._psi(x)

@@ -688,6 +688,20 @@ def test_bump_with_overflowing_square_halfwidth_has_finite_cells(tmp_path, capsy
     assert math.isfinite(float(row.split(": ")[1].split()[0]))
 
 
+def test_verify_dilatation_drops_kinks_pulled_back_past_the_floats(tmp_path, capsys):
+    # the bump's support ends, pulled back through slope 0.5, overflow; the
+    # map lists no kink, so the grid spans [-0.9, 0.9], where it is affine
+    far = {"kind": "identity-plus-bump",
+           "bumps": [{"center": 1e308, "halfwidth": 1e307, "amplitude": 1e306}]}
+    desc = {"kind": "composition", "maps": [far, {"kind": "affine", "slope": 0.5}]}
+    config = write_json(tmp_path / "cfg.json", {"expect": "not-quasiconformal", "map": desc})
+    assert main(["verify", "--suite", "dilatation", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("FAIL supremum (expected not quasiconformal, alpha=0): "
+                            "0 (>= 0.999)\nsuite dilatation: 0/1 checks passed\n")
+    assert captured.err == ""
+
+
 def test_decompose_subcommand_writes_factors(tmp_path):
     map_file = write_json(tmp_path / "bump.json", BUMP)
     out = tmp_path / "fac.json"

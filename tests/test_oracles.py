@@ -173,3 +173,21 @@ def test_alpha_zero_dilatation_past_the_square_of_a_against_mpmath():
     ref = [float(exact(z)) for z in zs]
     assert ref[:2] == [0.0, 0.0] and ref[2:] == [1.0, 1.0]
     assert got.tolist() == ref
+
+
+def test_alpha_zero_dilatation_where_the_scaled_product_overflows_against_mpmath():
+    # 1 + a * a is finite, but (1 + a * a) y f''(u) is not from a = 1e150 on:
+    # there the form is divided through by 1 + a * a at that point alone
+    c, h, amp, y = 0.0, 1e-5, 1e-6, 1e4
+    f = bump_map(c, h, amp)
+    for a in (1e140, 1e145, 1e149, 1e150, 1e152, 1e154):
+        z = complex(-a * y, y)
+        u = z.real + a * y  # 0, as the library rounds it
+        with mp.workdps(40):
+            t = (mp.mpf(u) - c) / h
+            d1 = 1 + amp / h * -6 * t * (1 - t * t) ** 2
+            d2 = amp / h ** 2 * -6 * (1 - t * t) * (1 - 5 * t * t)
+            s = 1 + mp.mpf(a) ** 2
+            exact = float(s * abs(y * d2) / abs(2 * d1 + 1j * s * y * d2))
+        got = dilatation_values(f, ExtParams(a, 0.0), z)[0]
+        assert abs(got - exact) <= 1e-15 * exact, a

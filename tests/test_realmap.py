@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcext.realmap as realmap
-from qcext.analysis import QuadraticWindowMap
-from qcext.errors import DomainError, NonConvergence, QuadratureFailure
+from qcext.analysis import CubicMap, QuadraticWindowMap
+from qcext.errors import DomainError, NonConvergence, QCExtError, QuadratureFailure
 from qcext.quadrature import panel_integrals, panel_samples
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
                            IdentityPlusBump, InverseMap, PowerIntegral,
@@ -609,6 +610,92 @@ def test_bump_breakpoints_list_only_the_support_ends_that_are_floats():
     assert bump_map(-1e308, 1e308, 1e307).breakpoints().tolist() == [0.0]
     two = IdentityPlusBump([BumpProfile(0.0, 1.0, 0.1), BumpProfile(1e308, 1e308, 1e307)])
     assert two.breakpoints().tolist() == [-1.0, 1.0, 0.0]
+
+
+def test_kinks_that_leave_the_floats_are_dropped_without_a_warning():
+    # the bump's ends 9e307 and 1.1e308, pulled back through slope 0.5, and
+    # the value 2 * 1.6e308 of the base at its one finite kink, overflow
+    pulled = Composition(bump_map(1e308, 1e307, 1e306), Affine(0.5))
+    pushed = InverseMap(Composition(Affine(2.0), bump_map(1.7e308, 1e307, 1e306)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (pulled, pushed):
+            kinks = f.breakpoints()
+            assert kinks.dtype == np.float64 and kinks.size == 0
+
+
+# numbers near the ends of the float range, and ordinary ones
+_HUGE = st.floats(1e307, sys.float_info.max)
+_COORD = st.one_of(st.floats(-4.0, 4.0), _HUGE, _HUGE.map(lambda v: -v))
+_SIZE = st.one_of(st.floats(0.25, 4.0), _HUGE, st.floats(1e-308, 1e-300))
+
+
+def _built(kind, *args):
+    """``kind(*args)``, or None where the construction is refused."""
+    try:
+        return kind(*args)
+    except QCExtError:
+        return None
+
+
+_LINE_LEAVES = st.one_of(
+    st.builds(Affine, _SIZE, _COORD),
+    st.builds(lambda c, h, s: bump_map(c, h, s * h / BUMP_SLOPE_MAX),
+              _COORD, _SIZE, st.floats(-0.9, 0.9)),
+    st.just(SampledMonotone([0.0, 1.0, 2.0], [0.0, 1.2, 2.1])),
+    st.just(CubicMap()), st.just(QuadraticWindowMap()))
+
+
+def _line_composites(parts):
+    return st.one_of(
+        st.builds(_built, st.just(PowerIntegral), parts, st.floats(-2.0, 2.0)),
+        st.builds(_built, st.just(Composition), parts, parts),
+        st.builds(_built, st.just(Tapered), parts, _SIZE),
+        st.builds(_built, st.just(InverseMap), parts)).filter(lambda f: f is not None)
+
+
+def _kink_formulas(f):
+    """The kinks of ``f`` by the formulas of each kind, in Python floats,
+    with the entries that are not finite dropped: a bump's support ends, a
+    power integral's base kinks, a composition's outer kinks pulled back
+    through an affine inner map or else its inner map's, a taper's base
+    kinks and its four transition ends, an inverse's base at the base's
+    kinks.  The other kinds list none."""
+    if isinstance(f, IdentityPlusBump):
+        out = [e for b in f.bumps for e in (b.center - b.halfwidth, b.center + b.halfwidth)]
+    elif isinstance(f, PowerIntegral):
+        out = _kink_formulas(f.base)
+    elif isinstance(f, Composition) and isinstance(f.inner, Affine):
+        out = [(k - f.inner.intercept) / f.inner.slope for k in _kink_formulas(f.outer)]
+    elif isinstance(f, Composition):
+        out = _kink_formulas(f.inner)
+    elif isinstance(f, Tapered):
+        T = f.plateau
+        out = _kink_formulas(f.base) + [-2.0 * T, -T, T, 2.0 * T]
+    elif isinstance(f, InverseMap):
+        with np.errstate(all="ignore"):
+            out = f.base(np.array(_kink_formulas(f.base), dtype=float)).tolist()
+    else:
+        out = []
+    return [k for k in out if math.isfinite(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_line_composites(st.one_of(_LINE_LEAVES, _line_composites(_LINE_LEAVES))))
+def test_property_breakpoints_are_the_finite_kink_formulas_in_order(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            kinks = f.breakpoints()
+        except QCExtError as exc:
+            # an inverse evaluates its base at the base's kinks, which may
+            # fail: a power-integral table grown out to far kinks (ROADMAP
+            # item 10), an inversion near the end of the float range
+            with pytest.raises(type(exc)):
+                _kink_formulas(f)
+            return
+    assert kinks.dtype == np.float64 and np.isfinite(kinks).all()
+    assert kinks.tobytes() == np.array(_kink_formulas(f), dtype=float).tobytes()
 
 
 def test_power_integral_within_quad_tol_of_scipy_at_the_kinks():
