@@ -31,7 +31,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, raise_at_first, scalar_or_array
+from .errors import (DomainError, raise_at_first, refuse_overflow,
+                     scalar_or_array, silenced)
 from .extensions import ExtParams, extend_family, require_upper_half
 from .realmap import NUMBER, Composition, RealMap, register
 
@@ -76,14 +77,14 @@ def m_ratio(f: RealMap, x, t):
     raise_at_first(~np.isfinite(x), x, "x must be finite, got x={}")
     raise_at_first(~(np.greater(t, 0.0) & np.isfinite(t)), t,
                    "t must be positive and finite, got t={}")
-    with np.errstate(over="ignore"):  # refused below
+    with silenced():  # refused below
         right, left = np.add(x, t), np.subtract(x, t)
     at = np.broadcast_to(x, np.shape(right))
     raise_at_first(~(np.isfinite(right) & np.isfinite(left)), at,
                    "x + t or x - t overflows in floating point at x={}")
     raise_at_first((right == at) | (left == at), at,
                    "x + t or x - t rounds to x in floating point at x={}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with silenced():  # refused below
         fx = f(x)
         num, den = f(right) - fx, fx - f(left)
     raise_at_first(~(np.isfinite(num) & np.isfinite(den)), at,
@@ -141,16 +142,32 @@ def dilatation_values(f: RealMap, p: ExtParams, z):
     point, in C order, where it is defined but overflows raises DomainError."""
     require_upper_half(z)
     x, y = np.real(z), np.imag(z)
+    return _dilatation(f, p, z, y, lambda t: x + t * y)
+
+
+def characteristic_dilatation(f: RealMap, p: ExtParams, t, u, y):
+    """``dilatation_values`` at z = (u - t y) + i y, on the characteristic
+    of the node t through u, with f sampled at u + (s - t) y for each node
+    s, so at u itself for any finite t (x + t y rounds u away once |t y| is
+    large).  t, u and y broadcast."""
+    with silenced():
+        z = (u - t * y) + 1j * y
+    return _dilatation(f, p, z, y, lambda s: u + (s - t) * y)
+
+
+def _dilatation(f: RealMap, p: ExtParams, z, y, sample):
+    """The closed form at the points z = x + i y, with f sampled at
+    ``sample(t)`` for each node t of p."""
     a, al = p.a, p.alpha
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with silenced():
         if al > 0:
-            d1, d2 = (f.deriv(x + t * y) for t in p.nodes)
+            d1, d2 = (f.deriv(sample(t)) for t in p.nodes)
             ok = (d1 > 0) & (d2 >= 0)
             theta = d2 / np.where(ok, d1, 1.0)
             sig = sigma_factor(p)
             val = np.abs(1.0 - theta) / np.abs(1.0 - sig * theta)
         else:
-            u = x + a * y
+            u = sample(a)
             d1, d2 = f.deriv(u), f.second_deriv(u)
             ok = d1 > 0
             d1, w, scale = np.where(ok, d1, 1.0), y * d2, 1.0 + a * a
@@ -160,8 +177,7 @@ def dilatation_values(f: RealMap, p: ExtParams, z):
             val = np.where(np.isfinite(val), val, np.where(  # 0 where y f'' = 0
                 w == 0.0, 0.0, np.abs(w) / np.abs(small + 1j * w)))
             theta = np.ones_like(val)
-    raise_at_first(ok & ~np.isfinite(val), np.asarray(z, dtype=complex),
-                   "dilatation at z={} overflows in floating point")
+    refuse_overflow("dilatation", z, np.where(ok, val, 0.0))
     return scalar_or_array(np.where(ok, val, np.nan)), scalar_or_array(theta)
 
 
@@ -175,17 +191,21 @@ def dilatation_analytic(f: RealMap, p: ExtParams, z) -> SimpleNamespace:
     return SimpleNamespace(analytic=val, theta=theta)
 
 
-def _stencil_points(z, h, what: str):
+def _stencil(z, h, what: str, points):
     """z and h (default 1e-3 Im z) broadcast to arrays, checked for a
-    centered-difference stencil in the half-plane: h > 0 and Im z > 2h."""
+    centered-difference stencil in the half-plane: h > 0 and Im z > 2h;
+    and the stencil ``points(z, h)`` stacked along a new first axis, refused
+    at the first z whose stencil leaves the floats."""
     z = np.asarray(z, dtype=complex)
     z, h = np.broadcast_arrays(z, 1e-3 * z.imag if h is None
                                else np.asarray(h, dtype=float))
     if not np.all(h > 0):
         raise DomainError("h must be positive")
-    raise_at_first(~(z.imag > 2 * h), z,
-                   f"need Im z > 2h for the {what} stencil, got z={{}}")
-    return z, h
+    with silenced():
+        raise_at_first(~(z.imag > 2 * h), z,
+                       f"need Im z > 2h for the {what} stencil, got z={{}}")
+        stencil = np.stack(points(z, h))
+    return z, h, refuse_overflow(f"{what} stencil", z, stencil)
 
 
 def dilatation_numeric(F, z, h):
@@ -193,15 +213,19 @@ def dilatation_numeric(F, z, h):
     z) at each point of z, with d_zbar = (d_x + i d_y)/2 and
     d_z = (d_x - i d_y)/2.  The four stencil points of every z go to F in
     one call, stacked along a new first axis.  The first point, in C order,
-    with Im z <= 2h or |d_z F| below 1e-12 raises DomainError."""
-    z, h = _stencil_points(z, h, "difference")
-    east, west, north, south = F(np.stack([z + h, z - h, z + 1j * h, z - 1j * h]))
-    fx = _over(east - west, 2.0 * h)
-    fy = _over(north - south, 2.0 * h)
-    dz, dzbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-    dz = np.hypot(dz.real, dz.imag)
-    raise_at_first(dz < 1e-12, z, "degenerate point z={}: |d_z F| below 1e-12")
-    return scalar_or_array(np.hypot(dzbar.real, dzbar.imag) / dz)
+    with Im z <= 2h, a stencil or a quotient past the floats, or |d_z F|
+    below 1e-12 raises DomainError."""
+    z, h, stencil = _stencil(z, h, "difference", lambda z, h: [
+        z + h, z - h, z + 1j * h, z - 1j * h])
+    east, west, north, south = F(stencil)
+    with silenced():
+        fx = _over(east - west, 2.0 * h)
+        fy = _over(north - south, 2.0 * h)
+        dz, dzbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+        dz = np.hypot(dz.real, dz.imag)
+        raise_at_first(dz < 1e-12, z, "degenerate point z={}: |d_z F| below 1e-12")
+        out = np.hypot(dzbar.real, dzbar.imag) / dz
+    return scalar_or_array(refuse_overflow("numeric dilatation", z, out))
 
 
 def compare_dilatation(f: RealMap, p: ExtParams, z, h) -> SimpleNamespace:
@@ -246,11 +270,16 @@ def homomorphism_residual(p: ExtParams, f: RealMap, g: RealMap, grid) -> float:
 
 def boundary_residual(p: ExtParams, f: RealMap, interval=(-1.0, 1.0), y=1e-2):
     """sup over 201 sampled x in the interval of |E f(x + i y) - f(x)|, at
-    each height of y in one call; a float for a scalar y."""
+    each height of y in one call; a float for a scalar y.  An interval with
+    an end that is not finite, or wider than the floats, raises DomainError."""
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0):
         raise DomainError("y must be positive")
-    xs = np.linspace(interval[0], interval[1], 201)
+    raise_at_first(~np.isfinite(interval), interval, "interval must be finite, got {}")
+    lo, hi = map(float, interval)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"interval [{lo:g}, {hi:g}] is wider than the floats")
+    xs = np.linspace(lo, hi, 201)
     vals = extend_family(p, f, xs + 1j * y[..., None])
     return scalar_or_array(np.max(np.abs(vals - f(xs)), axis=-1))
 
@@ -279,19 +308,22 @@ def pde_residual(f: RealMap, p: ExtParams, z, h=None):
     second differences at step h (broadcast with z; 1e-3 Im z by default)
     applied to the complex values.  The nine stencil points of every z go to
     ``extend_family`` in one call.  Requires a C^2 map; the first point, in
-    C order, with Im z <= 2h raises DomainError."""
+    C order, with Im z <= 2h, or a stencil or residual past the floats,
+    raises DomainError."""
     if not f.has_second_deriv:
         raise DomainError("PDE residual requires a C^2 map kind")
-    z, h = _stencil_points(z, h, "Hessian")
-    c, e, w, n, s, ne, se, nw, sw = extend_family(p, f, np.stack([
+    z, h, stencil = _stencil(z, h, "Hessian", lambda z, h: [
         z, z + h, z - h, z + 1j * h, z - 1j * h,
-        z + h + 1j * h, z + h - 1j * h, z - h + 1j * h, z - h - 1j * h]))
-    fxx = _over(e - 2.0 * c + w, h * h)
-    fyy = _over(n - 2.0 * c + s, h * h)
-    fxy = _over(ne - se - nw + sw, 4.0 * (h * h))
-    mat = pde_matrix(p)
-    r = mat[0, 0] * fxx + 2.0 * mat[0, 1] * fxy + mat[1, 1] * fyy
-    return scalar_or_array(np.hypot(r.real, r.imag))
+        z + h + 1j * h, z + h - 1j * h, z - h + 1j * h, z - h - 1j * h])
+    c, e, w, n, s, ne, se, nw, sw = extend_family(p, f, stencil)
+    with silenced():
+        fxx = _over(e - 2.0 * c + w, h * h)
+        fyy = _over(n - 2.0 * c + s, h * h)
+        fxy = _over(ne - se - nw + sw, 4.0 * (h * h))
+        mat = pde_matrix(p)
+        r = mat[0, 0] * fxx + 2.0 * mat[0, 1] * fxy + mat[1, 1] * fyy
+        out = np.hypot(r.real, r.imag)
+    return scalar_or_array(refuse_overflow("PDE residual", z, out))
 
 
 # -- special analytic maps -----------------------------------------------------

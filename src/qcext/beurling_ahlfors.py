@@ -12,12 +12,11 @@ are kept and tested, selected through ``extend_ba``'s ``im_scale``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (DomainError, QuadratureFailure, raise_at_first,
-                     scalar_or_array)
+                     refuse_overflow, require_positive, scalar_or_array,
+                     silenced)
 from .extensions import require_upper_half
 from .quadrature import adaptive_integral
 from .realmap import Affine, Composition, RealMap
@@ -43,12 +42,11 @@ def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
     An integrand value that is not finite raises QuadratureFailure naming
     the point; a result that overflows raises DomainError naming it.
     """
-    for name, value in (("quad_tol", quad_tol), ("im_scale", im_scale)):
-        raise_at_first(not 0 < value < math.inf, value,
-                       f"{name} must be positive and finite, got {{}}")
+    require_positive("quad_tol", quad_tol)
+    require_positive("im_scale", im_scale)
     z = require_upper_half(np.asarray(z, dtype=complex))
     x, y = z.real, z.imag
-    with np.errstate(over="ignore"):  # an overflowed window is refused below
+    with silenced():  # an overflowed window is refused below
         lo = np.stack([x - y, x])
         hi = np.stack([x, x + y])
         span = hi - lo
@@ -58,7 +56,7 @@ def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
                        f"averaging window of z={{}} {what} in floating point")
     try:
         # overflow or NaN in f is refused by the integral's finiteness check
-        with np.errstate(over="ignore", invalid="ignore"):
+        with silenced():
             i_minus, i_plus = adaptive_integral(f, lo, hi, tol) / span
     except QuadratureFailure as exc:
         if exc.index is None:  # raised by f, e.g. by a power-integral table
@@ -66,11 +64,9 @@ def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
         at = complex(z.flat[exc.index % z.size])
         raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
                                 index=exc.index) from exc
-    with np.errstate(over="ignore"):  # an overflowed value is refused below
+    with silenced():
         out = 0.5 * (i_plus + i_minus) + 0.5j * im_scale * (i_plus - i_minus)
-    raise_at_first(~np.isfinite(out), z,
-                   "averaged extension at z={} overflows in floating point")
-    return scalar_or_array(out)
+    return scalar_or_array(refuse_overflow("averaged extension", z, out))
 
 
 def ba_affine_naturality_residual(f: RealMap, g_affine: RealMap, z,

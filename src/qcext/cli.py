@@ -196,15 +196,16 @@ def _suite_dilatation(cfg, rng):
         # at (a, alpha).  The grid follows the characteristics x = u - t y of
         # each node t, where the dilatation tends to 1 as y grows wherever f
         # bends: u over the hull of the finite breakpoints in convex steps
-        # (no overflow), y geometric.  A point where f' = 0 (the cubic at 0)
-        # has no dilatation and is left out of the supremum
+        # (no overflow), y geometric, f sampled at u itself for any a.  A
+        # point where f' = 0 (the cubic at 0) has no dilatation and is left
+        # out of the supremum
         p = ExtParams(cfg["a"], 0.0 if f.bilipschitz else cfg["alpha"])
         kinks = f.breakpoints()
         lo, hi = (kinks.min(), kinks.max()) if kinks.size else (-0.9, 0.9)
         t = np.linspace(0.0, 1.0, 60)
         u, ys = lo * (1.0 - t) + hi * t, np.geomspace(1.0, 1e4, 40)[:, None]
         nodes = np.unique(p.nodes)[:, None, None]
-        dil, _ = analysis.dilatation_values(f, p, ((u - nodes * ys) + 1j * ys).ravel())
+        dil, _ = analysis.characteristic_dilatation(f, p, nodes, u, ys)
         sup = float(np.nanmax(dil))
         row = _check(f"supremum (expected not quasiconformal, alpha={p.alpha:g})",
                      sup, cfg["threshold"], invert=True)

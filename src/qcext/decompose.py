@@ -44,7 +44,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, ToleranceFailure, raise_at_first
+from .errors import DomainError, ToleranceFailure, require_positive
 from .realmap import Affine, Composition, InverseMap, PowerIntegral, RealMap
 
 
@@ -100,8 +100,7 @@ def decompose_bilip(f: RealMap, eps0: float, tol: float = TOL) -> Factorization:
     """
     if not 0 < eps0 < 1:
         raise DomainError(f"eps0 must lie in (0, 1), got {eps0}")
-    raise_at_first(not 0 < tol < math.inf, tol,
-                   "tol must be positive and finite, got {}")
+    require_positive("tol", tol)
     if not f.bilipschitz:
         raise DomainError("decomposition requires certified positive slope bounds")
     b, B = f.deriv_bounds()

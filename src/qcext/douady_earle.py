@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import (DomainError, NonConvergence, on_flat, raise_at_first,
-                     scalar_or_array)
+                     require_positive, scalar_or_array)
 from .realmap import NUMBER, NUMBERS, PAIR, map_from_dict, register
 
 _TWO_PI = 2.0 * math.pi
@@ -253,8 +253,7 @@ def extend_de(f: CircleMap, z, tol: float = TOL, n_nodes: int = N_NODES):
     outside the disk, in C order; all points are validated before any is
     solved.
     """
-    raise_at_first(not 0 < tol < math.inf, tol,
-                   "tol must be positive and finite, got {}")
+    require_positive("tol", tol)
     _check_nodes(n_nodes)
     z = _disk_points(z, "z")
     flat = z.ravel()

@@ -2,9 +2,16 @@
 operator on point arrays keeps: a bad input raises DomainError naming the
 first bad point in C order, a scalar is computed as the 0-d case of the
 array code, and a 0-d result comes back as a Python scalar.
+
+Two refusals that operators repeat are spelled here once, in those
+conventions: a parameter that is not positive and finite
+(``require_positive``), and a result that leaves the floats
+(``refuse_overflow``), computed under ``silenced()`` so that no numpy
+warning escapes.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -47,6 +54,33 @@ def raise_at_first(bad, values, message: str, nonfinite: str | None = None):
         if nonfinite is not None and not cmath.isfinite(first):
             message = nonfinite
         raise DomainError(message.format(first))
+
+
+def require_positive(name: str, value) -> None:
+    """DomainError ``<name> must be positive and finite, got <v>`` for the
+    first bad entry of ``value``; a scalar is compared in Python."""
+    bad = (~((value > 0) & (value < math.inf)) if isinstance(value, np.ndarray)
+           else not 0 < value < math.inf)
+    raise_at_first(bad, value, f"{name} must be positive and finite, got {{}}")
+
+
+def silenced():
+    """The numpy error state of a computation whose results past the floats
+    are refused afterwards: overflow, division by zero and invalid values
+    raise no warning."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
+def refuse_overflow(what: str, z, out):
+    """``out``, the result at the points ``z``, or DomainError ``<what> at
+    z=<point> overflows in floating point`` for the first point, in C order,
+    where it is not finite; a result stacked along a new first axis (a
+    stencil) is refused where any of its rows is."""
+    finite = np.isfinite(out)
+    if finite.ndim > np.ndim(z):
+        finite = finite.all(axis=0)
+    raise_at_first(~finite, z, f"{what} at z={{}} overflows in floating point")
+    return out
 
 
 def scalar_or_array(out):

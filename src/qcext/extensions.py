@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, raise_at_first, scalar_or_array
+from .errors import (DomainError, raise_at_first, refuse_overflow,
+                     scalar_or_array, silenced)
 from .realmap import RealMap
 
 
@@ -64,10 +65,14 @@ class ExtParams:
 
 
 def shear(a: float, alpha: float, z):
-    """S(z) = (x + a*y) + i*alpha*y; preserves the upper half-plane."""
+    """S(z) = (x + a*y) + i*alpha*y; preserves the upper half-plane.  The
+    first point, in C order, whose image overflows raises DomainError."""
     if not alpha > 0:
         raise DomainError(f"shear requires alpha > 0, got {alpha}")
-    return scalar_or_array(_shear_value(a, alpha, np.asarray(require_upper_half(z))))
+    w = np.asarray(require_upper_half(z))
+    with silenced():
+        out = _shear_value(a, alpha, w)
+    return scalar_or_array(refuse_overflow("shear", w, out))
 
 
 def _shear_value(a: float, alpha: float, w):
@@ -97,27 +102,38 @@ def extend_family(p: ExtParams, f: RealMap, z):
 
     The imaginary part is divided by alpha in real arithmetic, so a scalar
     call and the matching element of an array call agree bit for bit.  The
-    first point, in C order, whose value overflows raises DomainError.
+    first point, in C order, where a sample point x + t y or the value
+    overflows raises DomainError; f is never asked for a sample past the
+    floats.
     """
     require_upper_half(z)
     x, y = np.real(z), np.imag(z)
     a, alpha = p.a, p.alpha
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with silenced():
         if alpha > 0:
-            fu1, fu2 = (f(x + t * y) for t in p.nodes)
+            u1, u2 = (x + t * y for t in p.nodes)
+            _refuse_samples(p, f, z, u1, u2)
+            fu1, fu2 = f(u1), f(u2)
             re = (1.0 - a / alpha) * fu1 + (a / alpha) * fu2
             out = re + 1j * ((fu1 - fu2) / alpha)
         else:
             u = x + a * y
+            _refuse_samples(p, f, z, u)
             d = f.deriv(u)
             out = f(u) - a * y * d + 1j * y * d
-    _require_finite(out, z)
-    return out
+    return refuse_overflow("extension", z, out)
 
 
-def _require_finite(out, z):
-    raise_at_first(~np.isfinite(out), np.asarray(z, dtype=complex),
-                   "extension at z={} overflows in floating point")
+def _refuse_samples(p: ExtParams, f: RealMap, z, *samples):
+    """Nothing while every sample point is finite.  Else, with z_k the first
+    point, in C order, where one is not: the extension at the points before
+    z_k, which raises at the first of them that it refuses, then the
+    refusal of z_k."""
+    if all(np.isfinite(u).all() for u in samples):
+        return
+    finite = np.isfinite(np.stack(samples)).all(axis=0)
+    extend_family(p, f, np.ravel(z)[:np.argmin(finite.ravel())])
+    refuse_overflow("extension", z, np.stack(samples))
 
 
 def extend_ns(f: RealMap, z):
@@ -136,12 +152,10 @@ def act(g: ExtParams, base_extension, f: RealMap, z):
     value overflows.
     """
     g.require_group()
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        sheared = shear(g.a, g.alpha, z)
-        _require_finite(sheared, z)
-        w = base_extension(f, sheared)
+    with silenced():
+        sheared = _shear_value(g.a, g.alpha, np.asarray(require_upper_half(z)))
+        w = base_extension(f, scalar_or_array(refuse_overflow("extension", z, sheared)))
         if np.any(np.imag(w) < 0):
             raise DomainError("base extension left the closed upper half-plane")
         out = _shear_value(-g.a / g.alpha, 1.0 / g.alpha, w)
-    _require_finite(out, z)
-    return out
+    return refuse_overflow("extension", z, out)

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import QuadratureFailure, raise_at_first, scalar_or_array
+from .errors import QuadratureFailure, require_positive, scalar_or_array
 
 
 @functools.cache
@@ -73,8 +73,7 @@ def adaptive_integral(fun, a, b, tol=1e-10):
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                       for v in (a, b, tol)))
-    raise_at_first(~((tol > 0) & (tol < np.inf)), tol,
-                   "tol must be positive and finite, got {}")
+    require_positive("tol", tol)
     shape = a.shape
     a, b, tol = a.ravel(), b.ravel(), tol.ravel()
     lo0, hi0 = np.minimum(a, b), np.maximum(a, b)

@@ -70,10 +70,13 @@ def _finite(what: str, v) -> float:
 
 
 def _same_map(f: "RealMap", g: "RealMap") -> bool:
-    """Whether two nodes denote the same map: object identity or identical
-    construction parameters (the algebra is deterministic, so an equal
-    description is an equal map)."""
-    return f is g or f.to_dict() == g.to_dict()
+    """Whether two nodes denote the same map: the same object, the left
+    folds of the same factor objects (a reload shares the parts of equal
+    text, so a prefix fold holds the factors its description names), or
+    identical construction parameters (the algebra is deterministic, so an
+    equal description is an equal map)."""
+    return (f is g or list(map(id, f.maps)) == list(map(id, g.maps))
+            or f.to_dict() == g.to_dict())
 
 
 class RealMap:
@@ -897,6 +900,17 @@ def _bisect_floats(f: RealMap, y: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return lo, hi
 
 
+def _bisection(x, lo, hi):
+    """The midpoints of brackets [lo, hi] with x at one end: halved first
+    where the sum overflows (both ends past half the float range, where
+    halving is exact), and the other end where the midpoint rounds onto x
+    (no float lies between the ends), which bisection would not reach."""
+    with np.errstate(over="ignore"):  # recomputed below
+        mid = 0.5 * (lo + hi)
+    mid = np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
+    return np.where(mid == x, np.where(x == lo, hi, lo), mid)
+
+
 _MAX_ITER = 200     # passes of one inversion
 _VALUE_TOL = 1e-11  # residual |f(x) - y| of an inverse map's values
 
@@ -981,7 +995,7 @@ def _invert_array(f: RealMap, y: np.ndarray) -> np.ndarray:
                 return x
             act, xa, ya, la, ha, d, step, xn, newton = (
                 v[keep] for v in (act, xa, ya, la, ha, d, step, xn, newton))
-        xa = np.where(newton, xn, 0.5 * (la + ha))
+        xa = np.where(newton, xn, _bisection(xa, la, ha))
         dx = np.where(newton, np.abs(step), 0.5 * (ha - la))
         s = np.where(newton, d, np.nan)
     x[act] = xa

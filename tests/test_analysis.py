@@ -207,6 +207,18 @@ def test_boundary_residual_identity_and_affine():
         assert abs(boundary_residual(p, Affine(2.0, 0.5), (-1, 1), y) - 2 * y) <= 1e-13
 
 
+@pytest.mark.parametrize("interval, message", [
+    ((-1e308, 1e308), "interval [-1e+308, 1e+308] is wider than the floats"),
+    ((-math.inf, 1.0), "interval must be finite, got -inf"),
+    ((0.0, math.nan), "interval must be finite, got nan"),
+])
+def test_boundary_residual_refuses_an_interval_past_the_floats(interval, message):
+    # linspace over it overflowed (or met inf) with a numpy warning
+    with pytest.raises(DomainError) as info:
+        boundary_residual(ExtParams(1.0, 2.0), Affine(1.0), interval)
+    assert str(info.value) == message
+
+
 # -- PDE characterization ----------------------------------------------------------------
 
 def test_pde_matrix_shape():

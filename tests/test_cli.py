@@ -233,6 +233,32 @@ def test_extend_shear_overflowing_value_exits_2_with_one_line(tmp_path, capsys, 
         "", f"error: extension at z={first} overflows in floating point\n")
 
 
+POWER_INTEGRAL = {"kind": "power-integral", "exponent": 0.5, "base": BUMP}
+# x + 1e308 y overflows at every point; x + y at the second point of the top grid
+PAST = ["--method", "family", "--a", "1e308", "--alpha", "1e308", "--y-min", "1.8",
+        "--y-max", "3"]
+TOP = ["--method", "ns", "--nx", "2", "--ny", "2", "--x-min", "1e308", "--x-max",
+       "1.7e308", "--y-min", "1e307", "--y-max", "1e308"]
+
+
+@pytest.mark.parametrize("desc, options, first", [
+    (BUMP, PAST, "(-2+1.8j)"),
+    (POWER_INTEGRAL, PAST, "(-2+1.8j)"),
+    ({"kind": "inverse", "base": BUMP}, PAST, "(-2+1.8j)"),
+    ({"kind": "inverse", "base": POWER_INTEGRAL}, PAST, "(-2+1.8j)"),
+    (BUMP, TOP, "(1.7e+308+1e+307j)"),
+    ({"kind": "inverse", "base": BUMP}, TOP, "(1.7e+308+1e+307j)"),
+])
+def test_extend_names_the_point_whose_sample_leaves_the_floats(tmp_path, capsys, desc,
+                                                               options, first):
+    # the point is named, not the sample: a power integral and an inverse
+    # said "x must be finite, got x=inf" and "y must be finite, got y=inf"
+    map_file = write_json(tmp_path / "map.json", desc)
+    assert main(["extend", "--map", map_file, *options]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: extension at z={first} overflows in floating point\n")
+
+
 def test_extend_json_format(tmp_path):
     map_file = write_json(tmp_path / "bump.json", BUMP)
     out = tmp_path / "out.json"
@@ -366,6 +392,19 @@ def test_verify_dilatation_at_alpha_zero_past_the_square_of_a(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"expect": "not-quasiconformal", "a": 1e300})
     assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0
     assert capsys.readouterr().out.startswith("flag: not quasiconformal")
+
+
+@pytest.mark.parametrize("a", [1e16, -1e16, 1e300, 1e307])
+def test_verify_dilatation_samples_the_bumps_for_any_finite_a(tmp_path, capsys, a):
+    # x = u - a y rounds u away once |a| y passes 2^53: every u in the hull
+    # [4, 6] landed on a support end, where f'' = 0, and the sup read 0
+    off_center = {"kind": "identity-plus-bump",
+                  "bumps": [{"center": 5.0, "halfwidth": 1.0, "amplitude": 0.3}]}
+    cfg = write_json(tmp_path / "cfg.json", {"expect": "not-quasiconformal", "a": a,
+                                             "map": off_center})
+    assert main(["verify", "--suite", "dilatation", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("flag: not quasiconformal") and "1/1 checks passed" in out
 
 
 @pytest.mark.parametrize("seed", range(5))

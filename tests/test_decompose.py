@@ -12,7 +12,7 @@ from qcext.decompose import (MAX_ROUNDS, Factorization, chosen_eps, decompose_bi
                              recompose)
 from qcext.errors import DomainError
 from qcext.realmap import (Affine, BUMP_SLOPE_MAX, BumpProfile, Composition,
-                           IdentityPlusBump, PowerIntegral, bump_map,
+                           IdentityPlusBump, PowerIntegral, RealMap, bump_map,
                            map_from_dict)
 from conftest import make_bump_map
 
@@ -242,6 +242,22 @@ def test_reload_keeps_the_certified_bounds_of_every_factor():
                 reloaded.append(node.inner)
                 node = node.outer
             assert [m.deriv_bounds() for m in [node] + reloaded[::-1]] == bounds
+
+
+def test_reload_compares_shared_factors_without_descriptions(monkeypatch):
+    # a reload shares the parts of equal text, so the terminal factor's
+    # prefix fold holds the factor objects of the power integral's base
+    calls = []
+    to_dict = RealMap.to_dict
+    monkeypatch.setattr(RealMap, "to_dict", lambda m: calls.append(m) or to_dict(m))
+    for f in _bench_like_maps():
+        fac = decompose_bilip(f, 0.15)
+        bounds = [m.deriv_bounds() for m in fac.factors]
+        descs = json.loads(json.dumps(fac.to_dict()))["factors"]
+        calls.clear()
+        whole = map_from_dict({"kind": "composition", "maps": descs})
+        assert calls == []
+        assert [m.deriv_bounds() for m in whole.maps] == bounds
 
 
 def test_a_factorization_is_the_tree_its_factor_file_reloads_to():

@@ -448,6 +448,18 @@ def test_inversion_narrows_a_slope_bracket_past_the_float_range():
     assert np.all(np.nextafter(lo, math.inf) == hi)  # adjacent floats
 
 
+def test_inversion_reaches_the_ends_of_the_float_range():
+    # f rounds to the identity near its bump at the largest float, so the
+    # preimage of that float is itself: the midpoint of its bracket
+    # overflowed, and bisection rounded back onto the lower end for ever
+    top = np.finfo(float).max
+    f = bump_map(top, 1.0, 0.5)
+    assert InverseMap(f)(top) == top
+    ys = np.array([0.0, 1e308, np.nextafter(top, 0.0), top])
+    assert np.array_equal(InverseMap(f)(ys), ys)
+    assert InverseMap(bump_map(-top, 1.0, 0.5))(-top) == -top
+
+
 @pytest.mark.parametrize("y", [-1e79, -1e300])
 def test_inversion_refuses_a_y_past_the_image_of_the_float_range(y):
     # f at the lowest float is about -1.9e78, still above y: no preimage
