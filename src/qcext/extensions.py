@@ -131,9 +131,9 @@ def _refuse_samples(p: ExtParams, f: RealMap, z, *samples):
     refusal of z_k."""
     if all(np.isfinite(u).all() for u in samples):
         return
-    finite = np.isfinite(np.stack(samples)).all(axis=0)
-    extend_family(p, f, np.ravel(z)[:np.argmin(finite.ravel())])
-    refuse_overflow("extension", z, np.stack(samples))
+    samples = np.stack(samples)
+    extend_family(p, f, np.ravel(z)[:np.argmin(np.isfinite(samples).all(axis=0))])
+    refuse_overflow("extension", z, samples)
 
 
 def extend_ns(f: RealMap, z):
