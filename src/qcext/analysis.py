@@ -120,9 +120,22 @@ def estimate_m(f: RealMap, x_range=(-5.0, 5.0), t_range=(1e-3, 5.0),
 
 # -- dilatation --------------------------------------------------------------
 
+def _refuse_params(what: str, out, **params):
+    """``out``, a result of the parameters ``params`` alone, or where it is
+    not finite the DomainError of ``refuse_overflow`` naming them all:
+    ``<what> at (a, alpha)=(1e+308, 1.0) overflows in floating point``."""
+    return refuse_overflow(what, str(tuple(map(float, params.values()))), out,
+                           at=f"({', '.join(params)})")
+
+
 def sigma_factor(p: ExtParams) -> complex:
     """Unit-modulus phase (-i + a)(i + a - alpha) / ((i + a)(-i + a - alpha));
-    equals 1 exactly when alpha = 0."""
+    equals 1 exactly when alpha = 0.  Parameters whose phase overflows in
+    floating point raise DomainError naming them."""
+    return _refuse_params("sigma factor", _sigma(p), a=p.a, alpha=p.alpha)
+
+
+def _sigma(p: ExtParams) -> complex:
     a, al = p.a, p.alpha
     num = (-1j + a) * (1j + a - al)
     den = (1j + a) * (-1j + a - al)
@@ -164,7 +177,7 @@ def _dilatation(f: RealMap, p: ExtParams, z, y, sample):
             d1, d2 = (f.deriv(sample(t)) for t in p.nodes)
             ok = (d1 > 0) & (d2 >= 0)
             theta = d2 / np.where(ok, d1, 1.0)
-            sig = sigma_factor(p)
+            sig = _sigma(p)  # where it overflows, the point is refused below
             val = np.abs(1.0 - theta) / np.abs(1.0 - sig * theta)
         else:
             u = sample(a)
@@ -247,13 +260,17 @@ def sup_dilatation(f: RealMap, p: ExtParams, grid) -> float:
 def dilatation_bound(p: ExtParams, deriv_lo: float, deriv_hi: float) -> float:
     """Closed-form bound on the dilatation when f' is certified in
     [deriv_lo, deriv_hi]: theta ranges over [lo/hi, hi/lo] and the quotient
-    is monotone away from theta = 1, so the endpoints dominate."""
+    is monotone away from theta = 1, so the endpoints dominate.  Arguments
+    whose bound overflows in floating point raise DomainError naming them."""
     p.require_group()
     if not 0 < deriv_lo <= deriv_hi:
         raise DomainError("need 0 < deriv_lo <= deriv_hi")
-    sig = sigma_factor(p)
-    ends = np.array([deriv_lo / deriv_hi, deriv_hi / deriv_lo])
-    return float(np.max(np.abs(1.0 - ends) / np.abs(1.0 - sig * ends)))
+    sig = _sigma(p)
+    with silenced():
+        ends = np.array([deriv_lo / deriv_hi, deriv_hi / deriv_lo])
+        bound = float(np.max(np.abs(1.0 - ends) / np.abs(1.0 - sig * ends)))
+    return _refuse_params("dilatation bound", bound, a=p.a, alpha=p.alpha,
+                          deriv_lo=deriv_lo, deriv_hi=deriv_hi)
 
 
 # -- admissibility residuals ---------------------------------------------------
@@ -286,18 +303,27 @@ def boundary_residual(p: ExtParams, f: RealMap, interval=(-1.0, 1.0), y=1e-2):
 
 def boundary_constant(p: ExtParams, deriv_hi: float) -> float:
     """Lipschitz constant C with |E f(x + iy) - f(x)| <= C y, alpha > 0:
-    C = B (|a| sqrt(1 + (alpha-a)^2) + |alpha-a| sqrt(1 + a^2)) / alpha."""
+    C = B (|a| sqrt(1 + (alpha-a)^2) + |alpha-a| sqrt(1 + a^2)) / alpha.
+    Arguments whose constant overflows in floating point raise DomainError
+    naming them."""
     p.require_group()
     a, al = p.a, p.alpha
-    return deriv_hi * (abs(a) * math.hypot(1.0, al - a)
-                       + abs(al - a) * math.hypot(1.0, a)) / al
+    with silenced():
+        c = deriv_hi * (abs(a) * math.hypot(1.0, al - a)
+                        + abs(al - a) * math.hypot(1.0, a)) / al
+    return _refuse_params("boundary constant", c, a=a, alpha=al, deriv_hi=deriv_hi)
 
 
 # -- PDE characterization ------------------------------------------------------
 
 def pde_matrix(p: ExtParams) -> np.ndarray:
     """Symmetric coefficient matrix A of the characteristic equation
-    Tr(A Hess F) = 0; A = [[(alpha-a) a, (2a-alpha)/2], [(2a-alpha)/2, -1]]."""
+    Tr(A Hess F) = 0; A = [[(alpha-a) a, (2a-alpha)/2], [(2a-alpha)/2, -1]].
+    Parameters with an entry past the floats raise DomainError naming them."""
+    return _refuse_params("PDE matrix", _pde_matrix(p), a=p.a, alpha=p.alpha)
+
+
+def _pde_matrix(p: ExtParams) -> np.ndarray:
     a, al = p.a, p.alpha
     off = 0.5 * (2.0 * a - al)
     return np.array([[(al - a) * a, off], [off, -1.0]])
@@ -320,7 +346,7 @@ def pde_residual(f: RealMap, p: ExtParams, z, h=None):
         fxx = _over(e - 2.0 * c + w, h * h)
         fyy = _over(n - 2.0 * c + s, h * h)
         fxy = _over(ne - se - nw + sw, 4.0 * (h * h))
-        mat = pde_matrix(p)
+        mat = _pde_matrix(p)  # where it overflows, the point is refused below
         r = mat[0, 0] * fxx + 2.0 * mat[0, 1] * fxy + mat[1, 1] * fyy
         out = np.hypot(r.real, r.imag)
     return scalar_or_array(refuse_overflow("PDE residual", z, out))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DomainError, QuadratureFailure, raise_at_first,
+from .errors import (DomainError, QuadratureFailure, blocks, raise_at_first,
                      refuse_overflow, require_positive, scalar_or_array,
                      silenced)
 from .extensions import require_upper_half
@@ -33,37 +33,47 @@ def extend_ba(f: RealMap, z, quad_tol: float = QUAD_TOL,
     In u = x + t y the two integrals are the means of f over the half-windows
     [x - y, x] and [x, x + y].  The integrand has a kink only at t = 0, the
     shared endpoint of the two, so it is a fixed breakpoint.  The
-    half-windows of all points go to one ``adaptive_integral`` call, each
-    with the tolerance ``quad_tol`` times its width.  All points are
-    validated before any is integrated; the first bad one, in C order,
-    raises DomainError: first a window whose tolerance rounds to 0, then
-    one past the float range.  A ``quad_tol`` or ``im_scale`` that is not
-    positive and finite raises DomainError before any point is checked.
+    half-windows of a block of points (``errors.blocks``) go to one
+    ``adaptive_integral`` call, each with the tolerance ``quad_tol`` times
+    its width; an integral does not depend on the others of its call.  All
+    points are validated before any is integrated; the first bad one, in C
+    order, raises DomainError: first a window whose tolerance rounds to 0,
+    then one past the float range.  A ``quad_tol`` or ``im_scale`` that is
+    not positive and finite raises DomainError before any point is checked.
     An integrand value that is not finite raises QuadratureFailure naming
-    the point; a result that overflows raises DomainError naming it.
+    the point, in the first block that fails, with ``index`` the flat index
+    of its window among the stacked windows (minus, then plus) of all
+    points; a result that overflows raises DomainError naming it.
     """
     require_positive("quad_tol", quad_tol)
     require_positive("im_scale", im_scale)
     z = require_upper_half(np.asarray(z, dtype=complex))
-    x, y = z.real, z.imag
+    flat = z.ravel()
+    x, y = flat.real, flat.imag
     with silenced():  # an overflowed window is refused below
         lo = np.stack([x - y, x])
         hi = np.stack([x, x + y])
         span = hi - lo
         tol = quad_tol * span
     for ok, what in ((tol > 0, "vanishes"), (tol < np.inf, "overflows")):
-        raise_at_first(~ok, np.broadcast_to(z, span.shape),
+        raise_at_first(~ok, np.broadcast_to(flat, span.shape),
                        f"averaging window of z={{}} {what} in floating point")
-    try:
-        # overflow or NaN in f is refused by the integral's finiteness check
-        with silenced():
-            i_minus, i_plus = adaptive_integral(f, lo, hi, tol) / span
-    except QuadratureFailure as exc:
-        if exc.index is None:  # raised by f, e.g. by a power-integral table
-            raise
-        at = complex(z.flat[exc.index % z.size])
-        raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
-                                index=exc.index) from exc
+    mean = np.empty_like(span)
+    # a point's two windows take a 16-node panel of 8-byte samples each
+    for rows in blocks(flat.size, 2 * 16 * 8):
+        try:
+            # overflow or NaN in f is refused by the integral's finiteness check
+            with silenced():
+                mean[:, rows] = adaptive_integral(
+                    f, lo[:, rows], hi[:, rows], tol[:, rows]) / span[:, rows]
+        except QuadratureFailure as exc:
+            if exc.index is None:  # raised by f, e.g. by a power-integral table
+                raise
+            side, k = divmod(exc.index, len(flat[rows]))
+            at = complex(flat[rows.start + k])
+            raise QuadratureFailure(f"averaged extension at z={at}: {exc}",
+                                    index=side * flat.size + rows.start + k) from exc
+    i_minus, i_plus = mean.reshape(2, *z.shape)
     with silenced():
         out = 0.5 * (i_plus + i_minus) + 0.5j * im_scale * (i_plus - i_minus)
     return scalar_or_array(refuse_overflow("averaged extension", z, out))

@@ -31,7 +31,7 @@ from .beurling_ahlfors import (IM_SCALE, QUAD_TOL, ba_affine_naturality_residual
                                extend_ba)
 from .douady_earle import (N_NODES, TOL, CircleMap, MobiusAutomorphism,
                            circle_map_from_dict, de_naturality_residual, extend_de)
-from .errors import DomainError, QCExtError
+from .errors import DomainError, QCExtError, blocks
 from .extensions import ExtParams, act, extend_family, extend_ns
 from .realmap import (Affine, BUMP_SLOPE_MAX, MAP, NUMBER, REQUIRED, BumpProfile,
                       Composition, Field, IdentityPlusBump, RealMap, _checked,
@@ -81,33 +81,43 @@ def _write_rows(zs: np.ndarray, vals: np.ndarray, dil: np.ndarray, out_path,
     """Write the columns (x + iy, re + i im, dilatation) of the rows to
     out_path, or to stdout if it is None, as the bytes csv.writer over repr
     cells (fmt "csv") or json.dumps(rows, indent=1) and a newline (fmt
-    "json") would write, one f-string per row.  Each distinct bit pattern
-    of the cells is spelled once (so -0.0 keeps its sign), since the columns
-    of a locally affine map repeat many values."""
+    "json") would write, one f-string per row."""
     cells = np.column_stack([zs.real, zs.imag, vals.real, vals.imag, dil])
-    bits, where = np.unique(cells.view(np.int64), return_inverse=True)
-    floats = bits.view(np.float64)
-    texts = np.array(list(map(repr, floats.tolist())), dtype=object)
-    texts[np.isnan(floats)] = _NAN[fmt]  # only the dilatation column holds NaN
-    rows = texts[where].reshape(cells.shape).tolist()
-    if fmt == "csv":
-        text = "x,y,re,im,dilatation\r\n" + "".join(
-            [f"{x},{y},{re},{im},{d}\r\n" for x, y, re, im, d in rows])
-    else:
-        text = "[\n" + ",\n".join(
-            [f' {{\n  "x": {x},\n  "y": {y},\n  "re": {re},\n  "im": {im},\n'
-             f'  "dilatation": {d}\n }}' for x, y, re, im, d in rows]) + "\n]\n"
-    _write_text(text, out_path)
+    _write_text(_row_texts(cells, fmt), out_path)
 
 
-def _write_text(text: str, out_path):
-    """text to the file out_path as it is (no newline translation), or to
-    stdout if out_path is None."""
+def _row_texts(cells: np.ndarray, fmt: str):
+    """The text of the rows ``cells``, one piece per ``errors.blocks`` of
+    rows (five 8-byte cells a row), so each block is spelled as it is
+    written.  Each distinct bit pattern of a block's cells is spelled once
+    (so -0.0 keeps its sign), since the columns of a locally affine map
+    repeat many values."""
+    yield "x,y,re,im,dilatation\r\n" if fmt == "csv" else "[\n"
+    for i, part in enumerate(blocks(len(cells), cells.itemsize * cells.shape[1])):
+        block = cells[part]
+        bits, where = np.unique(block.view(np.int64), return_inverse=True)
+        floats = bits.view(np.float64)
+        texts = np.array(list(map(repr, floats.tolist())), dtype=object)
+        texts[np.isnan(floats)] = _NAN[fmt]  # only the dilatation column holds NaN
+        rows = texts[where].reshape(block.shape).tolist()
+        if fmt == "csv":
+            yield "".join([f"{x},{y},{re},{im},{d}\r\n" for x, y, re, im, d in rows])
+        else:  # the blocks' rows are joined by ",\n" too
+            yield (",\n" if i else "") + ",\n".join(
+                [f' {{\n  "x": {x},\n  "y": {y},\n  "re": {re},\n  "im": {im},\n'
+                 f'  "dilatation": {d}\n }}' for x, y, re, im, d in rows])
+    if fmt == "json":
+        yield "\n]\n"
+
+
+def _write_text(texts, out_path):
+    """The strings ``texts``, in order, to the file out_path as they are (no
+    newline translation), or to stdout if out_path is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _json_text(v, pad: str = "\n") -> str:
@@ -390,7 +400,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     f = map_from_file(args.map)
     fac = dc.decompose_bilip(f, args.eps0, tol=args.tol)
-    _write_text(_json_text(fac.to_dict()) + "\n", args.out)
+    _write_text([_json_text(fac.to_dict()) + "\n"], args.out)
     print(f"factors: {len(fac)}  recomposition error: "
           f"{fac.recomposition_error:.3g}  eps: {fac.eps:.6g}", file=sys.stderr)
     return EXIT_OK

@@ -11,6 +11,9 @@ damped Newton iteration seeded at the Poisson-weighted barycenter of the
 boundary values, with the closed-form Wirtinger derivatives of the integrand
 as its Jacobian.  A solve samples f once per call and builds the Poisson
 rows 1/|zeta_k - z|^2 once per block of points, and every sum reuses them.
+A point's rows are n_nodes complex numbers, 16 bytes each, so a block's
+points x nodes temporaries take ``errors.BLOCK_BYTES`` each (unblocked, a
+200 x 200 grid at 512 nodes would need about 330 MB per temporary).
 Every function here takes arrays of points and solves them together; a
 scalar point is the 0-d case of the same code.
 """
@@ -22,8 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergence, on_flat, raise_at_first,
-                     require_positive, scalar_or_array)
+from .errors import (DomainError, NonConvergence, blocks, on_flat,
+                     raise_at_first, require_positive, scalar_or_array)
 from .realmap import NUMBER, NUMBERS, PAIR, map_from_dict, register
 
 _TWO_PI = 2.0 * math.pi
@@ -200,9 +203,10 @@ def de_defect(f: CircleMap, w, z, n_nodes: int = N_NODES):
     _check_nodes(n_nodes)
     w, z = np.broadcast_arrays(w, z)
     flat_w, flat_z = w.ravel(), z.ravel()
+    zeta, fv = _samples(f, n_nodes)
     g = np.empty_like(flat_z)
-    for rows, fv, kernel in _blocks(f, flat_z, n_nodes):
-        g[rows] = _defect(flat_w[rows], fv, kernel)
+    for rows in blocks(flat_z.size, 16 * n_nodes):
+        g[rows] = _defect(flat_w[rows], fv, _kernel(zeta, flat_z[rows]))
     return scalar_or_array(g.reshape(z.shape))
 
 
@@ -223,21 +227,7 @@ def _poisson_seed(fv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (fv * kernel).sum(axis=-1) / kernel.sum(axis=-1)
 
 
-# Points solved or summed together carry n_nodes-long rows.  A block
-# holds at most _BLOCK_SIZE nodes in all, which bounds the memory of each
-# points x nodes complex temporary (128 KiB): unblocked, a 200 x 200 grid at
-# 512 nodes would need about 330 MB per temporary.  The value is otherwise
-# free: 131072 nodes gave the same time and the same bits as 8192.
-_BLOCK_SIZE = 8192
 _MAX_ITER = 50  # Newton steps of one point's solve
-
-
-def _blocks(f: CircleMap, z: np.ndarray, n_nodes: int):
-    """Sample f once; yield each block's slice, f(zeta_k) and Poisson rows."""
-    zeta, fv = _samples(f, n_nodes)
-    block = max(1, _BLOCK_SIZE // n_nodes)
-    for s in range(0, z.size, block):
-        yield slice(s, s + block), fv, _kernel(zeta, z[s:s + block])
 
 
 def extend_de(f: CircleMap, z, tol: float = TOL, n_nodes: int = N_NODES):
@@ -257,9 +247,10 @@ def extend_de(f: CircleMap, z, tol: float = TOL, n_nodes: int = N_NODES):
     _check_nodes(n_nodes)
     z = _disk_points(z, "z")
     flat = z.ravel()
+    zeta, fv = _samples(f, n_nodes)
     w = np.empty_like(flat)
-    for rows, fv, kernel in _blocks(f, flat, n_nodes):
-        w[rows] = _solve_block(fv, kernel, flat[rows], tol)
+    for rows in blocks(flat.size, 16 * n_nodes):
+        w[rows] = _solve_block(fv, _kernel(zeta, flat[rows]), flat[rows], tol)
     return scalar_or_array(w.reshape(z.shape))
 
 

@@ -7,7 +7,8 @@ Two refusals that operators repeat are spelled here once, in those
 conventions: a parameter that is not positive and finite
 (``require_positive``), and a result that leaves the floats
 (``refuse_overflow``), computed under ``silenced()`` so that no numpy
-warning escapes.
+warning escapes.  So is the working set of a batched operator: it works
+in the ``blocks`` of one byte budget, ``BLOCK_BYTES``.
 """
 
 import cmath
@@ -71,16 +72,33 @@ def silenced():
     return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
-def refuse_overflow(what: str, z, out):
+def refuse_overflow(what: str, z, out, at: str = "z"):
     """``out``, the result at the points ``z``, or DomainError ``<what> at
-    z=<point> overflows in floating point`` for the first point, in C order,
-    where it is not finite; a result stacked along a new first axis (a
-    stencil) is refused where any of its rows is."""
+    <at>=<point> overflows in floating point`` for the first point, in C
+    order, where it is not finite; a result stacked along new leading axes
+    (a stencil, a matrix) is refused where any of its entries is.  ``at``
+    names what ``z`` holds: the points, or, for a result of a call's
+    parameters alone, their names, with ``z`` the text of their values."""
     finite = np.isfinite(out)
     if finite.ndim > np.ndim(z):
-        finite = finite.all(axis=0)
-    raise_at_first(~finite, z, f"{what} at z={{}} overflows in floating point")
+        finite = finite.reshape(-1, *np.shape(z)).all(axis=0)
+    raise_at_first(~finite, z, f"{what} at {at}={{}} overflows in floating point")
     return out
+
+
+# The bytes that the per-item temporaries of a batched operator may take at
+# once: 8192 complex numbers.  Every batched loop (the disk solve, power-
+# integral builds, Beurling-Ahlfors windows, the row writer) computes each
+# item on its own, so no output depends on this value, only the memory.
+BLOCK_BYTES = 128 * 1024
+
+
+def blocks(n: int, item_bytes: int) -> list[slice]:
+    """The in-order slices of ``range(n)`` in which a batched operator whose
+    items take ``item_bytes`` each of temporaries works: each holds at most
+    ``max(1, BLOCK_BYTES // item_bytes)`` items."""
+    size = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(s, s + size) for s in range(0, n, size)]
 
 
 def scalar_or_array(out):

@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergence, QuadratureFailure, on_flat,
-                     raise_at_first)
+from .errors import (DomainError, NonConvergence, QuadratureFailure, blocks,
+                     on_flat, raise_at_first)
 from .quadrature import panel_integrals, panel_samples, panel_sums
 
 # sup |p'| for the bump profile p(t) = (1 - t^2)^3, attained at t = 1/sqrt(5)
@@ -277,6 +277,10 @@ class IdentityPlusBump(RealMap):
         # one row per bump, so a term below takes one numpy call for all bumps
         self._center, self._halfwidth, self._value, self._d1, self._d2 = np.array(
             [(b.center, b.halfwidth, *b.factors) for b in bumps]).T[:, :, None]
+        self._edge = -self._halfwidth
+        # x - center leaves the floats only for a center past 2**969, half an
+        # ulp of the largest float, and then the clamp maps the inf to an edge
+        self._far = bool(np.max(np.abs(self._center)) > 2.0 ** 969)
 
     def _kinks(self):
         return np.array([e for b in self.bumps for e in b.support])
@@ -285,11 +289,16 @@ class IdentityPlusBump(RealMap):
         """(t, u), one row per bump: t = (x - center)/halfwidth clamped to
         [-1, 1] and u = 1 - t^2.  Where the clamp moves t (NaN goes to -1),
         u is 0, and so is the bump's term: the terms vanish off the
-        supports."""
-        t = x - self._center
+        supports.  x - center is clamped to the halfwidth before it is
+        divided, which gives the same t and cannot overflow."""
+        if self._far:
+            with np.errstate(over="ignore"):
+                t = x - self._center
+        else:
+            t = x - self._center
+        np.fmax(t, self._edge, out=t)
+        np.fmin(t, self._halfwidth, out=t)
         t /= self._halfwidth
-        np.fmax(t, -1.0, out=t)
-        np.fmin(t, 1.0, out=t)
         u = t * t
         np.subtract(1.0, u, out=u)
         return t, u
@@ -431,7 +440,6 @@ class PowerIntegral(RealMap):
     _TOL_SPAN = 128.0      # per-panel budget: quad_tol * width / _TOL_SPAN
     _MAX_PASSES = 40       # halvings of one coarse panel
     _MAX_PANELS = 1 << 16  # coarse panels of a table, or panels of one pass
-    _CHUNK = 2048          # panels sampled at once: bounds a build's memory
     quad_tol = 1e-10       # accuracy of the table on [-_TOL_SPAN, _TOL_SPAN]
 
     def __init__(self, base: RealMap, exponent: float):
@@ -455,13 +463,14 @@ class PowerIntegral(RealMap):
         """``(value, check, flat)`` of the panels [a_i, b_i]: the order-16
         and order-32 values, and the order-16 node sum on the panels the
         slope store flags flat (NaN elsewhere).  The integrand is the stored
-        base slopes at the nodes raised to the exponent, sampled ``_CHUNK``
-        panels at a time, so a call holds the node samples of one chunk
+        base slopes at the nodes raised to the exponent, sampled in
+        ``errors.blocks`` of panels (the order-16 and order-32 nodes of a
+        panel, 8 bytes each), so a call holds the node samples of one block
         only."""
-        if a.size > self._CHUNK:
+        parts = blocks(a.size, 3 * self._ORDER * 8)
+        if len(parts) > 1:
             return [np.concatenate(part) for part in zip(*(
-                self._rules(a[i:i + self._CHUNK], b[i:i + self._CHUNK])
-                for i in range(0, a.size, self._CHUNK)))]
+                self._rules(a[rows], b[rows]) for rows in parts))]
         half = 0.5 * (b - a)
         (d16, d32), flat = self._slopes.at(self.base, a, b)
         sum16 = panel_sums(d16 ** self.exponent)

@@ -3,19 +3,22 @@ operator and check returns finite values or refuses by name, and no numpy
 warning escapes (``qcext.errors`` owns both refusals)."""
 
 import functools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from qcext.analysis import (CubicMap, boundary_residual, characteristic_dilatation,
-                            compare_dilatation, dilatation_analytic,
+from qcext.analysis import (CubicMap, boundary_constant, boundary_residual,
+                            characteristic_dilatation, compare_dilatation,
+                            dilatation_analytic, dilatation_bound,
                             dilatation_numeric, dilatation_values,
-                            homomorphism_residual, pde_residual, sup_dilatation)
+                            homomorphism_residual, pde_matrix, pde_residual,
+                            sigma_factor, sup_dilatation)
 from qcext.beurling_ahlfors import ba_affine_naturality_residual, extend_ba
 from qcext.errors import DomainError, QuadratureFailure
 from qcext.extensions import ExtParams, act, extend_family, extend_ns, shear
-from qcext.realmap import Affine, bump_map
+from qcext.realmap import Affine, InverseMap, bump_map
 
 BIG = 1.7976931348623157e308  # the largest float
 BUMP = bump_map(0.0, 1.0, 0.3)
@@ -107,3 +110,69 @@ def test_numeric_dilatation_of_a_steep_linear_extension_is_zero():
     # d_z F = 1e308 overflows in its own sum, but the quotient is finite
     steep = Affine(1e308)
     assert dilatation_numeric(lambda w: extend_ns(steep, w), 0.1 + 0.5j, None) == 0.0
+
+
+# the functions of the parameters alone: (call, its reference arithmetic)
+def sigma(a, al):
+    return (-1j + a) * (1j + a - al) / ((1j + a) * (-1j + a - al))
+
+
+ENDS = np.array([0.25, 4.0])  # the slope ratios of certified bounds [0.5, 2]
+PARAMETER_FUNCTIONS = {
+    "sigma factor": (sigma_factor, sigma),
+    "dilatation bound": (lambda p: dilatation_bound(p, 0.5, 2.0), lambda a, al: float(
+        np.max(np.abs(1.0 - ENDS) / np.abs(1.0 - sigma(a, al) * ENDS)))),
+    "boundary constant": (lambda p: boundary_constant(p, 2.0), lambda a, al: 2.0 * (
+        abs(a) * math.hypot(1.0, al - a) + abs(al - a) * math.hypot(1.0, a)) / al),
+    "PDE matrix": (pde_matrix, lambda a, al: np.array(
+        [[(al - a) * a, 0.5 * (2.0 * a - al)], [0.5 * (2.0 * a - al), -1.0]])),
+}
+
+
+@pytest.mark.parametrize("name", PARAMETER_FUNCTIONS)
+def test_a_function_of_the_parameters_is_finite_or_refused_naming_them(name):
+    call, reference = PARAMETER_FUNCTIONS[name]
+    names = {"dilatation bound": "(a, alpha, deriv_lo, deriv_hi)",
+             "boundary constant": "(a, alpha, deriv_hi)"}.get(name, "(a, alpha)")
+    extra = {"dilatation bound": (0.5, 2.0), "boundary constant": (2.0,)}.get(name, ())
+    for p in PARAMS + [ExtParams(1e308, 1e-300), ExtParams(-0.3, 1.7)]:
+        if p.alpha == 0 and extra:
+            continue  # the group functions refuse alpha = 0 first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call(p)
+            except DomainError as exc:
+                assert str(exc) == (f"{name} at {names}={(p.a, p.alpha, *extra)} "
+                                    "overflows in floating point")
+                continue
+        # a finite result keeps the bits of the arithmetic it always had
+        want = reference(p.a, p.alpha)
+        assert np.isfinite(out).all() and np.array_equal(out, want), (name, p)
+
+
+def test_refused_parameters_name_every_argument():
+    p = ExtParams(1e308, 1e-300)
+    for call, message in (
+            (lambda: sigma_factor(p), "sigma factor at (a, alpha)=(1e+308, 1e-300)"),
+            (lambda: dilatation_bound(p, 1.0, 2.0), "dilatation bound at "
+             "(a, alpha, deriv_lo, deriv_hi)=(1e+308, 1e-300, 1.0, 2.0)"),
+            (lambda: boundary_constant(p, 2.0),
+             "boundary constant at (a, alpha, deriv_hi)=(1e+308, 1e-300, 2.0)"),
+            (lambda: pde_matrix(p), "PDE matrix at (a, alpha)=(1e+308, 1e-300)")):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message + " overflows in floating point"
+
+
+@pytest.mark.parametrize("center, halfwidth, x", [
+    (BIG, 1.0, -BIG),       # x - center leaves the floats
+    (0.0, 1e-300, 1e10),    # (x - center) / halfwidth does
+    (0.0, 1e-10, 1e300)])
+def test_a_bump_across_the_float_range_is_the_identity_with_no_warning(center, halfwidth,
+                                                                       x):
+    f = bump_map(center, halfwidth, 0.5 * halfwidth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (f(x), f.deriv(x), f.second_deriv(x)) == (x, 1.0, 0.0)
+        assert InverseMap(f)(x) == x
